@@ -127,7 +127,7 @@ WsDeque::popChaseLev(Task &out, size_t &size_after)
             h, h + 1, std::memory_order_seq_cst);
         tail_.store(t + 1, std::memory_order_relaxed);
         if (!won) {
-            popCasLosses_.fetch_add(1, std::memory_order_relaxed);
+            ownedAdd(popCasLosses_); // only the owner pops
             return false;
         }
         out = Task::adopt(loadSlot(t));

@@ -42,6 +42,7 @@
 #include <mutex>
 #include <vector>
 
+#include "runtime/stats.hpp"
 #include "runtime/task.hpp"
 
 namespace hermes::runtime {
@@ -237,7 +238,9 @@ class WsDeque
     std::atomic<int64_t> tail_{0};
     /** THE protocol only; untouched by Chase-Lev. */
     std::mutex lock_;
+    /** Written by every thief: keeps its `fetch_add`. */
     std::atomic<uint64_t> stealCasRetries_{0};
+    /** Written only by the owner's pop: `ownedAdd` (stats.hpp). */
     std::atomic<uint64_t> popCasLosses_{0};
 };
 

@@ -20,6 +20,51 @@ steadyNowNanos()
     return util::nowNanos();
 }
 
+// WorkerState::parkClock states (low two bits) and payload (62 bits,
+// so the payload arithmetic is mod 2^62 — 146 years of nanos).
+constexpr uint64_t kClockAwake = 0;
+constexpr uint64_t kClockParked = 1;
+constexpr uint64_t kClockWaking = 2;
+constexpr uint64_t kClockStateMask = 3;
+
+uint64_t
+packClock(uint64_t nanos, uint64_t state)
+{
+    return (nanos << 2) | state;
+}
+
+uint64_t
+clockNanos(uint64_t word)
+{
+    return word >> 2;
+}
+
+/**
+ * Parked nanos of one worker, crediting a block in progress up to now.
+ * Successive reads never decrease: a parked word is credited only with
+ * a clock read taken after the word was loaded (so it is past the
+ * block's start) and before the same word was loaded again (so it is
+ * before the waking edge, whose exchange precedes the owner's end
+ * clock read). A read that meets the waking edge retries.
+ */
+uint64_t
+parkedNanosOf(const std::atomic<uint64_t> &park_clock)
+{
+    for (;;) {
+        const uint64_t word = park_clock.load(std::memory_order_relaxed);
+        if ((word & kClockStateMask) == kClockAwake)
+            return clockNanos(word);
+        if ((word & kClockStateMask) == kClockParked) {
+            const uint64_t now = steadyNowNanos();
+            if (park_clock.load(std::memory_order_relaxed) == word)
+                return clockNanos(packClock(clockNanos(word) + now, 0));
+        }
+        // The owner is between its waking exchange and its fold: one
+        // clock read away.
+        std::this_thread::yield();
+    }
+}
+
 } // namespace
 
 Runtime *
@@ -220,7 +265,7 @@ Runtime::spawn(TaskGroup &group, TaskFn fn)
         // push() leaves `task` intact on failure (full ring), which
         // the inline-execution fallback below relies on.
         if (ws.deque.push(std::move(task), size_after)) {
-            ws.pushes.fetch_add(1, std::memory_order_relaxed);
+            ownedAdd(ws.pushes);
             // Wake only on the empty→non-empty transition: a deque
             // that was already non-empty is visible to any thief's
             // pre-park re-check, so deeper pushes cannot strand a
@@ -236,7 +281,7 @@ Runtime::spawn(TaskGroup &group, TaskFn fn)
         } else {
             // Ring full: execute inline. With child-stealing this is
             // just a depth-first serialization of the subtree.
-            ws.inlined.fetch_add(1, std::memory_order_relaxed);
+            ownedAdd(ws.inlined);
             execute(id, task);
         }
         return;
@@ -422,7 +467,7 @@ void
 Runtime::execute(core::WorkerId id, Task &task)
 {
     auto &ws = *workers_[id];
-    ws.activeDepth.fetch_add(1, std::memory_order_relaxed);
+    ownedAdd(ws.activeDepth);
 
     // Dynamic scheduling: bind the worker to its core for the span of
     // this WORK invocation so a preemption cannot migrate it away
@@ -431,7 +476,7 @@ Runtime::execute(core::WorkerId id, Task &task)
         config_.scheduling == SchedulingMode::Dynamic;
     if (dynamic) {
         platform::pinSelfToCore(plannedCores_[id]);
-        ws.affinitySets.fetch_add(1, std::memory_order_relaxed);
+        ownedAdd(ws.affinitySets);
     }
 
     const bool throttled =
@@ -462,13 +507,13 @@ Runtime::execute(core::WorkerId id, Task &task)
 
     if (dynamic) {
         platform::unpinSelf(config_.profile.topology.numCores());
-        ws.affinitySets.fetch_add(1, std::memory_order_relaxed);
+        ownedAdd(ws.affinitySets);
     }
 
-    ws.executed.fetch_add(1, std::memory_order_relaxed);
+    ownedAdd(ws.executed);
     if (task.group)
         task.group->finish();
-    ws.activeDepth.fetch_sub(1, std::memory_order_relaxed);
+    ownedAdd(ws.activeDepth, -1);
     // Task bodies are the only unbounded-duration stretches between
     // deque events; invalidating the coarse clock here bounds its
     // staleness to one task body (or 32 back-to-back spawns) instead
@@ -485,13 +530,13 @@ Runtime::findAndExecute(core::WorkerId id)
     // per scheduler iteration, same cost class as the counters
     // below. Covers workerMain and the help-while-waiting loop in
     // TaskGroup::wait — everywhere a live worker spins.
-    ws.heartbeat.fetch_add(1, std::memory_order_relaxed);
+    ownedAdd(ws.heartbeat);
     Task task;
     size_t size_after = 0;
 
     // Algorithm 2.1: POP own deque first (most immediate task).
     if (ws.deque.pop(task, size_after)) {
-        ws.pops.fetch_add(1, std::memory_order_relaxed);
+        ownedAdd(ws.pops);
         if (tempo_)
             tempo_->onPopSuccess(id, size_after, coarseNow(ws));
         execute(id, task);
@@ -548,7 +593,7 @@ Runtime::findAndExecute(core::WorkerId id)
         }
         // One failed hunt, however many victims it probed.
         ws.lastHuntFailed = true;
-        ws.failedSteals.fetch_add(1, std::memory_order_relaxed);
+        ownedAdd(ws.failedSteals);
     }
     return false;
 }
@@ -571,15 +616,13 @@ Runtime::tryStealFrom(core::WorkerId id, core::WorkerId victim)
     if (got == 0)
         return false;
 
-    ws.steals.fetch_add(1, std::memory_order_relaxed);
-    ws.stolenTasks.fetch_add(got, std::memory_order_relaxed);
+    ownedAdd(ws.steals);
+    ownedAdd(ws.stolenTasks, got);
     if (got > 1)
-        ws.bulkSteals.fetch_add(1, std::memory_order_relaxed);
-    ws.stealSize[RuntimeStats::stealSizeBucket(got)].fetch_add(
-        1, std::memory_order_relaxed);
+        ownedAdd(ws.bulkSteals);
+    ownedAdd(ws.stealSize[RuntimeStats::stealSizeBucket(got)]);
     const bool local = domainMap_.sameDomain(id, victim);
-    (local ? ws.localHits : ws.remoteHits)
-        .fetch_add(1, std::memory_order_relaxed);
+    ownedAdd(local ? ws.localHits : ws.remoteHits);
     // Adaptive-locality history: windowed so the ratio tracks the
     // current DAG phase (halve both counts at the window bound).
     (local ? ws.recentLocalHits : ws.recentRemoteHits) += 1;
@@ -621,7 +664,7 @@ Runtime::tryStealFrom(core::WorkerId id, core::WorkerId victim)
         for (size_t i = 1; i < got; ++i) {
             size_t my_size = 0;
             if (ws.deque.push(std::move(buf[i]), my_size)) {
-                ws.pushes.fetch_add(1, std::memory_order_relaxed);
+                ownedAdd(ws.pushes);
                 // The whole surplus transfer is one instant to the
                 // controller — the steal's fresh timestamp covers it.
                 if (tempo_)
@@ -641,7 +684,7 @@ Runtime::tryStealFrom(core::WorkerId id, core::WorkerId victim)
     Task first = config_.stealPolicy.stealHalf ? std::move(buf[0])
                                                : std::move(single);
     for (auto &task : overflow) {
-        ws.inlined.fetch_add(1, std::memory_order_relaxed);
+        ownedAdd(ws.inlined);
         execute(id, task);
     }
     execute(id, first);
@@ -656,8 +699,7 @@ Runtime::workerMain(core::WorkerId id)
 
     if (config_.scheduling == SchedulingMode::Static) {
         platform::pinSelfToCore(plannedCores_[id]);
-        workers_[id]->affinitySets.fetch_add(
-            1, std::memory_order_relaxed);
+        ownedAdd(workers_[id]->affinitySets);
     }
 
     // Idle protocol: yield through a handful of empty hunts, then
@@ -698,8 +740,7 @@ Runtime::workerMain(core::WorkerId id)
             // Woken (or returned spuriously) yet the first hunt
             // found nothing: either a sibling raced us to the task
             // or the wakeup was spurious.
-            workers_[id]->spuriousWakes.fetch_add(
-                1, std::memory_order_relaxed);
+            ownedAdd(workers_[id]->spuriousWakes);
             just_woke = false;
         }
         ++empty_hunts;
@@ -740,7 +781,7 @@ Runtime::parkUntilWork(core::WorkerId id)
     // Heartbeat around the park: the parked flag excuses the worker
     // from the watchdog while blocked; this bump marks the
     // transition so the flag and the counter never both read stale.
-    ws.heartbeat.fetch_add(1, std::memory_order_relaxed);
+    ownedAdd(ws.heartbeat);
 
     // Publish-then-recheck (docs/ARCHITECTURE.md walks through why
     // this has no lost-wakeup window):
@@ -761,21 +802,29 @@ Runtime::parkUntilWork(core::WorkerId id)
         // aborted-park path.
         if (tempo_)
             tempo_->onPark(id, freshNow(ws));
-        ws.parks.fetch_add(1, std::memory_order_relaxed);
-        const uint64_t t0 = steadyNowNanos();
-        ws.parkStartNanos.store(t0, std::memory_order_relaxed);
+        ownedAdd(ws.parks);
+        // Parked-time clock: while blocked, the word holds the total
+        // minus the block's start, so a reader credits the block up
+        // to its own clock (parkedNanosOf()). On waking, the exchange
+        // to the waking state is visible before the end clock read,
+        // so no reader can have credited the block past that end;
+        // the fold back to the awake state is one store.
+        const uint64_t total = clockNanos(ws.parkClock.load(
+            std::memory_order_relaxed));
+        ws.parkClock.store(
+            packClock(total - steadyNowNanos(), kClockParked),
+            std::memory_order_relaxed);
         lot_.wait(id, epoch);
-        // Clear the in-progress marker before folding the block into
-        // parkedNanos so a concurrent workerStats() cannot count the
-        // same block twice: the release on the fold pairs with the
-        // acquire load in workerStats(), making the cleared marker
-        // visible to any reader that sees the folded total. (A
-        // reader may transiently miss the tail of this block instead
-        // — stats are sampled, not transactional.)
-        ws.parkStartNanos.store(0, std::memory_order_relaxed);
-        ws.parkedNanos.fetch_add(steadyNowNanos() - t0,
-                                 std::memory_order_release);
-        ws.wakes.fetch_add(1, std::memory_order_relaxed);
+        const uint64_t parked_word =
+            ws.parkClock.load(std::memory_order_relaxed);
+        ws.parkClock.exchange(
+            (parked_word & ~kClockStateMask) | kClockWaking,
+            std::memory_order_seq_cst);
+        ws.parkClock.store(packClock(clockNanos(parked_word)
+                                         + steadyNowNanos(),
+                                     kClockAwake),
+                           std::memory_order_relaxed);
+        ownedAdd(ws.wakes);
         if (tempo_)
             tempo_->onWake(id, freshNow(ws));
         blocked = true;
@@ -816,22 +865,11 @@ Runtime::workerStats(core::WorkerId w) const
     for (unsigned b = 0; b < RuntimeStats::kStealSizeBuckets; ++b)
         s.stealSize[b] =
             ws.stealSize[b].load(std::memory_order_relaxed);
-    // Acquire pairs with the release fold in parkUntilWork(): a
-    // reader that sees a block already folded into parkedNanos is
-    // guaranteed to also see parkStartNanos cleared, so no block is
-    // ever counted twice. Read order (total, then marker) matters.
-    s.parkedNanos = ws.parkedNanos.load(std::memory_order_acquire);
-    // Credit an in-progress block up to now: without this, a worker
+    // Credits an in-progress block up to now: without this, a worker
     // parked across a measurement window would attribute the whole
     // block to the moment it wakes, skewing windowed parked-time
     // fractions in both directions.
-    const uint64_t start =
-        ws.parkStartNanos.load(std::memory_order_relaxed);
-    if (start != 0) {
-        const uint64_t now = steadyNowNanos();
-        if (now > start)
-            s.parkedNanos += now - start;
-    }
+    s.parkedNanos = parkedNanosOf(ws.parkClock);
     return s;
 }
 

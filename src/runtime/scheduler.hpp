@@ -269,6 +269,16 @@ class Runtime
   private:
     friend class TaskGroup;
 
+    /**
+     * Per-worker state. Single-writer rule: every counter here is
+     * written only by its owning worker thread, so it is bumped with
+     * ownedAdd() (stats.hpp) — a relaxed load plus a store, never a
+     * locked RMW — and other threads only load it. A counter that a
+     * second thread may write (the deque's stealCasRetries, the
+     * runtime-wide wake and inject counters below) keeps
+     * `fetch_add`. `parked` and `stallNanosRequested` are flags, not
+     * counters: their cross-thread orderings are documented at each.
+     */
     struct alignas(64) WorkerState
     {
         WorkerState(size_t deque_capacity, DequePolicy deque_policy)
@@ -276,6 +286,8 @@ class Runtime
         {}
 
         WsDeque deque;
+        /** Task bodies running on this worker (nested by inline runs
+         * and sync-point help); read by packagePower(). */
         std::atomic<int> activeDepth{0};
         /** True between the parked-publish and the unpark; read by
          * packagePower() to charge this core parkedPower and by the
@@ -291,7 +303,6 @@ class Runtime
         std::atomic<uint64_t> parks{0};
         std::atomic<uint64_t> wakes{0};
         std::atomic<uint64_t> spuriousWakes{0};
-        std::atomic<uint64_t> parkedNanos{0};
         std::atomic<uint64_t> bulkSteals{0};
         std::atomic<uint64_t> stolenTasks{0};
         std::atomic<uint64_t> localHits{0};
@@ -300,10 +311,17 @@ class Runtime
         std::array<std::atomic<uint64_t>,
                    RuntimeStats::kStealSizeBuckets>
             stealSize{};
-        /** steady_clock nanos at which the current block began, 0
-         * when not blocked. Lets workerStats() credit an in-progress
-         * block, so parked-time windows snapshot correctly. */
-        std::atomic<uint64_t> parkStartNanos{0};
+        /**
+         * Parked time in one word, so workerStats() can never pair a
+         * block's start with a total that already holds that block.
+         * The low two bits are the state (awake, parked, waking);
+         * the rest hold the parked total while awake, and the total
+         * minus the current block's start while parked, so a reader
+         * adds its own clock to credit the block in progress (see
+         * parkUntilWork() and parkedNanosOf() for why successive
+         * reads never decrease).
+         */
+        std::atomic<uint64_t> parkClock{0};
         /** Progress heartbeat: bumped (relaxed) once per scheduler
          * iteration and around every park, read by stallTelemetry().
          * Frozen heartbeat + parked=false across watchdog samples =

@@ -7,9 +7,27 @@
 #define HERMES_RUNTIME_STATS_HPP
 
 #include <array>
+#include <atomic>
 #include <cstdint>
+#include <type_traits>
 
 namespace hermes::runtime {
+
+/**
+ * Add `delta` to a counter that only one thread (its owning worker)
+ * ever writes: a relaxed load plus a store, so no locked instruction.
+ * Readers on other threads still see each value whole, and a reader's
+ * successive loads never go backwards (coherence of a single atomic).
+ * A counter with two writers must keep `fetch_add`: two of these
+ * racing would lose an update.
+ */
+template <typename T>
+inline void
+ownedAdd(std::atomic<T> &counter, std::type_identity_t<T> delta = 1)
+{
+    counter.store(counter.load(std::memory_order_relaxed) + delta,
+                  std::memory_order_relaxed);
+}
 
 /** Snapshot of scheduler activity (sums over all workers). */
 struct RuntimeStats

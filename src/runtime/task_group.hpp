@@ -58,11 +58,16 @@ class TaskGroup
     /** Tasks spawned but not yet completed. */
     long pending() const
     {
-        return pending_.load(std::memory_order_acquire);
+        return pending_.load(std::memory_order_acquire) & ~kWaiterBit;
     }
 
   private:
     friend class Runtime;
+
+    /** Bit of `pending_` a blocking waiter sets (under `mutex_`) to
+     * ask the last finisher for a wake; the bits below count tasks.
+     * docs/ARCHITECTURE.md, "TaskGroup completion", has the protocol. */
+    static constexpr long kWaiterBit = 1L << 62;
 
     /** Register one more task (before it becomes runnable). */
     void beginTask()
@@ -70,19 +75,30 @@ class TaskGroup
         pending_.fetch_add(1, std::memory_order_relaxed);
     }
 
-    /** Mark one task complete; wakes external waiters at zero. */
+    /** Mark one task complete. Touches the group after its
+     * decrement only when a blocking waiter registered, and then
+     * only until it releases that waiter. */
     void finish();
 
     /** Record the first exception observed in this group. */
     void recordException(std::exception_ptr error);
 
-    /** Rethrow a recorded exception, if any. */
+    /** Rethrow a recorded exception, if any; locks only when one is
+     * recorded. */
     void rethrowIfError();
 
     Runtime &rt_;
+    /** Task count, plus kWaiterBit while a blocking waiter waits. */
     std::atomic<long> pending_{0};
+    /** Set while `error_` holds an exception, so a clean wait()
+     * never takes the lock. */
+    std::atomic<bool> hasError_{false};
     std::mutex mutex_;
     std::condition_variable cv_;
+    /** Guarded by mutex_: bumped by each finisher that releases the
+     * registered waiters, who return only once it moves. */
+    uint64_t releases_ = 0;
+    /** Guarded by mutex_. */
     std::exception_ptr error_;
 };
 

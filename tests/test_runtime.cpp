@@ -2,7 +2,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -160,6 +163,112 @@ TEST(Runtime, StatsAccountForAllTasks)
     EXPECT_EQ(s.executed,
               s.pops + s.steals + s.injected + s.inlined);
     EXPECT_GT(s.pushes, 0u);
+}
+
+namespace {
+
+using runtime::RuntimeStats;
+
+/** Every scalar RuntimeStats field, for field-by-field checks. */
+constexpr std::pair<const char *, uint64_t RuntimeStats::*>
+    kStatFields[] = {
+        {"pushes", &RuntimeStats::pushes},
+        {"pops", &RuntimeStats::pops},
+        {"steals", &RuntimeStats::steals},
+        {"failedSteals", &RuntimeStats::failedSteals},
+        {"executed", &RuntimeStats::executed},
+        {"inlined", &RuntimeStats::inlined},
+        {"affinitySets", &RuntimeStats::affinitySets},
+        {"injected", &RuntimeStats::injected},
+        {"parks", &RuntimeStats::parks},
+        {"wakes", &RuntimeStats::wakes},
+        {"spuriousWakes", &RuntimeStats::spuriousWakes},
+        {"parkedNanos", &RuntimeStats::parkedNanos},
+        {"bulkSteals", &RuntimeStats::bulkSteals},
+        {"stolenTasks", &RuntimeStats::stolenTasks},
+        {"localHits", &RuntimeStats::localHits},
+        {"remoteHits", &RuntimeStats::remoteHits},
+        {"localWakes", &RuntimeStats::localWakes},
+        {"remoteWakes", &RuntimeStats::remoteWakes},
+        {"injectFastPath", &RuntimeStats::injectFastPath},
+        {"injectSpill", &RuntimeStats::injectSpill},
+        {"injectShardHits", &RuntimeStats::injectShardHits},
+        {"injectDrainBack", &RuntimeStats::injectDrainBack},
+        {"stealCasRetries", &RuntimeStats::stealCasRetries},
+        {"popCasLosses", &RuntimeStats::popCasLosses},
+        {"droppedHandleErrors", &RuntimeStats::droppedHandleErrors},
+};
+
+// A field added to RuntimeStats must join the table above.
+static_assert(sizeof(RuntimeStats)
+                  == sizeof(uint64_t)
+                      * (std::size(kStatFields)
+                         + RuntimeStats::kStealSizeBuckets
+                         + RuntimeStats::kInjectDrainBuckets),
+              "kStatFields is missing a RuntimeStats field");
+
+/** Name of the first field of `later` below its value in `earlier`,
+ * or an empty string when every field is monotone. */
+std::string
+firstDecrease(const RuntimeStats &earlier, const RuntimeStats &later)
+{
+    for (const auto &[name, field] : kStatFields) {
+        if (later.*field < earlier.*field)
+            return std::string(name) + " " + std::to_string(earlier.*field)
+                + " -> " + std::to_string(later.*field);
+    }
+    for (unsigned b = 0; b < RuntimeStats::kStealSizeBuckets; ++b) {
+        if (later.stealSize[b] < earlier.stealSize[b])
+            return "stealSize[" + std::to_string(b) + "]";
+    }
+    for (unsigned b = 0; b < RuntimeStats::kInjectDrainBuckets; ++b) {
+        if (later.injectDrain[b] < earlier.injectDrain[b])
+            return "injectDrain[" + std::to_string(b) + "]";
+    }
+    return {};
+}
+
+} // namespace
+
+TEST(Runtime, StatsStayMonotoneUnderConcurrentReads)
+{
+    // Single-writer counters are bumped with a plain load + store;
+    // a reader on another thread must still never see one go back,
+    // and parked time (credited up to the reader's clock while a
+    // worker is blocked) must never shrink when the block ends.
+    Runtime rt(config(4));
+    std::atomic<bool> done{false};
+    uint64_t reads = 0;
+    std::string decrease;
+    std::thread reader([&] {
+        RuntimeStats prev = rt.stats();
+        while (!done.load(std::memory_order_acquire)) {
+            const RuntimeStats cur = rt.stats();
+            decrease = firstDecrease(prev, cur);
+            if (!decrease.empty())
+                return;
+            prev = cur;
+            ++reads;
+        }
+    });
+    for (int round = 0; round < 20; ++round) {
+        long result = 0;
+        rt.run([&] { result = fib(rt, 22); });
+        ASSERT_EQ(result, 17711);
+        // Let the pool park between rounds so the parked-time clock
+        // crosses park and wake edges under the reader.
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    done.store(true, std::memory_order_release);
+    reader.join();
+    EXPECT_TRUE(decrease.empty()) << "decreased: " << decrease;
+    EXPECT_GT(reads, 0u);
+
+    // Quiescent: the owner-written counters reconcile exactly.
+    const auto s = rt.stats();
+    EXPECT_EQ(s.executed, s.pops + s.steals + s.injected + s.inlined);
+    EXPECT_GT(s.parks, 0u);
+    EXPECT_GT(s.parkedNanos, 0u);
 }
 
 TEST(Runtime, StealsHappenAcrossWorkers)

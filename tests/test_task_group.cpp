@@ -1,6 +1,7 @@
 /** @file Unit tests for TaskGroup spawn/sync semantics. */
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -159,4 +160,101 @@ TEST(SubmitHandle, DroppingAfterExceptionCountsInsteadOfCrashing)
     EXPECT_THROW(waited.wait(), std::runtime_error);
     waited = runtime::SubmitHandle();
     EXPECT_EQ(rt.droppedHandleErrors(), before + 1);
+}
+
+// Completion races. Each loop frees (or reuses) its group the instant
+// wait() returns, so a finish() that touched the group after the
+// decrement that released its waiter is a use-after-free (caught by
+// ASan/TSan, and by heap corruption without them) or a stale waiter
+// bit (caught by ~TaskGroup's assertion). 10k iterations on the
+// shared 4-worker runtime make each interleaving common.
+
+namespace {
+
+constexpr int kRaceIterations = 10000;
+
+} // namespace
+
+TEST(TaskGroupRace, WorkerWaitOnStolenChildThenDelete)
+{
+    auto &rt = sharedRuntime();
+    int stolen = 0;
+    rt.run([&] {
+        const auto self = Runtime::currentWorker();
+        for (int i = 0; i < kRaceIterations; ++i) {
+            auto *group = new TaskGroup(rt);
+            std::atomic<core::WorkerId> ran_on{core::invalidWorker};
+            group->run([&ran_on] {
+                ran_on.store(Runtime::currentWorker(),
+                             std::memory_order_release);
+            });
+            // Hold off helping for up to 1 ms so a woken thief takes
+            // the child: the thief's finish() is then the decrement
+            // this worker's wait() races against.
+            const auto give_up = std::chrono::steady_clock::now()
+                + std::chrono::milliseconds(1);
+            while (ran_on.load(std::memory_order_acquire)
+                       == core::invalidWorker
+                   && std::chrono::steady_clock::now() < give_up) {
+            }
+            group->wait();
+            delete group;
+            if (ran_on.load(std::memory_order_relaxed) != self)
+                ++stolen;
+        }
+    });
+    EXPECT_GT(stolen, kRaceIterations / 10)
+        << "too few children were stolen to exercise the race";
+}
+
+TEST(TaskGroupRace, ExternalWaitThenDelete)
+{
+    auto &rt = sharedRuntime();
+    std::atomic<int> ran{0};
+    for (int i = 0; i < kRaceIterations; ++i) {
+        auto *group = new TaskGroup(rt);
+        group->run([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+        group->wait();
+        delete group;
+    }
+    EXPECT_EQ(ran.load(), kRaceIterations);
+}
+
+TEST(TaskGroupRace, SubmitHandleWaitedByExternalThreadAndWorker)
+{
+    auto &rt = sharedRuntime();
+    std::atomic<int> ran{0};
+    for (int i = 0; i < kRaceIterations; ++i) {
+        runtime::SubmitHandle target = rt.submit(
+            [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+        // A worker waits on the same handle (helping) while this
+        // thread blocks on it; either side may drop the last copy.
+        runtime::SubmitHandle helper =
+            rt.submit([target]() mutable { target.wait(); });
+        target.wait();
+        helper.wait();
+    }
+    EXPECT_EQ(ran.load(), kRaceIterations);
+}
+
+TEST(TaskGroupRace, ReusableAfterExternalWait)
+{
+    auto &rt = sharedRuntime();
+    std::atomic<int> ran{0};
+    auto body = [&ran] { ran.fetch_add(1, std::memory_order_relaxed); };
+    for (int i = 0; i < kRaceIterations; ++i) {
+        auto *group = new TaskGroup(rt);
+        group->run(body);
+        group->wait();
+        ASSERT_EQ(group->pending(), 0);
+        // Reuse: a waiter bit left behind by the first wait would
+        // make this round's finish() lock a group nobody waits on.
+        group->run(body);
+        group->wait();
+        ASSERT_EQ(group->pending(), 0);
+        // ~TaskGroup asserts the whole word is zero — count and
+        // waiter bit alike.
+        delete group;
+    }
+    EXPECT_EQ(ran.load(), 2 * kRaceIterations);
 }
