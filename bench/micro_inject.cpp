@@ -1,12 +1,10 @@
 /**
  * @file
  * Micro-benchmarks of the external-submission (inject) path: the
- * lock-free sharded MPMC ring vs the legacy mutex-guarded deque it
- * replaced (`InjectPolicy::useLockFreeInject` A/B), raw and
- * end-to-end. The multi-producer throughput pair is the scalability
- * story of docs/ARCHITECTURE.md "The inject path": with one
- * producer the two are comparable; from two producers up the mutex
- * queue serializes while the sharded ring scales.
+ * lock-free sharded MPMC queue alone against a mutex-guarded deque
+ * (the structure it replaced), and the full `Runtime::inject` entry
+ * path end to end by producer count (docs/ARCHITECTURE.md, "The
+ * inject path").
  */
 
 #include <atomic>
@@ -105,18 +103,16 @@ benchRawInject(benchmark::State &state)
  * drive tasks through `TaskGroup::run` → `Runtime::inject` into a
  * worker pool that drains them — the full entry path including the
  * Dekker publish and wake notifications.
- * Args: {producers, useLockFree}.
+ * Args: {producers}.
  */
 void
 benchSubmitThroughput(benchmark::State &state)
 {
     const int producers = static_cast<int>(state.range(0));
-    const bool lock_free = state.range(1) != 0;
     constexpr int kPerProducer = 2048;
 
     runtime::RuntimeConfig cfg;
     cfg.numWorkers = 2;
-    cfg.inject.useLockFreeInject = lock_free;
     // Absorb a worst-case burst (every producer a full quantum ahead
     // of the workers, all landing in one shard on single-domain
     // hosts) without spilling; see benchRawInject.
@@ -155,19 +151,16 @@ benchSubmitThroughput(benchmark::State &state)
 
 } // namespace
 
-// Args: {producers, useLockFree}; each producer count is an A/B
-// pair — the acceptance check is lock-free >= mutex throughput from
-// 2 producers up. UseRealTime: producer threads block and join
-// outside the calling thread's CPU time.
+// benchRawInject Args: {producers, useLockFree}, an A/B pair per
+// producer count; benchSubmitThroughput Args: {producers}.
+// UseRealTime: producer threads block and join outside the calling
+// thread's CPU time.
 BENCHMARK(benchRawInject)
     ->Args({1, 0})->Args({1, 1})
     ->Args({2, 0})->Args({2, 1})
     ->Args({4, 0})->Args({4, 1})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(benchSubmitThroughput)
-    ->Args({1, 0})->Args({1, 1})
-    ->Args({2, 0})->Args({2, 1})
-    ->Args({4, 0})->Args({4, 1})
+BENCHMARK(benchSubmitThroughput)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 BENCHMARK_MAIN();

@@ -167,20 +167,17 @@ benchParallelFor(benchmark::State &state)
  * Fork-join burst: repeated rounds of a recursively split
  * parallel-for over tiny spinning tasks. Each round stocks every
  * deque with several tasks at once, which is exactly the shape
- * steal-half amortizes — with it enabled tasks_per_steal rises above
- * 1 and hunt rounds (failed steals) drop.
- * Args: {workers, stealHalf-enabled, theDeque} — the third arg
- * replays the legacy THE deque (`DequePolicy::impl = the`) for the
- * end-to-end side of the chaselev-vs-the A/B that
- * bench_micro_deque measures in isolation.
+ * steal-half amortizes: tasks_per_steal rises above 1.
+ * Args: {workers, theDeque} — the second arg replays the legacy THE
+ * deque (`DequePolicy::impl = the`) for the end-to-end side of the
+ * chaselev-vs-the A/B that bench_micro_deque measures in isolation.
  */
 void
 benchForkJoinBurst(benchmark::State &state)
 {
     runtime::RuntimeConfig cfg;
     cfg.numWorkers = static_cast<unsigned>(state.range(0));
-    cfg.stealPolicy.stealHalf = state.range(1) != 0;
-    cfg.deque.impl = state.range(2) != 0
+    cfg.deque.impl = state.range(1) != 0
         ? runtime::DequeImpl::The
         : runtime::DequeImpl::ChaseLev;
     runtime::Runtime rt(cfg);
@@ -232,11 +229,10 @@ BENCHMARK(benchFib)->Args({4, 0})->Args({4, 1})->Args({8, 0})
 BENCHMARK(benchParallelFor)->Args({4, 0})->Args({4, 1})
     ->Args({8, 0})->Args({8, 1})->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-// Args: {workers, stealHalf, theDeque}; the middle bit is the
-// steal-half A/B, the last the chaselev-vs-the deque A/B.
-BENCHMARK(benchForkJoinBurst)->Args({4, 0, 0})->Args({4, 1, 0})
-    ->Args({8, 0, 0})->Args({8, 1, 0})->Args({4, 1, 1})
-    ->Args({8, 1, 1})->Unit(benchmark::kMillisecond)
+// Args: {workers, theDeque}; the last bit is the chaselev-vs-the
+// deque A/B.
+BENCHMARK(benchForkJoinBurst)->Args({4, 0})->Args({8, 0})
+    ->Args({4, 1})->Args({8, 1})->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK(benchRadixSort)->Args({8, 0})->Args({8, 1})
     ->Unit(benchmark::kMillisecond)->UseRealTime();

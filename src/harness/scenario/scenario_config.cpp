@@ -229,10 +229,7 @@ readRuntime(const JsonValue &v, const std::string &pointer,
     ObjectReader r(v, pointer, diags);
     r.getInt("workers", out.workers, 1, 256);
     r.getEnum("deque", out.dequeImpl, {"chaselev", "the"});
-    r.getBool("lock_free_inject", out.lockFreeInject);
-    r.getBool("steal_half", out.stealHalf);
     r.getInt("locality_rounds", out.localityRounds, 0, 16);
-    r.getBool("adaptive_locality", out.adaptiveLocality);
     r.getBool("parking", out.parking);
     r.getInt("park_threshold", out.parkThreshold, 1, 1024);
     r.finish();
@@ -662,14 +659,8 @@ runtimeBodyJson(const RuntimePolicy &r, const std::string &ind)
     out << "{\n"
         << in2 << "\"workers\": " << r.workers << ",\n"
         << in2 << "\"deque\": \"" << r.dequeImpl << "\",\n"
-        << in2 << "\"lock_free_inject\": "
-        << (r.lockFreeInject ? "true" : "false") << ",\n"
-        << in2 << "\"steal_half\": "
-        << (r.stealHalf ? "true" : "false") << ",\n"
         << in2 << "\"locality_rounds\": " << r.localityRounds
         << ",\n"
-        << in2 << "\"adaptive_locality\": "
-        << (r.adaptiveLocality ? "true" : "false") << ",\n"
         << in2 << "\"parking\": " << (r.parking ? "true" : "false")
         << ",\n"
         << in2 << "\"park_threshold\": " << r.parkThreshold << "\n"

@@ -4,7 +4,7 @@
  * defaults-resolved echo.
  *
  * A scenario is a JSON file naming a workload kind (fork_join, dag,
- * serve), the full runtime/steal/inject/deque/DVFS policy surface,
+ * serve), the runtime/steal/deque/DVFS policy surface,
  * a duration, and per-metric regression thresholds. One scenario
  * file *is* the experiment: the same file drives `hermes-scenario
  * run`, `baseline`, `compare`, and `soak`, replacing the ad-hoc
@@ -45,10 +45,7 @@ struct RuntimePolicy
 {
     unsigned workers = 2;
     std::string dequeImpl = "chaselev"; ///< "chaselev" | "the"
-    bool lockFreeInject = true;  ///< false = legacy mutex inject
-    bool stealHalf = true;
     unsigned localityRounds = 1;
-    bool adaptiveLocality = false;
     bool parking = true;
     unsigned parkThreshold = 4;
 };

@@ -64,10 +64,7 @@ makeRuntimeConfig(const ScenarioConfig &c)
     rc.deque.impl = c.runtime.dequeImpl == "the"
         ? runtime::DequeImpl::The
         : runtime::DequeImpl::ChaseLev;
-    rc.inject.useLockFreeInject = c.runtime.lockFreeInject;
-    rc.stealPolicy.stealHalf = c.runtime.stealHalf;
     rc.stealPolicy.localityRounds = c.runtime.localityRounds;
-    rc.stealPolicy.adaptiveLocality = c.runtime.adaptiveLocality;
     rc.enableParking = c.runtime.parking;
     rc.parkThreshold = c.runtime.parkThreshold;
     rc.enableTempo = c.dvfs.tempo;
@@ -630,11 +627,7 @@ writeScenarioBundle(const std::string &dir,
             << "`, seed " << result.config.seed << ", "
             << result.config.runtime.workers << " workers\n"
             << "- deque `" << result.config.runtime.dequeImpl
-            << "`, lock-free inject "
-            << (result.config.runtime.lockFreeInject ? "on" : "off")
-            << ", steal-half "
-            << (result.config.runtime.stealHalf ? "on" : "off")
-            << ", locality rounds "
+            << "`, locality rounds "
             << result.config.runtime.localityRounds << ", tempo "
             << (result.config.dvfs.tempo ? result.config.dvfs.policy
                                          : "off")

@@ -59,8 +59,7 @@ enum class DequeImpl
  *
  * `impl = DequeImpl::The` replays the legacy mutex-guarded THE deque
  * for A/B comparison — same task ordering, same scheduler behavior,
- * zero CAS-retry counters — mirroring `InjectPolicy::useLockFreeInject`
- * and `StealPolicy::localityRounds = 0`.
+ * zero CAS-retry counters.
  */
 struct DequePolicy
 {

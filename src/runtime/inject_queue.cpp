@@ -6,6 +6,14 @@
 
 namespace hermes::runtime {
 
+namespace {
+
+/** Most spilled tasks one pop moves back into the ring it freed: a
+ * bounded spill-mutex hold per pop. */
+constexpr unsigned kDrainBackBatch = 8;
+
+} // namespace
+
 InjectRing::InjectRing(size_t capacity)
 {
     const size_t cap = std::bit_ceil(std::max<size_t>(2, capacity));
@@ -85,10 +93,8 @@ InjectRing::tryPop(Task &out)
 
 InjectQueue::InjectQueue(const InjectPolicy &policy,
                          unsigned num_domains)
-    : drainBackBatch_(policy.drainBackBatch)
 {
-    const unsigned shards =
-        policy.shardPerDomain ? std::max(1u, num_domains) : 1u;
+    const unsigned shards = std::max(1u, num_domains);
     rings_.reserve(shards);
     for (unsigned s = 0; s < shards; ++s)
         rings_.push_back(
@@ -124,8 +130,7 @@ InjectQueue::tryPop(Task &out, unsigned preferred_shard)
             // overflow regains rough FIFO (ROADMAP drain-back item)
             // instead of stranding the spill behind a
             // constantly-refilling ring.
-            if (drainBackBatch_ != 0
-                && spillSize_.load(std::memory_order_acquire) != 0)
+            if (spillSize_.load(std::memory_order_acquire) != 0)
                 drainBackInto(ring);
             return k == 0 ? PopSource::PreferredShard
                           : PopSource::OtherShard;
@@ -153,7 +158,7 @@ InjectQueue::drainBackInto(InjectRing &ring)
 {
     std::lock_guard<std::mutex> lock(spillMutex_);
     unsigned moved = 0;
-    while (moved < drainBackBatch_ && !spill_.empty()) {
+    while (moved < kDrainBackBatch && !spill_.empty()) {
         // tryPush leaves the task intact when the ring refilled
         // (racing producers), so nothing is lost — stop and leave
         // the remainder spilled.

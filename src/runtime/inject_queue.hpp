@@ -37,33 +37,9 @@
 
 namespace hermes::runtime {
 
-/**
- * External-submission knobs (part of RuntimeConfig).
- *
- * Defaults enable the lock-free sharded path. `useLockFreeInject =
- * false` replays the legacy single mutex-guarded deque — the A/B
- * baseline `bench_micro_inject` measures against.
- */
+/** External-submission knobs (part of RuntimeConfig). */
 struct InjectPolicy
 {
-    /**
-     * Route external submissions through the lock-free sharded MPMC
-     * ring (fast path) with mutex spillover. `false` replays the
-     * legacy mutex-guarded global deque bit-for-bit: same ordering,
-     * same wake protocol, zero ring traffic — the `injectFastPath`
-     * and `injectSpill` counters stay 0.
-     */
-    bool useLockFreeInject = true;
-
-    /**
-     * One ring shard per topology domain (`platform::DomainMap`), so
-     * producers assigned to different domains never touch the same
-     * enqueue cacheline and consumers drain their own domain's shard
-     * first. `false` collapses the queue to a single shard — every
-     * producer and consumer shares one ring.
-     */
-    bool shardPerDomain = true;
-
     /**
      * Per-shard ring capacity in tasks (rounded up to 2^k, >= 2).
      * Submissions beyond a full shard spill to the mutex-guarded
@@ -71,16 +47,6 @@ struct InjectPolicy
      * the capacity was too small for the offered load.
      */
     size_t shardCapacity = 1 << 10;
-
-    /**
-     * Opportunistic spill drain-back: after a pop frees ring room,
-     * move up to this many spilled tasks back into that ring, so
-     * sustained overflow regains (rough) FIFO instead of stranding
-     * spilled tasks behind a constantly-refilling ring. `0` disables
-     * the drain-back, replaying the rings-then-spill drain order
-     * verbatim. `RuntimeStats::injectDrainBack` counts moved tasks.
-     */
-    unsigned drainBackBatch = 8;
 };
 
 /**
@@ -149,10 +115,13 @@ class InjectRing
  * per-thread token for external threads — see producerShardHint());
  * consumers pass their own domain so the drain order is
  * same-domain-first, mirroring the stealing policy's victim order.
- * The queue stores tasks only — the Dekker publish word
- * (`Runtime::injectPending_`), wake notification, and all counters
- * stay in the scheduler so the lock-free and legacy paths share one
- * parking proof (docs/ARCHITECTURE.md).
+ * After a pop frees ring room, up to eight spilled tasks move back
+ * into that ring (oldest first), so sustained overflow regains rough
+ * FIFO instead of stranding spilled tasks behind a
+ * constantly-refilling ring. The queue stores tasks only — the
+ * Dekker publish word (`Runtime::injectPending_`), wake
+ * notification, and all counters stay in the scheduler, which owns
+ * the parking proof (docs/ARCHITECTURE.md).
  */
 class InjectQueue
 {
@@ -174,9 +143,9 @@ class InjectQueue
     };
 
     /**
-     * @param policy capacity and sharding knobs
-     * @param num_domains shard count when `policy.shardPerDomain`
-     *        (>= 1 is enforced); ignored otherwise
+     * @param policy per-shard ring capacity
+     * @param num_domains shard count: one ring per domain (>= 1 is
+     *        enforced)
      */
     InjectQueue(const InjectPolicy &policy, unsigned num_domains);
 
@@ -219,7 +188,7 @@ class InjectQueue
     }
 
     /** Total spilled tasks moved back into a ring by the
-     * opportunistic drain-back (see InjectPolicy::drainBackBatch). */
+     * opportunistic drain-back. */
     uint64_t
     drainBacks() const
     {
@@ -227,13 +196,12 @@ class InjectQueue
     }
 
   private:
-    /** Move up to `drainBackBatch_` spilled tasks into `ring`
-     * (oldest first), stopping when either runs out of room/tasks.
-     * Called right after a pop freed at least one slot. */
+    /** Move up to eight spilled tasks into `ring` (oldest first),
+     * stopping when either runs out of room/tasks. Called right
+     * after a pop freed at least one slot. */
     void drainBackInto(InjectRing &ring);
 
     std::vector<std::unique_ptr<InjectRing>> rings_;
-    unsigned drainBackBatch_;
     std::mutex spillMutex_;
     std::deque<Task> spill_;
     /** Lets tryPop skip the spill mutex while the overflow is empty

@@ -59,15 +59,13 @@ struct RuntimeConfig
     /** Victim-selection RNG seed. */
     uint64_t seed = 0x9e3779b97f4a7c15ULL;
 
-    /** Stealing policy: bulk steal-half, locality-aware victim
-     * ordering, and the worker → domain map override
-     * (docs/STEALING.md). */
+    /** Stealing policy: locality-aware victim ordering and the
+     * worker → domain map override (docs/STEALING.md). */
     StealPolicy stealPolicy{};
 
-    /** External-submission policy: the lock-free sharded MPMC
-     * inject path vs the legacy mutex queue, shard-per-domain
-     * layout, and per-shard ring capacity (docs/ARCHITECTURE.md,
-     * "The inject path"). */
+    /** External-submission policy: per-shard ring capacity of the
+     * lock-free inject queue, one shard per domain
+     * (docs/ARCHITECTURE.md, "The inject path"). */
     InjectPolicy inject{};
 
     /**

@@ -65,6 +65,45 @@ parkedNanosOf(const std::atomic<uint64_t> &park_clock)
     }
 }
 
+/** Worker → core placement: one worker per clock domain while domains
+ * last (the paper's interference-free placement), then wrap around
+ * the cores. */
+std::vector<platform::CoreId>
+planCores(const RuntimeConfig &config)
+{
+    HERMES_ASSERT(config.numWorkers >= 1, "need at least one worker");
+    const auto &topo = config.profile.topology;
+    const unsigned domain_workers =
+        std::min(config.numWorkers, topo.numDomains());
+    std::vector<platform::CoreId> cores =
+        topo.distinctDomainCores(domain_workers);
+    for (unsigned w = domain_workers; w < config.numWorkers; ++w)
+        cores.push_back(w % topo.numCores());
+    return cores;
+}
+
+/** The worker → domain map the stealing policy follows: an explicit
+ * override (tests/sim) wins; otherwise it is derived from the planned
+ * placement, which collapses to one domain on hardware the profile
+ * cannot describe. */
+platform::DomainMap
+resolveDomainMap(const RuntimeConfig &config,
+                 const std::vector<platform::CoreId> &planned_cores)
+{
+    if (!config.stealPolicy.domainMap.has_value()) {
+        return platform::DomainMap::fromTopology(config.profile.topology,
+                                                 planned_cores);
+    }
+    const platform::DomainMap &map = *config.stealPolicy.domainMap;
+    if (map.numWorkers() != config.numWorkers) {
+        util::fatal("StealPolicy::domainMap covers "
+                    + std::to_string(map.numWorkers())
+                    + " workers but the runtime has "
+                    + std::to_string(config.numWorkers));
+    }
+    return map;
+}
+
 } // namespace
 
 Runtime *
@@ -80,37 +119,12 @@ Runtime::currentWorker()
 }
 
 Runtime::Runtime(RuntimeConfig config)
-    : config_(std::move(config)), lot_(config_.numWorkers)
+    : config_(std::move(config)), plannedCores_(planCores(config_)),
+      domainMap_(resolveDomainMap(config_, plannedCores_)),
+      injectQueue_(config_.inject, domainMap_.numDomains()),
+      lot_(config_.numWorkers)
 {
-    HERMES_ASSERT(config_.numWorkers >= 1, "need at least one worker");
-
-    // Plan worker -> core placement: one worker per clock domain
-    // while domains last (the paper's interference-free placement),
-    // then wrap around the cores.
     const auto &topo = config_.profile.topology;
-    const unsigned domain_workers =
-        std::min(config_.numWorkers, topo.numDomains());
-    plannedCores_ = topo.distinctDomainCores(domain_workers);
-    for (unsigned w = domain_workers; w < config_.numWorkers; ++w)
-        plannedCores_.push_back(w % topo.numCores());
-
-    // Resolve the worker → domain map the stealing policy follows:
-    // an explicit override (tests/sim) wins; otherwise derive it from
-    // the planned placement, which collapses to one domain on
-    // hardware the profile cannot describe.
-    if (config_.stealPolicy.domainMap.has_value()) {
-        domainMap_ = *config_.stealPolicy.domainMap;
-        if (domainMap_.numWorkers() != config_.numWorkers) {
-            util::fatal(
-                "StealPolicy::domainMap covers "
-                + std::to_string(domainMap_.numWorkers())
-                + " workers but the runtime has "
-                + std::to_string(config_.numWorkers));
-        }
-    } else {
-        domainMap_ = platform::DomainMap::fromTopology(topo,
-                                                       plannedCores_);
-    }
     localPeers_.reserve(config_.numWorkers);
     for (unsigned w = 0; w < config_.numWorkers; ++w)
         localPeers_.push_back(domainMap_.peersOf(w));
@@ -119,14 +133,6 @@ Runtime::Runtime(RuntimeConfig config)
         const auto residents = domainMap_.workersIn(d);
         domainWorkers_.emplace_back(residents.begin(),
                                     residents.end());
-    }
-
-    // The lock-free inject path shards per resolved domain; the
-    // legacy mutex deque needs no setup, so `useLockFreeInject =
-    // false` replays it simply by leaving this null.
-    if (config_.inject.useLockFreeInject) {
-        injectQueue_ = std::make_unique<InjectQueue>(
-            config_.inject, domainMap_.numDomains());
     }
 
     backend_ = std::make_unique<dvfs::SimulatedDvfs>(
@@ -359,55 +365,36 @@ Runtime::notifyManyIfParked(uint64_t count,
 void
 Runtime::inject(Task task)
 {
-    platform::DomainId preferred = platform::invalidDomain;
-    if (injectQueue_) {
-        const unsigned hint = producerShardHint();
-        // Publish before enqueue: the seq_cst increment is the
-        // work-publish half of the Dekker handshake with
-        // parkUntilWork()'s re-check, and ordering it *ahead* of the
-        // ring store means the pending counter always bounds the
-        // queue contents from above — a consumer that saw the
-        // increment but scans before the enqueue lands merely
-        // retries (it cannot park: the counter is still non-zero),
-        // and the per-pop decrement can never underflow. The legacy
-        // branch below gets the same guarantee from its mutex.
-        injectPending_.fetch_add(1, std::memory_order_seq_cst);
-        InjectQueue::PushPath path;
-        try {
-            path = injectQueue_->push(std::move(task), hint);
-        } catch (...) {
-            // The spill deque can throw (allocation); retract the
-            // publish or every future park re-check would see a
-            // phantom pending task and the pool could never park
-            // again.
-            injectPending_.fetch_sub(1, std::memory_order_seq_cst);
-            throw;
-        }
-        (path == InjectQueue::PushPath::Ring ? injectFastPath_
-                                             : injectSpill_)
-            .fetch_add(1, std::memory_order_relaxed);
-        // Prefer a sleeper in the domain whose shard received the
-        // task: its residents drain that shard first, so the wake
-        // lands next to the work (shard s hosts domain s when
-        // sharding per domain — the only way numShards exceeds 1).
-        if (injectQueue_->numShards() > 1)
-            preferred = hint % injectQueue_->numShards();
-    } else {
-        std::lock_guard<std::mutex> lock(injectMutex_);
-        injected_.push_back(std::move(task));
-        // seq_cst: the work-publish half of the Dekker handshake
-        // with parkUntilWork()'s re-check.
-        injectPending_.fetch_add(1, std::memory_order_seq_cst);
+    const unsigned hint = producerShardHint();
+    // Publish before enqueue: the seq_cst increment is the
+    // work-publish half of the Dekker handshake with parkUntilWork()'s
+    // re-check, and ordering it *ahead* of the ring store means the
+    // pending counter always bounds the queue contents from above — a
+    // consumer that saw the increment but scans before the enqueue
+    // lands merely retries (it cannot park: the counter is still
+    // non-zero), and the per-pop decrement can never underflow.
+    injectPending_.fetch_add(1, std::memory_order_seq_cst);
+    InjectQueue::PushPath path;
+    try {
+        path = injectQueue_.push(std::move(task), hint);
+    } catch (...) {
+        // The spill deque can throw (allocation); retract the publish
+        // or every future park re-check would see a phantom pending
+        // task and the pool could never park again.
+        injectPending_.fetch_sub(1, std::memory_order_seq_cst);
+        throw;
     }
+    (path == InjectQueue::PushPath::Ring ? injectFastPath_
+                                         : injectSpill_)
+        .fetch_add(1, std::memory_order_relaxed);
+    // Prefer a sleeper in the domain whose shard received the task:
+    // its residents drain that shard first, so the wake lands next to
+    // the work (shard s hosts domain s).
+    platform::DomainId preferred = platform::invalidDomain;
+    if (injectQueue_.numShards() > 1)
+        preferred = hint % injectQueue_.numShards();
     injectedCount_.fetch_add(1, std::memory_order_relaxed);
     notifyIfParked(preferred);
-}
-
-unsigned
-Runtime::injectPreferredShard(core::WorkerId id) const
-{
-    return config_.inject.shardPerDomain ? domainMap_.domainOf(id)
-                                         : 0;
 }
 
 bool
@@ -416,39 +403,25 @@ Runtime::popInjected(core::WorkerId id, Task &out)
     // Counter-gated fast path: the queue is empty for almost the
     // whole run (root tasks only), and every hunting worker polls
     // here each scheduler iteration — without the guard they would
-    // all walk the shards (or serialize on injectMutex_ in legacy
-    // mode) for nothing. A stale zero is harmless for an awake
-    // worker (it retries next iteration); a worker about to park
-    // re-reads the counter seq_cst in workPossiblyAvailable(), and
-    // the injector notifies the lot, so parking cannot sleep through
-    // an inject.
+    // all walk the shards for nothing. A stale zero is harmless for
+    // an awake worker (it retries next iteration); a worker about to
+    // park re-reads the counter seq_cst in workPossiblyAvailable(),
+    // and the injector notifies the lot, so parking cannot sleep
+    // through an inject.
     if (injectPending_.load(std::memory_order_relaxed) == 0)
         return false;
-    size_t depth_at_claim = 0;
-    if (injectQueue_) {
-        const auto src =
-            injectQueue_->tryPop(out, injectPreferredShard(id));
-        if (src == InjectQueue::PopSource::None)
-            return false;
-        // A single-shard queue (shardPerDomain off, or a one-domain
-        // host) satisfies every pop from the "preferred" shard by
-        // construction; counting those would make the locality
-        // metric read 100% exactly when there is no locality to
-        // measure, so the counter moves only with real sharding.
-        if (src == InjectQueue::PopSource::PreferredShard
-            && injectQueue_->numShards() > 1)
-            injectShardHits_.fetch_add(1, std::memory_order_relaxed);
-        depth_at_claim =
-            injectPending_.fetch_sub(1, std::memory_order_seq_cst);
-    } else {
-        std::lock_guard<std::mutex> lock(injectMutex_);
-        if (injected_.empty())
-            return false;
-        out = std::move(injected_.front());
-        injected_.pop_front();
-        depth_at_claim =
-            injectPending_.fetch_sub(1, std::memory_order_seq_cst);
-    }
+    const auto src = injectQueue_.tryPop(out, domainMap_.domainOf(id));
+    if (src == InjectQueue::PopSource::None)
+        return false;
+    // A single-shard queue (a one-domain map) satisfies every pop from
+    // the "preferred" shard by construction; counting those would make
+    // the locality metric read 100% exactly when there is no locality
+    // to measure, so the counter moves only with real sharding.
+    if (src == InjectQueue::PopSource::PreferredShard
+        && injectQueue_.numShards() > 1)
+        injectShardHits_.fetch_add(1, std::memory_order_relaxed);
+    const size_t depth_at_claim =
+        injectPending_.fetch_sub(1, std::memory_order_seq_cst);
     injectDrain_[RuntimeStats::stealSizeBucket(depth_at_claim)]
         .fetch_add(1, std::memory_order_relaxed);
     // Wake chaining: a single inject wakes one worker; if more root
@@ -567,32 +540,15 @@ Runtime::findAndExecute(core::WorkerId id)
         // Per-thief stream: splitmix64 decorrelates adjacent worker
         // ids, so thieves do not chase the same victims in lockstep.
         thread_local util::Rng rng(util::mix64(config_.seed, id));
-        // Adaptive locality: while recent steals keep landing on
-        // same-domain victims, skip the global ring this hunt. Only
-        // meaningful when the thief has a strict local subset to
-        // stay inside; a failed hunt always escalates the next one
-        // (the liveness guard in includeGlobalPass).
-        bool include_global = true;
-        const auto &policy = config_.stealPolicy;
-        if (policy.adaptiveLocality && policy.localityRounds > 0
-            && !localPeers_[id].empty()
-            && localPeers_[id].size() + 1 < config_.numWorkers) {
-            include_global = includeGlobalPass(
-                policy, ws.recentLocalHits, ws.recentRemoteHits,
-                ws.lastHuntFailed);
-        }
         appendVictimOrder(rng, id, config_.numWorkers,
                           localPeers_[id],
                           config_.stealPolicy.localityRounds,
-                          ws.huntOrder, include_global);
+                          ws.huntOrder);
         for (const auto victim : ws.huntOrder) {
-            if (tryStealFrom(id, victim)) {
-                ws.lastHuntFailed = false;
+            if (tryStealFrom(id, victim))
                 return true;
-            }
         }
         // One failed hunt, however many victims it probed.
-        ws.lastHuntFailed = true;
         ownedAdd(ws.failedSteals);
     }
     return false;
@@ -602,17 +558,10 @@ bool
 Runtime::tryStealFrom(core::WorkerId id, core::WorkerId victim)
 {
     auto &ws = *workers_[id];
-    auto &victim_deque = workers_[victim]->deque;
-    size_t size_after = 0;
-    size_t got = 0;
-    Task single;
     auto &buf = ws.stealBuf;
-    if (config_.stealPolicy.stealHalf) {
-        buf.clear();
-        got = victim_deque.stealHalf(buf, size_after);
-    } else if (victim_deque.steal(single, size_after)) {
-        got = 1;
-    }
+    buf.clear();
+    size_t size_after = 0;
+    const size_t got = workers_[victim]->deque.stealHalf(buf, size_after);
     if (got == 0)
         return false;
 
@@ -621,16 +570,8 @@ Runtime::tryStealFrom(core::WorkerId id, core::WorkerId victim)
     if (got > 1)
         ownedAdd(ws.bulkSteals);
     ownedAdd(ws.stealSize[RuntimeStats::stealSizeBucket(got)]);
-    const bool local = domainMap_.sameDomain(id, victim);
-    ownedAdd(local ? ws.localHits : ws.remoteHits);
-    // Adaptive-locality history: windowed so the ratio tracks the
-    // current DAG phase (halve both counts at the window bound).
-    (local ? ws.recentLocalHits : ws.recentRemoteHits) += 1;
-    if (ws.recentLocalHits + ws.recentRemoteHits
-        >= config_.stealPolicy.adaptiveLocalityWindow) {
-        ws.recentLocalHits /= 2;
-        ws.recentRemoteHits /= 2;
-    }
+    ownedAdd(domainMap_.sameDomain(id, victim) ? ws.localHits
+                                               : ws.remoteHits);
 
     // Wake chaining: the victim still has surplus tasks, so another
     // parked thief has something to take — preferably one near the
@@ -681,8 +622,7 @@ Runtime::tryStealFrom(core::WorkerId id, core::WorkerId victim)
         notifyManyIfParked(got - 1, domainMap_.domainOf(id));
     }
 
-    Task first = config_.stealPolicy.stealHalf ? std::move(buf[0])
-                                               : std::move(single);
+    Task first = std::move(buf[0]);
     for (auto &task : overflow) {
         ownedAdd(ws.inlined);
         execute(id, task);
@@ -884,7 +824,7 @@ Runtime::injectTelemetry() const
     t.pending = injectPending_.load(std::memory_order_relaxed);
     t.fastPath = injectFastPath_.load(std::memory_order_relaxed);
     t.spill = injectSpill_.load(std::memory_order_relaxed);
-    t.drainBack = injectQueue_ ? injectQueue_->drainBacks() : 0;
+    t.drainBack = injectQueue_.drainBacks();
     return t;
 }
 
@@ -964,8 +904,7 @@ Runtime::stats() const
     total.injectSpill = injectSpill_.load(std::memory_order_relaxed);
     total.injectShardHits =
         injectShardHits_.load(std::memory_order_relaxed);
-    total.injectDrainBack =
-        injectQueue_ ? injectQueue_->drainBacks() : 0;
+    total.injectDrainBack = injectQueue_.drainBacks();
     total.droppedHandleErrors =
         droppedHandleErrors_.load(std::memory_order_relaxed);
     for (unsigned b = 0; b < RuntimeStats::kInjectDrainBuckets; ++b)

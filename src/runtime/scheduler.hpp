@@ -11,12 +11,12 @@
  * `RuntimeConfig::parkThreshold` consecutive hunts come up empty,
  * parks: it publishes itself on the runtime's ParkingLot, re-checks
  * every work source, and blocks in the kernel until a producer wakes
- * it. A successful steal takes ceil(n/2) of the victim's tasks when
- * `StealPolicy::stealHalf` is on; the thief runs one, stocks its own
- * deque with the rest, and chains wakes for the surplus. Producers
- * notify the lot only on an empty→non-empty deque transition or an
- * external inject, preferring a same-domain parked worker, so the
- * spawn hot path touches no shared wake state while the pool is busy.
+ * it. A successful steal takes ceil(n/2) of the victim's tasks; the
+ * thief runs one, stocks its own deque with the rest, and chains
+ * wakes for the surplus. Producers notify the lot only on an
+ * empty→non-empty deque transition or an external inject, preferring
+ * a same-domain parked worker, so the spawn hot path touches no
+ * shared wake state while the pool is busy.
  * External threads enter through Runtime::submit (or run): tasks
  * land on the lock-free sharded inject queue (inject_queue.hpp) and
  * workers drain their own domain's shard first, so sustained outside
@@ -36,10 +36,8 @@
 #define HERMES_RUNTIME_SCHEDULER_HPP
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -176,9 +174,8 @@ class Runtime
      * External-submission API: enqueue `fn` without blocking and
      * return a waitable handle. Usable from any thread — a worker of
      * this runtime pushes to its own deque; any other thread goes
-     * through the inject path (the lock-free sharded ring, or the
-     * legacy mutex queue when `InjectPolicy::useLockFreeInject` is
-     * off). The handle's wait() rethrows the task's first exception.
+     * through the lock-free sharded inject queue. The handle's
+     * wait() rethrows the task's first exception.
      */
     SubmitHandle submit(TaskFn fn);
 
@@ -350,13 +347,6 @@ class Runtime
          */
         double cachedNowSec = 0.0;
         unsigned clockEvents = 0;
-        /** Adaptive-locality history (owner-thread only): windowed
-         * local/remote steal hits and whether the previous hunt
-         * failed (the escalation guard — see
-         * StealPolicy::adaptiveLocality). */
-        uint64_t recentLocalHits = 0;
-        uint64_t recentRemoteHits = 0;
-        bool lastHuntFailed = false;
         std::thread thread;
     };
 
@@ -378,9 +368,9 @@ class Runtime
     /** One scheduler iteration; true if a task was executed. */
     bool findAndExecute(core::WorkerId id);
 
-    /** Attempt one steal (bulk when `StealPolicy::stealHalf`) from
-     * `victim` for thief `id`; on success runs one stolen task,
-     * stocks the thief's deque with the rest, and fires the steal
+    /** Attempt one bulk steal (ceil(n/2) tasks) from `victim` for
+     * thief `id`; on success runs one stolen task, stocks the
+     * thief's deque with the rest, and fires the steal
      * stats/tempo/wake bookkeeping. @return true if a task ran. */
     bool tryStealFrom(core::WorkerId id, core::WorkerId victim);
 
@@ -419,10 +409,6 @@ class Runtime
     bool popInjected(core::WorkerId id, Task &out);
     void inject(Task task);
 
-    /** Inject shard a consumer drains first: its own domain when
-     * sharding per domain, else the single shard. */
-    unsigned injectPreferredShard(core::WorkerId id) const;
-
     RuntimeConfig config_;
     std::vector<platform::CoreId> plannedCores_;
     /** Worker → domain map steering victim and wake selection. */
@@ -436,14 +422,8 @@ class Runtime
     std::unique_ptr<core::TempoController> tempo_;
     std::vector<std::unique_ptr<WorkerState>> workers_;
 
-    /** The lock-free sharded inject path; null when
-     * `InjectPolicy::useLockFreeInject` is off and the legacy
-     * mutex-guarded deque below carries submissions instead. */
-    std::unique_ptr<InjectQueue> injectQueue_;
-    /** Legacy inject queue (the `useLockFreeInject = false` A/B
-     * replay); unused while injectQueue_ is active. */
-    std::mutex injectMutex_;
-    std::deque<Task> injected_;
+    /** The lock-free inject path: one ring shard per domain. */
+    InjectQueue injectQueue_;
     /** Monotonic total of injected tasks (stats only). */
     std::atomic<uint64_t> injectedCount_{0};
     /**
@@ -453,11 +433,10 @@ class Runtime
      * injector's increment is the work-publish of the Dekker
      * handshake with a parking thief's re-check (the hot-path poll in
      * popInjected() may still read it relaxed — a stale zero there
-     * only delays an awake worker by one loop iteration). On the
-     * lock-free path the increment happens *before* the ring
-     * enqueue, so the counter bounds the queue contents from above
-     * and a fruitless scan simply retries — see "The inject path" in
-     * docs/ARCHITECTURE.md.
+     * only delays an awake worker by one loop iteration). The
+     * increment happens *before* the enqueue, so the counter bounds
+     * the queue contents from above and a fruitless scan simply
+     * retries — see "The inject path" in docs/ARCHITECTURE.md.
      */
     std::atomic<size_t> injectPending_{0};
     /** Inject-path outcome counters (runtime-wide: the producer is

@@ -92,8 +92,8 @@ struct RuntimeStats
             : 0.0;
     }
 
-    /** Mean tasks landed per successful steal (1.0 with stealHalf
-     * off; > 1 once bulk grabs amortize hunt rounds). */
+    /** Mean tasks landed per successful steal (> 1 once bulk grabs
+     * amortize hunt rounds). */
     double
     tasksPerSteal() const
     {

@@ -2,33 +2,12 @@
 
 namespace hermes::runtime {
 
-bool
-includeGlobalPass(const StealPolicy &policy,
-                  uint64_t recent_local_hits,
-                  uint64_t recent_remote_hits, bool last_hunt_failed)
-{
-    if (!policy.adaptiveLocality)
-        return true;
-    // Liveness guard: a hunt that found nothing (even one that
-    // probed only local peers) escalates the next hunt to the global
-    // ring, so remote-only work is reachable within two hunts.
-    if (last_hunt_failed)
-        return true;
-    const uint64_t total = recent_local_hits + recent_remote_hits;
-    if (total == 0)
-        return true; // no history yet: stay on the safe default
-    return static_cast<double>(recent_local_hits)
-        / static_cast<double>(total)
-        < policy.adaptiveLocalityThreshold;
-}
-
 void
 appendVictimOrder(util::Rng &rng, core::WorkerId self,
                   unsigned num_workers,
                   const std::vector<core::WorkerId> &local_peers,
                   unsigned locality_rounds,
-                  std::vector<core::WorkerId> &out,
-                  bool include_global)
+                  std::vector<core::WorkerId> &out)
 {
     out.clear();
     if (num_workers < 2)
@@ -51,15 +30,8 @@ appendVictimOrder(util::Rng &rng, core::WorkerId self,
     // Global fallback ring: every worker except self once, from a
     // random start. The draw happens *after* the locality passes so
     // locality_rounds == 0 replays the legacy victim order exactly.
-    // An adaptive local-only hunt skips the ring but still consumes
-    // the ring's draw (draw-and-discard): every hunt advances the
-    // per-thief stream by the same amount whatever includeGlobalPass
-    // decided, so adaptive runs stay bitwise-replayable against
-    // fixed-rounds policies under a shared seed.
     const auto start = static_cast<unsigned>(rng.uniformInt(
         0, static_cast<int64_t>(num_workers) - 1));
-    if (!include_global)
-        return;
     for (unsigned k = 0; k < num_workers; ++k) {
         const auto victim =
             static_cast<core::WorkerId>((start + k) % num_workers);

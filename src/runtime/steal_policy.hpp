@@ -3,9 +3,9 @@
  * The stealing-policy layer: what a thief steals, from whom, and in
  * what order (docs/STEALING.md).
  *
- * Policy is split from mechanism. The mechanism — WsDeque's
- * steal/stealHalf operations and the ParkingLot's per-worker wake
- * words — lives in deque.{hpp,cpp} and parking_lot.{hpp,cpp}; this
+ * Policy is split from mechanism. The mechanism — WsDeque's bulk
+ * stealHalf operation and the ParkingLot's per-worker wake words —
+ * lives in deque.{hpp,cpp} and parking_lot.{hpp,cpp}; this
  * header holds the knobs (StealPolicy) and the pure victim-ordering
  * function the scheduler's hunt follows, factored out so tests can
  * assert probe order without running threads.
@@ -14,7 +14,6 @@
 #ifndef HERMES_RUNTIME_STEAL_POLICY_HPP
 #define HERMES_RUNTIME_STEAL_POLICY_HPP
 
-#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -27,23 +26,16 @@ namespace hermes::runtime {
 /**
  * Stealing-policy knobs (part of RuntimeConfig).
  *
- * Defaults enable both paper-adjacent optimizations: steal-half bulk
- * transfers (amortize hunt rounds over bursty DAGs) and one
- * same-domain victim pass before the global random ring (Suksompong
- * et al.'s localized work stealing). Both degrade to the classic
- * uniform single-steal policy on single-domain hardware or when
- * switched off.
+ * A successful steal always takes ceil(n/2) of the victim's n queued
+ * tasks (WsDeque::stealHalf); the thief runs one, stocks its own
+ * deque with the rest, and chains wakes for the surplus. These knobs
+ * set the victim order: one same-domain victim pass before the
+ * global random ring by default (Suksompong et al.'s localized work
+ * stealing), which degrades to the uniform ring on single-domain
+ * hardware.
  */
 struct StealPolicy
 {
-    /**
-     * Bulk stealing: a successful grab takes ceil(n/2) of the
-     * victim's n queued tasks (WsDeque::stealHalf); the thief runs
-     * one and stocks its own deque with the rest, chaining wakes for
-     * the surplus. Off = classic one-task Chase-Lev-style steal.
-     */
-    bool stealHalf = true;
-
     /**
      * Same-domain victim passes per hunt before falling back to the
      * global random ring. 0 reproduces the uniform random ring
@@ -62,53 +54,7 @@ struct StealPolicy
      * set.
      */
     std::optional<platform::DomainMap> domainMap{};
-
-    /**
-     * Adaptive locality (default off): while the thief's recent
-     * steals keep landing on same-domain victims — the windowed
-     * `localHits / (localHits + remoteHits)` ratio is at or above
-     * `adaptiveLocalityThreshold` — a hunt probes only the locality
-     * passes and skips the global ring; it escalates back to the
-     * global ring as soon as the ratio drops below the threshold, a
-     * hunt fails outright, or there is no hit history yet. A failed
-     * hunt forcing escalation is the liveness guard: work sitting
-     * only on remote victims is found on the very next hunt, so the
-     * adaptive policy can trim remote probes but never starve
-     * (docs/STEALING.md). Ignored when `localityRounds == 0` or the
-     * domain map gives the thief no strict local subset. A skipped
-     * global pass still consumes its RNG draw (draw-and-discard in
-     * appendVictimOrder), so adaptive hunts stay on the same victim
-     * stream as the fixed-rounds default and the two policies are
-     * bitwise-replayable against each other under a shared seed.
-     */
-    bool adaptiveLocality = false;
-
-    /** Escalation threshold on the recent local-hit ratio (see
-     * `adaptiveLocality`). */
-    double adaptiveLocalityThreshold = 0.5;
-
-    /** Recency window: once a thief's recent local+remote hit count
-     * reaches this, both counts are halved, so the ratio tracks the
-     * current DAG phase instead of the whole run. */
-    unsigned adaptiveLocalityWindow = 64;
 };
-
-/**
- * Pure escalation predicate of the adaptive-locality policy: should
- * this hunt append the global fallback ring after its locality
- * passes?
- *
- * Always true when `policy.adaptiveLocality` is off, when the
- * previous hunt failed (the liveness guard), or when there is no hit
- * history; otherwise true exactly while the recent local-hit ratio
- * sits below `policy.adaptiveLocalityThreshold`. The caller owns the
- * recency windowing of the two counters (the runtime halves both at
- * `adaptiveLocalityWindow`).
- */
-bool includeGlobalPass(const StealPolicy &policy,
-                       uint64_t recent_local_hits,
-                       uint64_t recent_remote_hits,
-                       bool last_hunt_failed);
 
 /**
  * Append one hunt's victim probe order to `out` (cleared first).
@@ -131,20 +77,12 @@ bool includeGlobalPass(const StealPolicy &policy,
  *        (DomainMap::peersOf)
  * @param locality_rounds same-domain passes before the global ring
  * @param out receives the probe order; reused hunt to hunt
- * @param include_global emit the global fallback ring (default).
- *        `false` — an adaptive-locality hunt that stays local —
- *        still consumes the ring's RNG draw and discards it, so the
- *        stream stays aligned with full hunts; the order can be
- *        empty when the locality pass is skipped too, which the
- *        caller treats as a failed hunt, forcing the next hunt
- *        global (includeGlobalPass)
  */
 void appendVictimOrder(util::Rng &rng, core::WorkerId self,
                        unsigned num_workers,
                        const std::vector<core::WorkerId> &local_peers,
                        unsigned locality_rounds,
-                       std::vector<core::WorkerId> &out,
-                       bool include_global = true);
+                       std::vector<core::WorkerId> &out);
 
 } // namespace hermes::runtime
 

@@ -2,10 +2,11 @@
  * @file
  * The lock-free sharded inject path: per-cell sequence wrap-around,
  * capacity-full spillover ordering, exactly-once delivery under a
- * multi-producer × multi-consumer torture loop, the Runtime::submit
- * API, and the `useLockFreeInject = false` legacy replay.
+ * multi-producer × multi-consumer torture loop, and the
+ * Runtime::submit API.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -102,17 +103,15 @@ TEST(InjectRing, FullRingRejectsAndLeavesTaskIntact)
     EXPECT_TRUE(ring.tryPush(marker(sink, 4)));
 }
 
-TEST(InjectQueue, CapacityFullSpilloverPreservesOrder)
+TEST(InjectQueue, DrainBackRestoresFifoUnderSustainedOverflow)
 {
-    // One shard of 4: pushes 0-3 take the ring, 4-11 spill. With
-    // the drain-back disabled (the legacy replay) the drain must
-    // hand back the ring portion first (the older tasks), then the
-    // spill portion, both in FIFO order — and report the source of
-    // every pop.
+    // One shard of 4: pushes 0-3 take the ring, 4-11 spill. Every
+    // pop that frees a ring slot pulls the oldest spilled task into
+    // the ring, so delivery is *exact* FIFO across the ring/spill
+    // boundary and — once the spill has drained back — served from
+    // the ring, not the spill mutex.
     InjectPolicy policy;
-    policy.shardPerDomain = false;
     policy.shardCapacity = 4;
-    policy.drainBackBatch = 0;
     InjectQueue q(policy, 1);
     ASSERT_EQ(q.numShards(), 1u);
 
@@ -124,37 +123,6 @@ TEST(InjectQueue, CapacityFullSpilloverPreservesOrder)
                         : InjectQueue::PushPath::Spill)
             << "task " << i;
     }
-    EXPECT_EQ(q.spillSizeApprox(), 8u);
-
-    Task out;
-    for (int i = 0; i < 12; ++i) {
-        const auto src = q.tryPop(out, 0);
-        EXPECT_EQ(src,
-                  i < 4 ? InjectQueue::PopSource::PreferredShard
-                        : InjectQueue::PopSource::Spill)
-            << "pop " << i;
-        EXPECT_EQ(valueOf(out, sink), i);
-    }
-    EXPECT_EQ(q.tryPop(out, 0), InjectQueue::PopSource::None);
-    EXPECT_EQ(q.spillSizeApprox(), 0u);
-    EXPECT_EQ(q.drainBacks(), 0u);
-}
-
-TEST(InjectQueue, DrainBackRestoresFifoUnderSustainedOverflow)
-{
-    // Same overflow as above but with the drain-back on (default):
-    // every pop that frees a ring slot pulls the oldest spilled task
-    // into the ring, so delivery is *exact* FIFO across the
-    // ring/spill boundary and — once the spill has drained back —
-    // served from the ring, not the spill mutex.
-    InjectPolicy policy;
-    policy.shardPerDomain = false;
-    policy.shardCapacity = 4;
-    InjectQueue q(policy, 1);
-
-    std::vector<int> sink;
-    for (int i = 0; i < 12; ++i)
-        q.push(marker(sink, i), 0);
     EXPECT_EQ(q.spillSizeApprox(), 8u);
 
     Task out;
@@ -174,33 +142,44 @@ TEST(InjectQueue, DrainBackRestoresFifoUnderSustainedOverflow)
 
 TEST(InjectQueue, DrainBackBatchIsBoundedPerPop)
 {
-    // A larger overflow than one batch: each pop may move at most
-    // drainBackBatch spilled tasks, so the spill shrinks stepwise
-    // (bounded mutex hold) rather than all at once.
+    // Shard 0 overflows by 20 tasks while shard 1 holds one. Popping
+    // that one leaves shard 1 with 16 free slots, so only the batch
+    // bound limits the drain-back: exactly 8 spilled tasks move per
+    // pop (a bounded spill-mutex hold), not all 20 at once.
     InjectPolicy policy;
-    policy.shardPerDomain = false;
-    policy.shardCapacity = 2;
-    policy.drainBackBatch = 1;
-    InjectQueue q(policy, 1);
+    policy.shardCapacity = 16;
+    InjectQueue q(policy, 2);
 
     std::vector<int> sink;
-    for (int i = 0; i < 8; ++i)
+    for (int i = 0; i < 36; ++i)
         q.push(marker(sink, i), 0);
-    EXPECT_EQ(q.spillSizeApprox(), 6u);
+    ASSERT_EQ(q.push(marker(sink, 100), 1),
+              InjectQueue::PushPath::Ring);
+    ASSERT_EQ(q.spillSizeApprox(), 20u);
 
     Task out;
-    ASSERT_EQ(q.tryPop(out, 0), InjectQueue::PopSource::PreferredShard);
-    EXPECT_EQ(valueOf(out, sink), 0);
-    // One pop, one freed slot, batch 1: exactly one task moved back.
-    EXPECT_EQ(q.spillSizeApprox(), 5u);
-    EXPECT_EQ(q.drainBacks(), 1u);
+    ASSERT_EQ(q.tryPop(out, 1), InjectQueue::PopSource::PreferredShard);
+    EXPECT_EQ(valueOf(out, sink), 100);
+    EXPECT_EQ(q.drainBacks(), 8u);
+    EXPECT_EQ(q.spillSizeApprox(), 12u);
 
-    // Delivery stays exact FIFO to the end.
-    for (int i = 1; i < 8; ++i) {
-        ASSERT_NE(q.tryPop(out, 0), InjectQueue::PopSource::None);
-        EXPECT_EQ(valueOf(out, sink), i) << "pop " << i;
+    // The oldest spilled tasks moved, in order, into shard 1.
+    std::vector<int> seen;
+    for (int i = 16; i < 24; ++i) {
+        ASSERT_EQ(q.tryPop(out, 1),
+                  InjectQueue::PopSource::PreferredShard);
+        seen.push_back(valueOf(out, sink));
+        EXPECT_EQ(seen.back(), i);
     }
-    EXPECT_EQ(q.tryPop(out, 0), InjectQueue::PopSource::None);
+
+    // Every task is still delivered exactly once.
+    while (q.tryPop(out, 0) != InjectQueue::PopSource::None)
+        seen.push_back(valueOf(out, sink));
+    std::sort(seen.begin(), seen.end());
+    std::vector<int> expected(36);
+    for (int i = 0; i < 36; ++i)
+        expected[i] = i;
+    EXPECT_EQ(seen, expected);
     EXPECT_EQ(q.spillSizeApprox(), 0u);
 }
 
@@ -515,52 +494,10 @@ TEST(InjectPath, MultiProducerSubmitTortureDeliversExactlyOnce)
     const auto s = rt.stats();
     EXPECT_EQ(s.injected, static_cast<uint64_t>(kTotal));
     EXPECT_EQ(s.injectFastPath + s.injectSpill, s.injected);
-}
-
-TEST(InjectPath, LegacyReplayMatchesLockFreeDelivery)
-{
-    // useLockFreeInject = false must replay the mutex-queue
-    // behavior: identical delivery guarantees, zero ring-path
-    // counters, and the same externally observable results as the
-    // lock-free configuration on the same workload.
-    constexpr int kTasks = 256;
-    uint64_t executed[2] = {0, 0};
-    int done_count[2] = {0, 0};
-
-    for (const bool lock_free : {false, true}) {
-        auto cfg = config(4);
-        cfg.inject.useLockFreeInject = lock_free;
-        Runtime rt(cfg);
-
-        std::atomic<int> done{0};
-        TaskGroup group(rt);
-        for (int i = 0; i < kTasks; ++i) {
-            group.run([&] {
-                done.fetch_add(1, std::memory_order_relaxed);
-            });
-        }
-        group.wait();
-
-        const auto s = rt.stats();
-        done_count[lock_free] = done.load();
-        executed[lock_free] = s.executed;
-        EXPECT_EQ(s.injected, static_cast<uint64_t>(kTasks));
-        if (lock_free) {
-            EXPECT_EQ(s.injectFastPath + s.injectSpill, s.injected);
-        } else {
-            // The legacy queue never touches the ring or the spill.
-            EXPECT_EQ(s.injectFastPath, 0u);
-            EXPECT_EQ(s.injectSpill, 0u);
-            EXPECT_EQ(s.injectShardHits, 0u);
-        }
-        // Both paths feed the same drain accounting.
-        uint64_t drained = 0;
-        for (unsigned b = 0;
-             b < runtime::RuntimeStats::kInjectDrainBuckets; ++b)
-            drained += s.injectDrain[b];
-        EXPECT_EQ(drained, s.injected);
-    }
-    EXPECT_EQ(done_count[0], kTasks);
-    EXPECT_EQ(done_count[1], kTasks);
-    EXPECT_EQ(executed[0], executed[1]);
+    // Every injected task was claimed by exactly one inject pop.
+    uint64_t drained = 0;
+    for (unsigned b = 0;
+         b < runtime::RuntimeStats::kInjectDrainBuckets; ++b)
+        drained += s.injectDrain[b];
+    EXPECT_EQ(drained, s.injected);
 }

@@ -190,6 +190,34 @@ TEST_F(ScenarioCli, ValidateRejectsMalformedWithPointer)
     EXPECT_NE(output.find("/runtime/mystery_knob"),
               std::string::npos)
         << output;
+
+    // Retired runtime keys fail loudly wherever a runtime block may
+    // appear — a file that still names one must not silently run
+    // the default path instead.
+    for (const std::string key :
+         {"lock_free_inject", "steal_half", "adaptive_locality"}) {
+        writeFile("retired.json", R"({"name": "r", "kind": "fork_join",
+  "runtime": {")" + key + R"(": true}})");
+        EXPECT_EQ(run("validate " + path("retired.json"), &output), 3)
+            << key;
+        EXPECT_NE(output.find("/runtime/" + key + ": unknown key"),
+                  std::string::npos)
+            << output;
+
+        writeFile("retired_variant.json", R"({"name": "r",
+  "kind": "serve",
+  "sweep": {"rates_per_sec": [500],
+            "variants": [{"name": "v", "runtime": {")"
+                      + key + R"(": true}}]}})");
+        EXPECT_EQ(
+            run("validate " + path("retired_variant.json"), &output),
+            3)
+            << key;
+        EXPECT_NE(output.find("/sweep/variants/0/runtime/" + key
+                              + ": unknown key"),
+                  std::string::npos)
+            << output;
+    }
 }
 
 TEST_F(ScenarioCli, ValidateRejectsUnparsableJson)

@@ -45,7 +45,7 @@ TEST(ScenarioConfig, MinimalDocumentResolvesDefaults)
     EXPECT_EQ(r.config.kind, ScenarioKind::kForkJoin);
     EXPECT_EQ(r.config.runtime.workers, 2u);
     EXPECT_EQ(r.config.runtime.dequeImpl, "chaselev");
-    EXPECT_TRUE(r.config.runtime.lockFreeInject);
+    EXPECT_EQ(r.config.runtime.localityRounds, 1u);
     EXPECT_EQ(r.config.forkJoin.tasks, 256u);
     EXPECT_TRUE(r.config.thresholds.empty());
 }
@@ -158,7 +158,7 @@ seedDocument()
     const ScenarioLoadResult base = parseScenario(
         R"({"name": "fuzz_seed", "kind": "serve",
             "runtime": {"workers": 2, "deque": "the",
-                        "lock_free_inject": false},
+                        "locality_rounds": 0},
             "serve": {"rate_per_sec": 100, "duration_sec": 0.1},
             "thresholds": {
               "completed_eq_accepted": {"direction": "higher"},

@@ -34,6 +34,15 @@ twoWorkers()
     return config;
 }
 
+/** A spin-kernel mix entry with `spin_nanos` of service demand. */
+MixEntry
+spinEntry(uint64_t spin_nanos)
+{
+    MixEntry entry;
+    entry.spinNanos = spin_nanos;
+    return entry;
+}
+
 ServeConfig
 lightLoad()
 {
@@ -41,7 +50,7 @@ lightLoad()
     config.arrivals.seed = 0x5e12e;
     config.arrivals.ratePerSec = 2000.0;
     config.arrivals.durationSec = 0.25;
-    config.mix = {MixEntry{"spin", 1.0, 10'000}};
+    config.mix = {spinEntry(10'000)};
     config.producers = 2;
     return config;
 }
@@ -94,7 +103,7 @@ TEST(ServeDriver, OverloadShedsWithBoundedAcceptedP99)
     config.arrivals.durationSec = 0.3;
     // 2 ms of demand every 0.5 ms: ~4 erlangs against two workers —
     // structurally overloaded on any host.
-    config.mix = {MixEntry{"spin", 1.0, 2'000'000}};
+    config.mix = {spinEntry(2'000'000)};
     config.producers = 2;
     config.admission.highWatermark = 32;
     config.admission.lowWatermark = 8;
@@ -129,7 +138,7 @@ TEST(ServeDriver, DisablingAdmissionAcceptsEverything)
     config.arrivals.seed = 0xacce;
     config.arrivals.ratePerSec = 1000.0;
     config.arrivals.durationSec = 0.2;
-    config.mix = {MixEntry{"spin", 1.0, 1'000'000}};
+    config.mix = {spinEntry(1'000'000)};
     config.producers = 2;
     config.admissionEnabled = false;
     config.admission.highWatermark = 4; // would shed hard if enabled
@@ -150,7 +159,7 @@ TEST(ServeDriver, RegisteredWorkloadMixServesRealKernels)
     config.arrivals.seed = 0x3017;
     config.arrivals.ratePerSec = 400.0;
     config.arrivals.durationSec = 0.2;
-    MixEntry spin{"spin", 1.0, 10'000};
+    const MixEntry spin = spinEntry(10'000);
     MixEntry sort;
     sort.name = "sort";
     sort.weight = 1.0;

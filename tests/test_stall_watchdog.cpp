@@ -30,6 +30,15 @@ twoWorkers()
     return config;
 }
 
+/** A spin-kernel mix entry with `spin_nanos` of service demand. */
+MixEntry
+spinEntry(uint64_t spin_nanos)
+{
+    MixEntry entry;
+    entry.spinNanos = spin_nanos;
+    return entry;
+}
+
 } // namespace
 
 TEST(StallWatchdog, TelemetryCoversEveryWorkerAndAdvancesUnderWork)
@@ -97,7 +106,7 @@ TEST(StallWatchdog, InjectedStallIsDetectedAndServeRunStillDrains)
     config.arrivals.seed = 0x57a11;
     config.arrivals.ratePerSec = 2000.0;
     config.arrivals.durationSec = 0.3;
-    config.mix = {MixEntry{"spin", 1.0, 10'000}};
+    config.mix = {spinEntry(10'000)};
     config.producers = 2;
     config.sampleHz = 200.0;
     config.faults.enabled = true;

@@ -19,10 +19,8 @@
 
 using namespace hermes;
 using runtime::appendVictimOrder;
-using runtime::includeGlobalPass;
 using runtime::Runtime;
 using runtime::RuntimeConfig;
-using runtime::StealPolicy;
 
 namespace {
 
@@ -142,95 +140,6 @@ TEST(VictimOrder, SingleWorkerPoolHasNoVictims)
     EXPECT_TRUE(order.empty());
 }
 
-TEST(AdaptiveLocality, DisabledPolicyAlwaysEscalates)
-{
-    StealPolicy p; // adaptiveLocality defaults off
-    EXPECT_TRUE(includeGlobalPass(p, 100, 0, false));
-    EXPECT_TRUE(includeGlobalPass(p, 0, 100, false));
-}
-
-TEST(AdaptiveLocality, EscalatesOnlyWhileLocalRatioIsBelowThreshold)
-{
-    StealPolicy p;
-    p.adaptiveLocality = true;
-    p.adaptiveLocalityThreshold = 0.5;
-    // Ratio above threshold: locality is paying off — stay local.
-    EXPECT_FALSE(includeGlobalPass(p, 3, 1, false));   // 0.75
-    EXPECT_FALSE(includeGlobalPass(p, 1, 1, false));   // 0.50 == thr
-    // Ratio below threshold: escalate to the global ring.
-    EXPECT_TRUE(includeGlobalPass(p, 1, 3, false));    // 0.25
-    EXPECT_TRUE(includeGlobalPass(p, 0, 10, false));   // 0.00
-    // The threshold itself is a knob.
-    p.adaptiveLocalityThreshold = 0.9;
-    EXPECT_TRUE(includeGlobalPass(p, 3, 1, false));    // 0.75 < 0.9
-}
-
-TEST(AdaptiveLocality, FailedHuntAndNoHistoryForceEscalation)
-{
-    // Liveness: whatever the ratio says, a hunt that failed makes
-    // the next one probe the global ring — remote-only work is
-    // reachable within two hunts, so local-only probing can trim
-    // cost but never starve. No history defaults to escalating too.
-    StealPolicy p;
-    p.adaptiveLocality = true;
-    EXPECT_TRUE(includeGlobalPass(p, 50, 0, true));
-    EXPECT_TRUE(includeGlobalPass(p, 0, 0, false));
-}
-
-TEST(AdaptiveLocality, LocalOnlyHuntEmitsOnlyLocalityPasses)
-{
-    // include_global = false emits the locality passes alone — no
-    // ring victims — but the ring's RNG draw is still consumed and
-    // discarded, so the hunt advances the stream exactly like a full
-    // hunt (the alignment test below pins that down).
-    util::Rng rng(123);
-    const unsigned n = 8;
-    const std::vector<core::WorkerId> peers{4, 6, 7}; // self = 5
-    std::vector<core::WorkerId> local_only;
-    appendVictimOrder(rng, 5, n, peers, 1, local_only, false);
-    ASSERT_EQ(local_only.size(), peers.size());
-    std::vector<core::WorkerId> sorted = local_only;
-    std::sort(sorted.begin(), sorted.end());
-    EXPECT_EQ(sorted, peers);
-}
-
-TEST(AdaptiveLocality, LocalOnlyHuntsKeepTheRngStreamAligned)
-{
-    // The carried ROADMAP bug: a local-only hunt used to skip the
-    // global ring's draw, desynchronizing the per-thief stream from
-    // fixed-rounds policies. With draw-and-discard, a run that mixes
-    // local-only and full hunts must stay bitwise-identical — hunt
-    // by hunt — to an all-full-hunts replay of the same seed: each
-    // local-only order is exactly the locality prefix of the full
-    // order it replaces, and every subsequent full hunt matches.
-    const uint64_t seed = util::mix64(0xfeedULL, 5);
-    util::Rng adaptive_rng(seed);
-    util::Rng fixed_rng(seed);
-    const unsigned n = 8;
-    const std::vector<core::WorkerId> peers{4, 6, 7}; // self = 5
-    std::vector<core::WorkerId> adaptive_order, fixed_order;
-    for (int hunt = 0; hunt < 500; ++hunt) {
-        // Arbitrary deterministic mix of local-only and full hunts.
-        const bool local_only = (hunt % 3) == 1 || (hunt % 7) == 2;
-        appendVictimOrder(adaptive_rng, 5, n, peers, 1,
-                          adaptive_order, !local_only);
-        appendVictimOrder(fixed_rng, 5, n, peers, 1, fixed_order);
-        if (local_only) {
-            ASSERT_EQ(adaptive_order.size(), peers.size())
-                << "hunt " << hunt;
-            const std::vector<core::WorkerId> prefix(
-                fixed_order.begin(),
-                fixed_order.begin()
-                    + static_cast<long>(peers.size()));
-            ASSERT_EQ(adaptive_order, prefix)
-                << "hunt " << hunt << " locality prefix diverged";
-        } else {
-            ASSERT_EQ(adaptive_order, fixed_order)
-                << "hunt " << hunt << " stream desynchronized";
-        }
-    }
-}
-
 TEST(StealPolicy, RuntimeDerivesSingleDomainMapOnThisHost)
 {
     // hostSystem() describes single-core domains; however many
@@ -287,9 +196,7 @@ TEST(StealPolicy, BulkStealsLandMoreThanOneTaskPerSteal)
 {
     // Fork-join burst: recursive parallelFor splitting stocks every
     // deque with several tasks, so steal-half grabs land batches.
-    auto cfg = twoDomainConfig();
-    ASSERT_TRUE(cfg.stealPolicy.stealHalf);
-    Runtime rt(cfg);
+    Runtime rt(twoDomainConfig());
     spinLoad(rt, 2000, 20);
 
     const auto s = rt.stats();
@@ -310,21 +217,6 @@ TEST(StealPolicy, BulkStealsLandMoreThanOneTaskPerSteal)
     EXPECT_EQ(s.executed, s.pops + s.steals + s.injected + s.inlined);
 }
 
-TEST(StealPolicy, StealHalfOffKeepsSingleTaskGrabs)
-{
-    auto cfg = twoDomainConfig();
-    cfg.stealPolicy.stealHalf = false;
-    Runtime rt(cfg);
-    spinLoad(rt, 1000, 20);
-
-    const auto s = rt.stats();
-    ASSERT_GT(s.steals, 0u);
-    EXPECT_EQ(s.bulkSteals, 0u);
-    EXPECT_EQ(s.stolenTasks, s.steals);
-    EXPECT_DOUBLE_EQ(s.tasksPerSteal(), 1.0);
-    EXPECT_EQ(s.stealSize[0], s.steals);
-}
-
 TEST(StealPolicy, LocalHitsDominateUnderBalancedLoad)
 {
     // Two synthetic domains of two workers: with every deque stocked
@@ -341,22 +233,6 @@ TEST(StealPolicy, LocalHitsDominateUnderBalancedLoad)
     EXPECT_GE(s.localHits, s.remoteHits)
         << "locality pass did not dominate: " << s.localHits
         << " local vs " << s.remoteHits << " remote hits";
-}
-
-TEST(AdaptiveLocality, RuntimeCompletesWorkWithAdaptiveHunts)
-{
-    // End-to-end wiring smoke test: adaptive hunts must never strand
-    // work (the failed-hunt escalation guard), and the usual steal
-    // accounting still reconciles.
-    auto cfg = twoDomainConfig();
-    cfg.stealPolicy.adaptiveLocality = true;
-    Runtime rt(cfg);
-    spinLoad(rt, 2000, 20);
-
-    const auto s = rt.stats();
-    ASSERT_GT(s.steals, 0u);
-    EXPECT_EQ(s.localHits + s.remoteHits, s.steals);
-    EXPECT_EQ(s.executed, s.pops + s.steals + s.injected + s.inlined);
 }
 
 TEST(StealPolicy, WakeSelectionCountsDomainOutcomes)
