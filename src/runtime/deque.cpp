@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 
+#include "runtime/sync.hpp"
 #include "util/assert.hpp"
 
 namespace hermes::runtime {
@@ -12,8 +13,11 @@ WsDeque::WsDeque(size_t capacity_pow2, DequePolicy policy)
 {
     const size_t cap =
         std::bit_ceil(std::max<size_t>(2, capacity_pow2));
-    // Slot words are left uninitialized: only slots in [head, tail)
-    // are ever read, and each was stored by a push first.
+    // make_unique value-initializes, so every slot word starts at
+    // zero. Keep it that way: a push writes only the payload words
+    // its closure uses, but a thief copies the whole slot before its
+    // CAS, so without the zero-fill it could read words nothing ever
+    // wrote.
     slots_ =
         std::make_unique<std::atomic<uint64_t>[]>(cap * kSlotWords);
     mask_ = cap - 1;
@@ -29,23 +33,17 @@ WsDeque::~WsDeque()
         Task::adopt(loadSlot(i));
 }
 
-void
-WsDeque::storeSlot(int64_t index, const Task::Repr &repr)
+std::atomic<uint64_t> *
+WsDeque::slotAt(int64_t index) const
 {
-    uint64_t words[kSlotWords];
-    std::memcpy(words, &repr, sizeof(repr));
-    std::atomic<uint64_t> *slot =
-        &slots_[(static_cast<size_t>(index) & mask_) * kSlotWords];
-    for (size_t w = 0; w < kSlotWords; ++w)
-        slot[w].store(words[w], std::memory_order_relaxed);
+    return &slots_[(static_cast<size_t>(index) & mask_) * kSlotWords];
 }
 
 Task::Repr
 WsDeque::loadSlot(int64_t index) const
 {
     uint64_t words[kSlotWords];
-    const std::atomic<uint64_t> *slot =
-        &slots_[(static_cast<size_t>(index) & mask_) * kSlotWords];
+    const std::atomic<uint64_t> *slot = slotAt(index);
     for (size_t w = 0; w < kSlotWords; ++w)
         words[w] = slot[w].load(std::memory_order_relaxed);
     Task::Repr repr;
@@ -53,8 +51,22 @@ WsDeque::loadSlot(int64_t index) const
     return repr;
 }
 
+void
+WsDeque::takeOwnSlot(int64_t index, Task &out) const
+{
+    const std::atomic<uint64_t> *slot = slotAt(index);
+    out.body.relocateFrom(slot + Task::kPayloadWord,
+                          slot[Task::kOpsWord]);
+    out.group = reinterpret_cast<TaskGroup *>(static_cast<uintptr_t>(
+        slot[Task::kGroupWord].load(std::memory_order_relaxed)));
+    out.ownerCounted =
+        slot[Task::kOwnerCountedWord].load(std::memory_order_relaxed)
+        != 0;
+}
+
 bool
-WsDeque::push(Task &&t, size_t &size_after)
+WsDeque::push(TaskFn &&fn, TaskGroup *group, bool owner_counted,
+              size_t &size_after)
 {
     const int64_t tail = tail_.load(std::memory_order_relaxed);
     // One slot of the ring is sacrificed: under THE an in-flight
@@ -69,7 +81,14 @@ WsDeque::push(Task &&t, size_t &size_after)
     const int64_t head = head_.load(std::memory_order_acquire);
     if (tail - head >= static_cast<int64_t>(capacity()) - 1)
         return false; // full: caller executes inline
-    storeSlot(tail, t.release());
+    // Straight from the closure into the slot: its payload words,
+    // then the ops, group and owner-counted words.
+    std::atomic<uint64_t> *slot = slotAt(tail);
+    fn.relocateTo(slot + Task::kPayloadWord, slot[Task::kOpsWord]);
+    slot[Task::kGroupWord].store(reinterpret_cast<uintptr_t>(group),
+                                 std::memory_order_relaxed);
+    slot[Task::kOwnerCountedWord].store(owner_counted ? 1 : 0,
+                                        std::memory_order_relaxed);
     // Publishing tail+1 makes the slot visible to thieves. seq_cst
     // rather than release: this store is the producer half of the
     // parking Dekker handshake, and the head read below must be
@@ -77,7 +96,7 @@ WsDeque::push(Task &&t, size_t &size_after)
     // (making the deque look empty to it) is also observed here —
     // reporting size_after == 1 and triggering the wake
     // (docs/ARCHITECTURE.md).
-    tail_.store(tail + 1, std::memory_order_seq_cst);
+    sync::store(tail_, tail + 1, std::memory_order_seq_cst);
     size_after = static_cast<size_t>(
         tail + 1 - head_.load(std::memory_order_seq_cst));
     return true;
@@ -110,7 +129,7 @@ WsDeque::popChaseLev(Task &out, size_t &size_after)
     // own-or-CAS take below race on head_ and exactly one wins
     // (docs/STEALING.md, "The deque").
     const int64_t t = tail - 1;
-    tail_.store(t, std::memory_order_seq_cst);
+    sync::store(tail_, t, std::memory_order_seq_cst);
     int64_t h = head_.load(std::memory_order_seq_cst);
     if (h > t) {
         // Thieves drained everything between the fast path and the
@@ -123,20 +142,20 @@ WsDeque::popChaseLev(Task &out, size_t &size_after)
         // proven single-arbiter of the tug-of-war. Win or lose,
         // head ends at t+1, so restore tail to t+1 (canonical
         // empty).
-        const bool won = head_.compare_exchange_strong(
-            h, h + 1, std::memory_order_seq_cst);
+        const bool won = sync::casStrong(head_, h, h + 1,
+                                         std::memory_order_seq_cst);
         tail_.store(t + 1, std::memory_order_relaxed);
         if (!won) {
             ownedAdd(popCasLosses_); // only the owner pops
             return false;
         }
-        out = Task::adopt(loadSlot(t));
+        takeOwnSlot(t, out);
         size_after = 0;
         return true;
     }
     // h < t: the slot is ours without arbitration — no thief can
     // claim index t while head_ < t, and head_ only grows.
-    out = Task::adopt(loadSlot(t));
+    takeOwnSlot(t, out);
     size_after = static_cast<size_t>(t - h);
     return true;
 }
@@ -149,23 +168,23 @@ WsDeque::popThe(Task &out, size_t &size_after)
     // (head caught up), restore and retry once under the lock, where
     // thieves cannot move the head concurrently.
     int64_t t = tail_.load() - 1;
-    tail_.store(t);
+    sync::store(tail_, t);
     int64_t h = head_.load();
     if (h > t) {
-        tail_.store(t + 1);
-        std::lock_guard<std::mutex> guard(lock_);
+        sync::store(tail_, t + 1);
+        sync::Guard guard(lock_);
         t = tail_.load() - 1;
-        tail_.store(t);
+        sync::store(tail_, t);
         h = head_.load();
         if (h > t) {
             // Plain-empty and lost-the-last-task are not
             // distinguishable here without extra state, so the THE
             // replay leaves popCasLosses_ at 0 (see deque.hpp).
-            tail_.store(t + 1);
+            sync::store(tail_, t + 1);
             return false;
         }
     }
-    out = Task::adopt(loadSlot(t));
+    takeOwnSlot(t, out);
     size_after = static_cast<size_t>(t - head_.load());
     return true;
 }
@@ -196,10 +215,9 @@ WsDeque::stealChaseLev(Task &out, size_t &size_after)
     // is then guaranteed to fail, discarding it. The slot words are
     // relaxed atomics, so the racing read is defined.
     const Task::Repr repr = loadSlot(h);
-    if (!head_.compare_exchange_strong(h, h + 1,
-                                       std::memory_order_seq_cst)) {
+    if (!sync::casStrong(head_, h, h + 1, std::memory_order_seq_cst)) {
         // Another thief, or the owner's last-task pop, won the slot.
-        stealCasRetries_.fetch_add(1, std::memory_order_relaxed);
+        sync::fetchAdd(stealCasRetries_, 1, std::memory_order_relaxed);
         return false;
     }
     out = Task::adopt(repr);
@@ -211,18 +229,18 @@ WsDeque::stealChaseLev(Task &out, size_t &size_after)
 bool
 WsDeque::stealThe(Task &out, size_t &size_after)
 {
-    std::lock_guard<std::mutex> guard(lock_);
+    sync::Guard guard(lock_);
     const int64_t h = head_.load();
     if (h >= tail_.load())
         return false; // plain empty: nothing to claim
     // Claim the head slot, then verify the tail has not retracted
     // past it (a racing pop taking the same last task). The claim-
     // then-check order mirrors Algorithm 2.4.
-    head_.store(h + 1);
+    sync::store(head_, h + 1);
     const int64_t t = tail_.load();
     if (h + 1 > t) {
-        head_.store(h);
-        stealCasRetries_.fetch_add(1, std::memory_order_relaxed);
+        sync::store(head_, h);
+        sync::fetchAdd(stealCasRetries_, 1, std::memory_order_relaxed);
         return false;
     }
     out = Task::adopt(loadSlot(h));
@@ -273,11 +291,12 @@ WsDeque::stealHalfChaseLev(std::vector<Task> &out, size_t &size_after)
                 break;
         }
         const Task::Repr repr = loadSlot(h);
-        if (!head_.compare_exchange_strong(
-                h, h + 1, std::memory_order_seq_cst)) {
+        if (!sync::casStrong(head_, h, h + 1,
+                             std::memory_order_seq_cst)) {
             // Another thief or the owner's last-task pop interleaved;
             // keep what was already claimed.
-            stealCasRetries_.fetch_add(1, std::memory_order_relaxed);
+            sync::fetchAdd(stealCasRetries_, 1,
+                           std::memory_order_relaxed);
             break;
         }
         out.push_back(Task::adopt(repr));
@@ -293,7 +312,7 @@ WsDeque::stealHalfChaseLev(std::vector<Task> &out, size_t &size_after)
 size_t
 WsDeque::stealHalfThe(std::vector<Task> &out, size_t &size_after)
 {
-    std::lock_guard<std::mutex> guard(lock_);
+    sync::Guard guard(lock_);
     const int64_t h0 = head_.load();
     const int64_t t0 = tail_.load();
     const int64_t n = t0 - h0;
@@ -314,13 +333,14 @@ WsDeque::stealHalfThe(std::vector<Task> &out, size_t &size_after)
     size_t got = 0;
     for (int64_t i = 0; i < want; ++i) {
         const int64_t h = head_.load();
-        head_.store(h + 1);
+        sync::store(head_, h + 1);
         const int64_t t = tail_.load();
         if (h + 1 > t) {
             // The owner popped past us mid-grab; undo the claim and
             // keep what was already moved out.
-            head_.store(h);
-            stealCasRetries_.fetch_add(1, std::memory_order_relaxed);
+            sync::store(head_, h);
+            sync::fetchAdd(stealCasRetries_, 1,
+                           std::memory_order_relaxed);
             break;
         }
         out.push_back(Task::adopt(loadSlot(h)));

@@ -19,11 +19,14 @@
  *
  * Both protocols share the ring representation: tasks are stored as
  * their trivially-copyable `Task::Repr` (task.hpp), written and read
- * word-by-word with relaxed atomics. That makes a Chase-Lev steal's
- * copy-before-CAS race-free for the sanitizers: a thief copies the
- * slot words, and only a *successful* head CAS adopts the bytes — a
- * failed CAS discards a possibly-torn copy that never had a
- * constructor or destructor run on it.
+ * word-by-word with relaxed atomics. The owner's push and pop move
+ * only the payload words the closure uses (`TaskFn::relocateTo`/
+ * `relocateFrom`) plus the ops, group and owner-counted words. A
+ * Chase-Lev steal copies the whole slot before its CAS, which keeps
+ * that copy race-free for the sanitizers: only a *successful* head
+ * CAS adopts the bytes — a failed CAS discards a possibly-torn copy
+ * that never had a constructor or destructor run on it, and no ops
+ * pointer is dereferenced before the CAS wins.
  *
  * Index convention (the paper's pseudocode mixes two): items occupy
  * [head, tail); size == tail - head; push stores at tail then
@@ -84,7 +87,8 @@ class WsDeque
     WsDeque &operator=(const WsDeque &) = delete;
 
     /**
-     * Owner pushes `t` at the tail (Algorithm 2.2). Identical for
+     * Owner pushes a task at the tail (Algorithm 2.2), writing it
+     * straight from the closure into the ring slot. Identical for
      * both protocols.
      *
      * The usable capacity is capacity() - 1: one ring slot stays
@@ -100,12 +104,24 @@ class WsDeque
      * and the head read that computes `size_after` must be ordered
      * after it so an empty→non-empty transition is never misread.
      *
-     * @param t consumed only on success; intact when push fails so
+     * @param fn consumed only on success; intact when push fails so
      *        the caller can run it inline
+     * @param group the group the task completes into
+     * @param owner_counted how the group counted the task (Task)
      * @param size_after set to the deque size after the push
      * @return false if the ring is full (caller runs task inline)
      */
-    bool push(Task &&t, size_t &size_after);
+    bool push(TaskFn &&fn, TaskGroup *group, bool owner_counted,
+              size_t &size_after);
+
+    /** push() of a whole Task; `t.body` is consumed only on
+     * success. */
+    bool
+    push(Task &&t, size_t &size_after)
+    {
+        return push(std::move(t.body), t.group, t.ownerCounted,
+                    size_after);
+    }
 
     /**
      * Owner pops from the tail — the most immediate task
@@ -209,20 +225,25 @@ class WsDeque
                              size_t &size_after);
     size_t stealHalfThe(std::vector<Task> &out, size_t &size_after);
 
-    /** Write a relocated task into ring slot `index` (relaxed
-     * per-word atomic stores; the index publish orders them). */
-    void storeSlot(int64_t index, const Task::Repr &repr);
+    /** First of the kSlotWords words of ring slot `index`. */
+    std::atomic<uint64_t> *slotAt(int64_t index) const;
 
-    /** Read ring slot `index` as relocated bytes (relaxed per-word
-     * atomic loads). Under Chase-Lev the result may be torn when
-     * the owner concurrently wraps onto the slot — callers must
-     * discard it unless their claiming CAS succeeds. */
+    /** Read the whole of ring slot `index` as relocated bytes
+     * (relaxed per-word atomic loads). Under Chase-Lev the result
+     * may be torn when the owner concurrently wraps onto the slot —
+     * callers must discard it unless their claiming CAS succeeds. */
     Task::Repr loadSlot(int64_t index) const;
+
+    /** Relocate ring slot `index` into `out`, reading the ops word
+     * first and then only the payload words it names. Only for a
+     * slot no thief can still claim: the owner's pop, once the slot
+     * is its own. */
+    void takeOwnSlot(int64_t index, Task &out) const;
 
     /** One ring slot = kSlotWords consecutive 64-bit words; atomic
      * words (not Task objects) so the thief's copy-before-CAS is a
      * defined read even when it races the owner's wrap-around
-     * overwrite. */
+     * overwrite. Zero-filled at construction (see the constructor). */
     std::unique_ptr<std::atomic<uint64_t>[]> slots_;
     size_t mask_;
     DequeImpl impl_;

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cstdint>
 
+#include "runtime/sync.hpp"
+
 namespace hermes::runtime {
 
 namespace {
@@ -40,8 +42,8 @@ InjectRing::tryPush(Task &&t)
             // Cell free at our position: claim it. The weak CAS may
             // fail spuriously or to a racing producer; either way
             // `pos` is reloaded and we retry.
-            if (enqueuePos_.compare_exchange_weak(
-                    pos, pos + 1, std::memory_order_relaxed))
+            if (sync::casWeak(enqueuePos_, pos, pos + 1,
+                              std::memory_order_relaxed))
                 break;
         } else if (dif < 0) {
             // Cell still holds last lap's task: the ring is full
@@ -70,8 +72,8 @@ InjectRing::tryPop(Task &out)
         const auto dif = static_cast<intptr_t>(seq)
             - static_cast<intptr_t>(pos + 1);
         if (dif == 0) {
-            if (dequeuePos_.compare_exchange_weak(
-                    pos, pos + 1, std::memory_order_relaxed))
+            if (sync::casWeak(dequeuePos_, pos, pos + 1,
+                              std::memory_order_relaxed))
                 break;
         } else if (dif < 0) {
             // Cell not yet published at our position: empty (or the
@@ -110,9 +112,9 @@ InjectQueue::push(Task &&t, unsigned shard_hint)
     // Shard full: fall back to the overflow deque rather than block
     // or drop. The ring rejection left `t` intact.
     {
-        std::lock_guard<std::mutex> lock(spillMutex_);
+        sync::Guard lock(spillMutex_);
         spill_.push_back(std::move(t));
-        spillSize_.fetch_add(1, std::memory_order_relaxed);
+        sync::fetchAdd(spillSize_, 1, std::memory_order_relaxed);
     }
     return PushPath::Spill;
 }
@@ -142,11 +144,11 @@ InjectQueue::tryPop(Task &out, unsigned preferred_shard)
     // finds the rings momentarily empty — bounded unfairness, never
     // starvation of the queue as a whole.
     if (spillSize_.load(std::memory_order_acquire) != 0) {
-        std::lock_guard<std::mutex> lock(spillMutex_);
+        sync::Guard lock(spillMutex_);
         if (!spill_.empty()) {
             out = std::move(spill_.front());
             spill_.pop_front();
-            spillSize_.fetch_sub(1, std::memory_order_relaxed);
+            sync::fetchSub(spillSize_, 1, std::memory_order_relaxed);
             return PopSource::Spill;
         }
     }
@@ -156,7 +158,7 @@ InjectQueue::tryPop(Task &out, unsigned preferred_shard)
 void
 InjectQueue::drainBackInto(InjectRing &ring)
 {
-    std::lock_guard<std::mutex> lock(spillMutex_);
+    sync::Guard lock(spillMutex_);
     unsigned moved = 0;
     while (moved < kDrainBackBatch && !spill_.empty()) {
         // tryPush leaves the task intact when the ring refilled
@@ -165,11 +167,11 @@ InjectQueue::drainBackInto(InjectRing &ring)
         if (!ring.tryPush(std::move(spill_.front())))
             break;
         spill_.pop_front();
-        spillSize_.fetch_sub(1, std::memory_order_relaxed);
+        sync::fetchSub(spillSize_, 1, std::memory_order_relaxed);
         ++moved;
     }
     if (moved != 0)
-        drainBacks_.fetch_add(moved, std::memory_order_relaxed);
+        sync::fetchAdd(drainBacks_, moved, std::memory_order_relaxed);
 }
 
 unsigned
@@ -177,7 +179,7 @@ producerShardHint()
 {
     static std::atomic<unsigned> next{0};
     thread_local const unsigned hint =
-        next.fetch_add(1, std::memory_order_relaxed);
+        sync::fetchAdd(next, 1, std::memory_order_relaxed);
     return hint;
 }
 

@@ -1,5 +1,7 @@
 #include "runtime/parking_lot.hpp"
 
+#include "runtime/sync.hpp"
+
 #if defined(__linux__)
 
 #include <climits>
@@ -49,7 +51,7 @@ void
 ParkingLot::notifyWorker(unsigned w)
 {
     auto &word = slots_[w].epoch;
-    word.fetch_add(1, std::memory_order_seq_cst);
+    sync::fetchAdd(word, 1, std::memory_order_seq_cst);
     futexOp(word, FUTEX_WAKE_PRIVATE, 1);
 }
 
@@ -58,7 +60,7 @@ ParkingLot::notifyAll()
 {
     for (unsigned w = 0; w < numWorkers_; ++w) {
         auto &word = slots_[w].epoch;
-        word.fetch_add(1, std::memory_order_seq_cst);
+        sync::fetchAdd(word, 1, std::memory_order_seq_cst);
         futexOp(word, FUTEX_WAKE_PRIVATE, INT_MAX);
     }
 }
@@ -77,7 +79,7 @@ void
 ParkingLot::wait(unsigned w, Epoch expected)
 {
     auto &word = slots_[w].epoch;
-    std::unique_lock<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock = sync::uniqueLock(mutex_);
     // Bumps happen under mutex_, so the predicate re-check and the
     // block are atomic with respect to notifyWorker(): no lost
     // wakeup. One shared condvar serves every worker — a targeted
@@ -92,8 +94,8 @@ void
 ParkingLot::notifyWorker(unsigned w)
 {
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        slots_[w].epoch.fetch_add(1, std::memory_order_seq_cst);
+        sync::Guard lock(mutex_);
+        sync::fetchAdd(slots_[w].epoch, 1, std::memory_order_seq_cst);
     }
     cv_.notify_all();
 }
@@ -102,9 +104,9 @@ void
 ParkingLot::notifyAll()
 {
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        sync::Guard lock(mutex_);
         for (unsigned w = 0; w < numWorkers_; ++w)
-            slots_[w].epoch.fetch_add(1, std::memory_order_seq_cst);
+            sync::fetchAdd(slots_[w].epoch, 1, std::memory_order_seq_cst);
     }
     cv_.notify_all();
 }

@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "platform/affinity.hpp"
+#include "runtime/sync.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -175,7 +176,7 @@ Runtime::Runtime(RuntimeConfig config)
 
 Runtime::~Runtime()
 {
-    stop_.store(true, std::memory_order_seq_cst);
+    sync::store(stop_, true, std::memory_order_seq_cst);
     // Unconditional broadcast: a worker between its parked-publish
     // and its block either sees stop_ in the re-check or fails the
     // epoch comparison inside wait() — no join can hang.
@@ -234,18 +235,19 @@ Runtime::submit(TaskFn fn)
     // harness that dropped handles without waiting still assert
     // nothing failed. (A Runtime outlives its handles by contract,
     // so capturing `this` is safe.)
-    std::shared_ptr<TaskGroup> group(new TaskGroup(*this),
-                                     [this](TaskGroup *g) {
-                                         try {
-                                             g->wait();
-                                         } catch (...) {
-                                             droppedHandleErrors_
-                                                 .fetch_add(
-                                                     1,
-                                                     std::memory_order_relaxed);
-                                         }
-                                         delete g;
-                                     });
+    // The group is never owned, so its waits keep the waiter-bit
+    // protocol on P alone (task_group.hpp).
+    std::shared_ptr<TaskGroup> group(
+        new TaskGroup(*this, TaskGroup::NeverOwned{}),
+        [this](TaskGroup *g) {
+            try {
+                g->wait();
+            } catch (...) {
+                sync::fetchAdd(droppedHandleErrors_, 1,
+                               std::memory_order_relaxed);
+            }
+            delete g;
+        });
     group->run(std::move(fn));
     return SubmitHandle(std::move(group));
 }
@@ -258,41 +260,44 @@ SubmitHandle::wait()
 }
 
 void
-Runtime::spawn(TaskGroup &group, TaskFn fn)
+Runtime::spawn(TaskGroup &group, TaskFn &&fn)
 {
-    group.beginTask();
-    Task task(std::move(fn), &group);
-
     Runtime *rt = tls_runtime;
     const core::WorkerId id = tls_worker;
-    if (rt == this && id != core::invalidWorker) {
-        auto &ws = *workers_[id];
-        size_t size_after = 0;
-        // push() leaves `task` intact on failure (full ring), which
-        // the inline-execution fallback below relies on.
-        if (ws.deque.push(std::move(task), size_after)) {
-            ownedAdd(ws.pushes);
-            // Wake only on the empty→non-empty transition: a deque
-            // that was already non-empty is visible to any thief's
-            // pre-park re-check, so deeper pushes cannot strand a
-            // parked worker and stay free of shared wake state. The
-            // producer's own domain is the preferred wake target —
-            // the new work sits in its deque.
-            if (size_after == 1)
-                notifyIfParked(domainMap_.domainOf(id));
-            // Coarse timestamp: spawns are the hottest event the
-            // controller sees, and it only needs ms-scale time.
-            if (tempo_)
-                tempo_->onPush(id, size_after, coarseNow(ws));
-        } else {
-            // Ring full: execute inline. With child-stealing this is
-            // just a depth-first serialization of the subtree.
-            ownedAdd(ws.inlined);
-            execute(id, task);
-        }
+    if (rt != this || id == core::invalidWorker) {
+        group.beginShared();
+        inject(Task(std::move(fn), &group));
         return;
     }
-    inject(std::move(task));
+    // The group counts the spawn before it becomes runnable: in its
+    // owner's count if this worker owns it, else in P.
+    const bool owner_counted = group.beginTask(id);
+    auto &ws = *workers_[id];
+    size_t size_after = 0;
+    // push() leaves `fn` intact on failure (full ring), which the
+    // inline-execution fallback below relies on.
+    if (ws.deque.push(std::move(fn), &group, owner_counted,
+                      size_after)) {
+        ownedAdd(ws.pushes);
+        // Wake only on the empty→non-empty transition: a deque that
+        // was already non-empty is visible to any thief's pre-park
+        // re-check, so deeper pushes cannot strand a parked worker
+        // and stay free of shared wake state. The producer's own
+        // domain is the preferred wake target — the new work sits
+        // in its deque.
+        if (size_after == 1)
+            notifyIfParked(domainMap_.domainOf(id));
+        // Coarse timestamp: spawns are the hottest event the
+        // controller sees, and it only needs ms-scale time.
+        if (tempo_)
+            tempo_->onPush(id, size_after, coarseNow(ws));
+    } else {
+        // Ring full: execute inline. With child-stealing this is
+        // just a depth-first serialization of the subtree.
+        ownedAdd(ws.inlined);
+        Task task(std::move(fn), &group, owner_counted);
+        execute(id, task);
+    }
 }
 
 bool
@@ -317,7 +322,7 @@ Runtime::notifyIfParked(platform::DomainId preferred)
     // skipping the wake is safe.
     const unsigned n = config_.numWorkers;
     const unsigned cursor =
-        wakeCursor_.fetch_add(1, std::memory_order_relaxed);
+        sync::fetchAdd(wakeCursor_, 1, std::memory_order_relaxed);
     if (preferred != platform::invalidDomain
         && preferred < domainWorkers_.size()) {
         const auto &residents = domainWorkers_[preferred];
@@ -329,8 +334,8 @@ Runtime::notifyIfParked(platform::DomainId preferred)
                 if (workers_[w]->parked.load(
                         std::memory_order_seq_cst)) {
                     lot_.notifyWorker(w);
-                    localWakes_.fetch_add(
-                        1, std::memory_order_relaxed);
+                    sync::fetchAdd(localWakes_, 1,
+                                   std::memory_order_relaxed);
                     return true;
                 }
             }
@@ -345,7 +350,7 @@ Runtime::notifyIfParked(platform::DomainId preferred)
                     && domainMap_.domainOf(w) == preferred
                 ? localWakes_
                 : remoteWakes_;
-            counter.fetch_add(1, std::memory_order_relaxed);
+            sync::fetchAdd(counter, 1, std::memory_order_relaxed);
             return true;
         }
     }
@@ -373,7 +378,7 @@ Runtime::inject(Task task)
     // consumer that saw the increment but scans before the enqueue
     // lands merely retries (it cannot park: the counter is still
     // non-zero), and the per-pop decrement can never underflow.
-    injectPending_.fetch_add(1, std::memory_order_seq_cst);
+    sync::fetchAdd(injectPending_, 1, std::memory_order_seq_cst);
     InjectQueue::PushPath path;
     try {
         path = injectQueue_.push(std::move(task), hint);
@@ -381,19 +386,19 @@ Runtime::inject(Task task)
         // The spill deque can throw (allocation); retract the publish
         // or every future park re-check would see a phantom pending
         // task and the pool could never park again.
-        injectPending_.fetch_sub(1, std::memory_order_seq_cst);
+        sync::fetchSub(injectPending_, 1, std::memory_order_seq_cst);
         throw;
     }
-    (path == InjectQueue::PushPath::Ring ? injectFastPath_
-                                         : injectSpill_)
-        .fetch_add(1, std::memory_order_relaxed);
+    sync::fetchAdd(path == InjectQueue::PushPath::Ring ? injectFastPath_
+                                                       : injectSpill_,
+                   1, std::memory_order_relaxed);
     // Prefer a sleeper in the domain whose shard received the task:
     // its residents drain that shard first, so the wake lands next to
     // the work (shard s hosts domain s).
     platform::DomainId preferred = platform::invalidDomain;
     if (injectQueue_.numShards() > 1)
         preferred = hint % injectQueue_.numShards();
-    injectedCount_.fetch_add(1, std::memory_order_relaxed);
+    sync::fetchAdd(injectedCount_, 1, std::memory_order_relaxed);
     notifyIfParked(preferred);
 }
 
@@ -419,11 +424,12 @@ Runtime::popInjected(core::WorkerId id, Task &out)
     // to measure, so the counter moves only with real sharding.
     if (src == InjectQueue::PopSource::PreferredShard
         && injectQueue_.numShards() > 1)
-        injectShardHits_.fetch_add(1, std::memory_order_relaxed);
+        sync::fetchAdd(injectShardHits_, 1, std::memory_order_relaxed);
     const size_t depth_at_claim =
-        injectPending_.fetch_sub(1, std::memory_order_seq_cst);
-    injectDrain_[RuntimeStats::stealSizeBucket(depth_at_claim)]
-        .fetch_add(1, std::memory_order_relaxed);
+        sync::fetchSub(injectPending_, 1, std::memory_order_seq_cst);
+    sync::fetchAdd(injectDrain_[RuntimeStats::stealSizeBucket(
+                       depth_at_claim)],
+                   1, std::memory_order_relaxed);
     // Wake chaining: a single inject wakes one worker; if more root
     // tasks are queued behind the one just claimed, pass the baton so
     // a burst of injects unparks a matching number of workers. The
@@ -484,8 +490,12 @@ Runtime::execute(core::WorkerId id, Task &task)
     }
 
     ownedAdd(ws.executed);
-    if (task.group)
-        task.group->finish();
+    if (task.group) {
+        if (task.ownerCounted)
+            task.group->finishOwned(id);
+        else
+            task.group->finish();
+    }
     ownedAdd(ws.activeDepth, -1);
     // Task bodies are the only unbounded-duration stretches between
     // deque events; invalidating the coarse clock here bounds its
@@ -579,7 +589,9 @@ Runtime::tryStealFrom(core::WorkerId id, core::WorkerId victim)
     if (size_after > 0)
         notifyIfParked(domainMap_.domainOf(victim));
 
-    const double now = freshNow(ws);
+    // Only the tempo hooks use the clock: a steady-clock read costs
+    // tens of ns, a real share of a steal.
+    const double now = tempo_ ? freshNow(ws) : 0.0;
     if (tempo_) {
         // Algorithm 3.5's victim-side workload check, then line 20's
         // thief procrastination + list splice. A bulk grab is still
@@ -665,8 +677,8 @@ Runtime::workerMain(core::WorkerId id)
         auto &ws = *workers_[id];
         if (ws.stallNanosRequested.load(std::memory_order_relaxed)
             != 0) {
-            const uint64_t nap = ws.stallNanosRequested.exchange(
-                0, std::memory_order_acq_rel);
+            const uint64_t nap = sync::exchange(
+                ws.stallNanosRequested, 0, std::memory_order_acq_rel);
             if (nap != 0)
                 std::this_thread::sleep_for(
                     std::chrono::nanoseconds(nap));
@@ -731,8 +743,8 @@ Runtime::parkUntilWork(core::WorkerId id)
     //   4. block only if the scan found nothing, with the kernel
     //      re-validating the epoch against a racing notify.
     const ParkingLot::Epoch epoch = lot_.prepare(id);
-    ws.parked.store(true, std::memory_order_seq_cst);
-    parkedCount_.fetch_add(1, std::memory_order_seq_cst);
+    sync::store(ws.parked, true, std::memory_order_seq_cst);
+    sync::fetchAdd(parkedCount_, 1, std::memory_order_seq_cst);
 
     bool blocked = false;
     if (!workPossiblyAvailable()) {
@@ -757,9 +769,9 @@ Runtime::parkUntilWork(core::WorkerId id)
         lot_.wait(id, epoch);
         const uint64_t parked_word =
             ws.parkClock.load(std::memory_order_relaxed);
-        ws.parkClock.exchange(
-            (parked_word & ~kClockStateMask) | kClockWaking,
-            std::memory_order_seq_cst);
+        sync::exchange(ws.parkClock,
+                       (parked_word & ~kClockStateMask) | kClockWaking,
+                       std::memory_order_seq_cst);
         ws.parkClock.store(packClock(clockNanos(parked_word)
                                          + steadyNowNanos(),
                                      kClockAwake),
@@ -770,8 +782,8 @@ Runtime::parkUntilWork(core::WorkerId id)
         blocked = true;
     }
 
-    parkedCount_.fetch_sub(1, std::memory_order_seq_cst);
-    ws.parked.store(false, std::memory_order_seq_cst);
+    sync::fetchSub(parkedCount_, 1, std::memory_order_seq_cst);
+    sync::store(ws.parked, false, std::memory_order_seq_cst);
     return blocked;
 }
 

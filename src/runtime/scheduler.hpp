@@ -363,7 +363,7 @@ class Runtime
     static double freshNow(WorkerState &ws);
 
     /** Spawn into the group (worker push or external inject). */
-    void spawn(TaskGroup &group, TaskFn fn);
+    void spawn(TaskGroup &group, TaskFn &&fn);
 
     /** One scheduler iteration; true if a task was executed. */
     bool findAndExecute(core::WorkerId id);

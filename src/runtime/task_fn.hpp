@@ -30,12 +30,18 @@
  * deque.hpp). This relocatability contract is what lets a thief copy
  * a slot *before* its claiming CAS and discard the bytes on failure
  * without ever running a constructor or destructor on them.
+ * `relocateTo()`/`relocateFrom()` are the same transfer straight
+ * between a TaskFn and ring words, copying only the payload words
+ * the closure uses (`Ops::words`): the owner's push and pop.
  */
 
 #ifndef HERMES_RUNTIME_TASK_FN_HPP
 #define HERMES_RUNTIME_TASK_FN_HPP
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -48,11 +54,14 @@ class TaskFn
 {
   private:
     /** Type-erased operations; destroy is null when the payload is
-     * trivially destructible (the inline case). */
+     * trivially destructible (the inline case). `words` is how many
+     * leading 64-bit words of the inline buffer the payload uses, so
+     * a relocation can copy those and no more. */
     struct Ops
     {
         void (*invoke)(void *);
         void (*destroy)(void *);
+        size_t words;
     };
 
   public:
@@ -166,13 +175,65 @@ class TaskFn
         return fn;
     }
 
+    /**
+     * Relocate out into 64-bit words, as the deque's push does:
+     * store the payload words the closure uses into `payload` and
+     * its ops pointer into `ops` (relaxed atomic stores), then leave
+     * this empty. Payload words past the closure are not written.
+     */
+    void
+    relocateTo(std::atomic<uint64_t> *payload,
+               std::atomic<uint64_t> &ops) noexcept
+    {
+        const size_t n = repr_.ops != nullptr ? repr_.ops->words : 0;
+        for (size_t w = 0; w < n; ++w) {
+            uint64_t word;
+            std::memcpy(&word, repr_.storage + w * sizeof(word),
+                        sizeof(word));
+            payload[w].store(word, std::memory_order_relaxed);
+        }
+        ops.store(reinterpret_cast<uintptr_t>(repr_.ops),
+                  std::memory_order_relaxed);
+        repr_.ops = nullptr;
+    }
+
+    /**
+     * Relocate in from words relocateTo() wrote: read the ops word
+     * first, then only the payload words it names. The caller must
+     * own the words outright (the owner's pop); a thief instead
+     * copies the whole slot and adopt()s it once its claim wins,
+     * never reading an ops pointer it does not own. Any payload this
+     * held is destroyed first.
+     */
+    void
+    relocateFrom(const std::atomic<uint64_t> *payload,
+                 const std::atomic<uint64_t> &ops) noexcept
+    {
+        destroyPayload();
+        repr_.ops = reinterpret_cast<const Ops *>(
+            static_cast<uintptr_t>(ops.load(std::memory_order_relaxed)));
+        const size_t n = repr_.ops != nullptr ? repr_.ops->words : 0;
+        for (size_t w = 0; w < n; ++w) {
+            const uint64_t word =
+                payload[w].load(std::memory_order_relaxed);
+            std::memcpy(repr_.storage + w * sizeof(word), &word,
+                        sizeof(word));
+        }
+    }
+
   private:
+    static constexpr size_t
+    wordsOf(size_t bytes)
+    {
+        return (bytes + sizeof(uint64_t) - 1) / sizeof(uint64_t);
+    }
+
     template <typename D>
     static constexpr Ops inlineOps{
         [](void *p) {
             (*std::launder(reinterpret_cast<D *>(p)))();
         },
-        nullptr};
+        nullptr, wordsOf(sizeof(D))};
 
     template <typename D>
     static constexpr Ops boxedOps{
@@ -181,7 +242,8 @@ class TaskFn
         },
         [](void *p) {
             delete *std::launder(reinterpret_cast<D **>(p));
-        }};
+        },
+        wordsOf(sizeof(D *))};
 
     void
     destroyPayload() noexcept
@@ -195,6 +257,9 @@ class TaskFn
 
 static_assert(std::is_trivially_copyable_v<TaskFn::Repr>,
               "Repr is the relocation currency of the deque ring");
+static_assert(TaskFn::kInlineBytes % sizeof(uint64_t) == 0
+                  && sizeof(uintptr_t) <= sizeof(uint64_t),
+              "payload and ops must tile the ring's 64-bit words");
 
 } // namespace hermes::runtime
 

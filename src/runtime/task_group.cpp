@@ -1,5 +1,6 @@
 #include "runtime/task_group.hpp"
 
+#include <chrono>
 #include <thread>
 
 #include "runtime/scheduler.hpp"
@@ -7,19 +8,59 @@
 
 namespace hermes::runtime {
 
+namespace {
+
+/** awaitOwned()'s backoff: yields first, then short sleeps. */
+constexpr unsigned kAwaitOwnedYields = 64;
+constexpr auto kAwaitOwnedSleep = std::chrono::microseconds(20);
+
+} // namespace
+
+TaskGroup::TaskGroup(Runtime &rt)
+    : rt_(rt),
+      owner_(Runtime::current() == &rt ? Runtime::currentWorker()
+                                       : kNoOwner)
+{}
+
+TaskGroup::TaskGroup(Runtime &rt, NeverOwned)
+    : rt_(rt), owner_(kNeverOwned)
+{}
+
 TaskGroup::~TaskGroup()
 {
-    // The raw word, not pending(): a waiter bit still set here would
+    // P's raw word, not pending(): a waiter bit still set here would
     // mean a finisher is yet to release a waiter of this group.
-    HERMES_ASSERT(pending_.load(std::memory_order_acquire) == 0,
+    HERMES_ASSERT(quiescent(),
                   "TaskGroup destroyed with tasks still pending; "
                   "call wait() first");
 }
 
 void
-TaskGroup::run(TaskFn fn)
+TaskGroup::run(TaskFn &&fn)
 {
     rt_.spawn(*this, std::move(fn));
+}
+
+bool
+TaskGroup::claim(core::WorkerId id)
+{
+    // Only a group with no outstanding task: one that a task of the
+    // group spawns into keeps counting those spawns in P. Relaxed is
+    // enough: the owner reads its own store, and a task carries the
+    // claim to whoever completes it through the deque's publish.
+    if (pending_.load(std::memory_order_relaxed) != 0)
+        return false;
+    core::WorkerId expected = kNoOwner;
+    return sync::casStrong(owner_, expected, id,
+                           std::memory_order_relaxed);
+}
+
+bool
+TaskGroup::quiescent() const
+{
+    const long r = remoteDone_.load(std::memory_order_acquire);
+    const long p = pending_.load(std::memory_order_acquire);
+    return p == 0 && owned_.load(std::memory_order_acquire) == r;
 }
 
 void
@@ -37,26 +78,54 @@ TaskGroup::wait()
                 std::this_thread::yield();
         }
     } else {
-        // Register for a wake by setting the waiter bit, unless the
-        // count already reached zero with no bit set: then the last
-        // decrement was every finisher's final access and the group
-        // is ours. Any other outcome (we set the bit, an earlier
-        // waiter did, or a finisher saw it and is on its way to this
-        // lock) leaves a finisher that still has to take the lock, so
-        // wait for its release.
-        std::unique_lock<std::mutex> lock(mutex_);
-        long p = pending_.load(std::memory_order_acquire);
-        while (p != 0 && (p & kWaiterBit) == 0
-               && !pending_.compare_exchange_weak(
-                   p, p | kWaiterBit, std::memory_order_acq_rel,
-                   std::memory_order_acquire)) {
-        }
-        if (p != 0) {
-            const uint64_t seen = releases_;
-            cv_.wait(lock, [&] { return releases_ != seen; });
-        }
+        // A running task may still spawn into either count (a P task
+        // on the owner spawns into O, an O task elsewhere into P), so
+        // repeat until one read of R, P and O shows nothing left.
+        do {
+            awaitOwned();
+            waitShared();
+        } while (!quiescent());
     }
     rethrowIfError();
+}
+
+void
+TaskGroup::awaitOwned() const
+{
+    // The owner's completions do not notify: a notify would need the
+    // locked instruction their plain store exists to avoid. So poll.
+    for (unsigned polls = 0;; ++polls) {
+        const long r = remoteDone_.load(std::memory_order_acquire);
+        if (owned_.load(std::memory_order_acquire) == r)
+            return;
+        if (polls < kAwaitOwnedYields)
+            std::this_thread::yield();
+        else
+            std::this_thread::sleep_for(kAwaitOwnedSleep);
+    }
+}
+
+void
+TaskGroup::waitShared()
+{
+    // Register for a wake by setting the waiter bit, unless the
+    // count already reached zero with no bit set: then the last
+    // decrement was every finisher's final access and the group
+    // is ours. Any other outcome (we set the bit, an earlier
+    // waiter did, or a finisher saw it and is on its way to this
+    // lock) leaves a finisher that still has to take the lock, so
+    // wait for its release.
+    std::unique_lock<std::mutex> lock = sync::uniqueLock(mutex_);
+    long p = pending_.load(std::memory_order_acquire);
+    while (p != 0 && (p & kWaiterBit) == 0
+           && !sync::casWeak(pending_, p, p | kWaiterBit,
+                             std::memory_order_acq_rel,
+                             std::memory_order_acquire)) {
+    }
+    if (p != 0) {
+        const uint64_t seen = releases_;
+        cv_.wait(lock, [&] { return releases_ != seen; });
+    }
 }
 
 void
@@ -64,14 +133,14 @@ TaskGroup::finish()
 {
     // Without a registered waiter this decrement is the group's final
     // access: a waiter that sees zero may free the group at once.
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel)
+    if (sync::fetchSub(pending_, 1, std::memory_order_acq_rel)
         != (kWaiterBit | 1))
         return;
     // A blocking waiter registered under the lock and waits for
     // releases_ to move; it cannot return before we unlock, so the
     // group is still alive for every access below.
-    std::lock_guard<std::mutex> lock(mutex_);
-    pending_.fetch_and(~kWaiterBit, std::memory_order_relaxed);
+    sync::Guard lock(mutex_);
+    sync::fetchAnd(pending_, ~kWaiterBit, std::memory_order_relaxed);
     ++releases_;
     cv_.notify_all();
 }
@@ -79,7 +148,7 @@ TaskGroup::finish()
 void
 TaskGroup::recordException(std::exception_ptr error)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    sync::Guard lock(mutex_);
     if (!error_) {
         error_ = std::move(error);
         hasError_.store(true, std::memory_order_release);
@@ -95,7 +164,7 @@ TaskGroup::rethrowIfError()
         return;
     std::exception_ptr error;
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        sync::Guard lock(mutex_);
         error = std::move(error_);
         error_ = nullptr;
         hasError_.store(false, std::memory_order_relaxed);

@@ -8,6 +8,24 @@
  * worker blocked in wait() does not idle — it keeps scheduling other
  * tasks (its own deque first, then stealing), exactly like a Cilk
  * worker at a sync point.
+ *
+ * A group counts its tasks in three words, so that a task its owner
+ * spawns and runs itself costs the group no locked instruction:
+ *
+ *  - O (`owned_`): spawns by the group's owner worker, minus those
+ *    of them the owner ran. Only the owner writes it, with a
+ *    relaxed load plus a release store.
+ *  - R (`remoteDone_`): owner-counted tasks that another worker ran.
+ *    Each such completion is one RMW, its last access to the group.
+ *  - P (`pending_`): every other spawn (another worker's, or an
+ *    external thread's), with a waiter bit for blocking waiters.
+ *
+ * The owner is the worker the group was constructed on, or else the
+ * first worker that spawns into it while it has no owner and no
+ * outstanding task; it never changes after that. submit()'s groups
+ * are never owned. docs/ARCHITECTURE.md, "TaskGroup completion", has
+ * the whole protocol and why a waiter that reads R, then P, then O
+ * never sees a false zero.
  */
 
 #ifndef HERMES_RUNTIME_TASK_GROUP_HPP
@@ -18,6 +36,8 @@
 #include <exception>
 #include <mutex>
 
+#include "core/worker_id.hpp"
+#include "runtime/sync.hpp"
 #include "runtime/task_fn.hpp"
 
 namespace hermes::runtime {
@@ -28,8 +48,9 @@ class Runtime;
 class TaskGroup
 {
   public:
-    /** Bind to the runtime that will execute the tasks. */
-    explicit TaskGroup(Runtime &rt) : rt_(rt) {}
+    /** Bind to the runtime that will execute the tasks. Built on
+     * one of its workers, the group is owned by that worker. */
+    explicit TaskGroup(Runtime &rt);
 
     /** All tasks must be awaited before destruction. */
     ~TaskGroup();
@@ -45,7 +66,7 @@ class TaskGroup
      * lambdas — every spawn site in parallel.hpp — spawn without
      * allocating (task_fn.hpp).
      */
-    void run(TaskFn fn);
+    void run(TaskFn &&fn);
 
     /**
      * Wait until every spawned task has completed. Worker threads
@@ -55,30 +76,96 @@ class TaskGroup
      */
     void wait();
 
-    /** Tasks spawned but not yet completed. */
-    long pending() const
+    /** Tasks spawned but not yet completed: P + O - R. */
+    long
+    pending() const
     {
-        return pending_.load(std::memory_order_acquire) & ~kWaiterBit;
+        // R, then P, then O: no completion is seen without its spawn.
+        const long r = remoteDone_.load(std::memory_order_acquire);
+        const long p =
+            pending_.load(std::memory_order_acquire) & ~kWaiterBit;
+        return p + owned_.load(std::memory_order_acquire) - r;
     }
 
   private:
     friend class Runtime;
+
+    struct NeverOwned
+    {};
+
+    /** A group no worker may own (submit()'s), so its waits run the
+     * waiter-bit protocol on P alone. */
+    TaskGroup(Runtime &rt, NeverOwned);
 
     /** Bit of `pending_` a blocking waiter sets (under `mutex_`) to
      * ask the last finisher for a wake; the bits below count tasks.
      * docs/ARCHITECTURE.md, "TaskGroup completion", has the protocol. */
     static constexpr long kWaiterBit = 1L << 62;
 
-    /** Register one more task (before it becomes runnable). */
-    void beginTask()
+    /** `owner_` values that name no worker: claimable, and never. */
+    static constexpr core::WorkerId kNoOwner = core::invalidWorker;
+    static constexpr core::WorkerId kNeverOwned = core::invalidWorker - 1;
+
+    /**
+     * Register one more task spawned on worker `id` of the group's
+     * runtime, before it becomes runnable. @return true if it is
+     * owner-counted (O), false if it went to P.
+     */
+    bool
+    beginTask(core::WorkerId id)
     {
-        pending_.fetch_add(1, std::memory_order_relaxed);
+        const core::WorkerId owner =
+            owner_.load(std::memory_order_relaxed);
+        if (owner == id || (owner == kNoOwner && claim(id))) {
+            owned_.store(owned_.load(std::memory_order_relaxed) + 1,
+                         std::memory_order_release);
+            return true;
+        }
+        beginShared();
+        return false;
     }
 
-    /** Mark one task complete. Touches the group after its
-     * decrement only when a blocking waiter registered, and then
-     * only until it releases that waiter. */
+    /** Register one more task in P (a spawn by anyone but the
+     * owner), before it becomes runnable. */
+    void
+    beginShared()
+    {
+        sync::fetchAdd(pending_, 1, std::memory_order_relaxed);
+    }
+
+    /** Become the owner as worker `id`, if the group has no owner
+     * and no outstanding task. One CAS per group. */
+    bool claim(core::WorkerId id);
+
+    /** Complete an owner-counted task on worker `id`: the owner's
+     * own completion is a plain store, anyone else's one RMW on R
+     * that is its last access to the group. Neither notifies. */
+    void
+    finishOwned(core::WorkerId id)
+    {
+        if (owner_.load(std::memory_order_relaxed) == id) {
+            owned_.store(owned_.load(std::memory_order_relaxed) - 1,
+                         std::memory_order_release);
+            return;
+        }
+        sync::fetchAdd(remoteDone_, 1, std::memory_order_release);
+    }
+
+    /** Complete a P task. Touches the group after its decrement
+     * only when a blocking waiter registered, and then only until
+     * it releases that waiter. */
     void finish();
+
+    /** Whether nothing is outstanding: P's whole word is zero (no
+     * count, no waiter bit) and O equals R. Reads R, P, O. */
+    bool quiescent() const;
+
+    /** Blocking wait, step 1: poll with backoff until every
+     * owner-counted task has completed (O - R, reading R first). */
+    void awaitOwned() const;
+
+    /** Blocking wait, step 2: the waiter-bit protocol on P. */
+    void waitShared();
 
     /** Record the first exception observed in this group. */
     void recordException(std::exception_ptr error);
@@ -88,8 +175,15 @@ class TaskGroup
     void rethrowIfError();
 
     Runtime &rt_;
-    /** Task count, plus kWaiterBit while a blocking waiter waits. */
+    /** P: task count, plus kWaiterBit while a blocking waiter waits. */
     std::atomic<long> pending_{0};
+    /** O: written only by the owner. */
+    std::atomic<long> owned_{0};
+    /** R: never reset, like O; the two meet whenever no
+     * owner-counted task is outstanding. */
+    std::atomic<long> remoteDone_{0};
+    /** The owner worker, kNoOwner, or kNeverOwned. Set once. */
+    std::atomic<core::WorkerId> owner_;
     /** Set while `error_` holds an exception, so a clean wait()
      * never takes the lock. */
     std::atomic<bool> hasError_{false};

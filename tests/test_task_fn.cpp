@@ -6,7 +6,10 @@
  * the lock-free deque ring depends on (task_fn.hpp).
  */
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -145,6 +148,49 @@ TEST(TaskFn, ReleaseAdoptRelocatesWithoutRunningDtors)
     EXPECT_EQ(sink, 7);
 }
 
+TEST(TaskFn, RelocateToWritesOnlyTheLiveWords)
+{
+    // The deque's push and pop: a closure moves to ring words and
+    // back, and words past its payload are never written. A boxed
+    // payload is one pointer word and still freed exactly once.
+    constexpr uint64_t kUntouched = 0xdeadbeefcafef00dULL;
+    std::atomic<uint64_t> payload[TaskFn::kInlineBytes / 8];
+    std::atomic<uint64_t> ops{0};
+    for (auto &w : payload)
+        w.store(kUntouched);
+
+    long sink = 0;
+    long a = 1, b = 2;
+    TaskFn three_words([&sink, a, b] { sink = a + b; });
+    three_words.relocateTo(payload, ops);
+    EXPECT_FALSE(static_cast<bool>(three_words));
+    EXPECT_NE(ops.load(), 0u);
+    for (size_t w = 3; w < std::size(payload); ++w)
+        EXPECT_EQ(payload[w].load(), kUntouched) << "word " << w;
+    TaskFn back;
+    back.relocateFrom(payload, ops);
+    ASSERT_TRUE(back.storedInline());
+    back();
+    EXPECT_EQ(sink, 3);
+
+    auto token = std::make_shared<int>(4);
+    std::weak_ptr<int> watch = token;
+    for (auto &w : payload)
+        w.store(kUntouched);
+    TaskFn boxed([token, &sink] { sink = *token; });
+    token.reset();
+    boxed.relocateTo(payload, ops);
+    EXPECT_EQ(payload[1].load(), kUntouched);
+    {
+        TaskFn revived;
+        revived.relocateFrom(payload, ops);
+        revived();
+        EXPECT_EQ(sink, 4);
+        EXPECT_FALSE(watch.expired());
+    }
+    EXPECT_TRUE(watch.expired());
+}
+
 TEST(TaskFn, EmptyIsFalseAndMoveLeavesEmpty)
 {
     TaskFn empty;
@@ -159,16 +205,19 @@ TEST(TaskFn, EmptyIsFalseAndMoveLeavesEmpty)
 TEST(Task, ReleaseAdoptCarriesTheGroupPointer)
 {
     // Task::Repr is what the deque ring actually stores: closure
-    // bytes plus the completion-group pointer, relocated together.
+    // bytes plus the completion-group pointer and how the group
+    // counted the task, relocated together.
     int sink = 0;
     auto *fake_group =
         reinterpret_cast<hermes::runtime::TaskGroup *>(0x1234);
-    Task t([&sink] { sink = 3; }, fake_group);
+    Task t([&sink] { sink = 3; }, fake_group, true);
     Task::Repr repr = t.release();
     EXPECT_FALSE(static_cast<bool>(t));
     EXPECT_EQ(t.group, nullptr);
+    EXPECT_FALSE(t.ownerCounted);
     Task back = Task::adopt(repr);
     EXPECT_EQ(back.group, fake_group);
+    EXPECT_TRUE(back.ownerCounted);
     back.body();
     EXPECT_EQ(sink, 3);
     back.group = nullptr; // never dereferenced; tag only

@@ -2,11 +2,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "runtime/parallel.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/task_group.hpp"
 
@@ -256,5 +259,278 @@ TEST(TaskGroupRace, ReusableAfterExternalWait)
         // waiter bit alike.
         delete group;
     }
+    EXPECT_EQ(ran.load(), 2 * kRaceIterations);
+}
+
+// Owner-counted children (task_group.hpp). A spawn by the group's
+// owner worker goes to its owner count O, every other spawn to the
+// shared count P, and an owner-counted child that another worker
+// runs completes through the remote count R. These cover each way a
+// task crosses between the three counts.
+
+namespace {
+
+RuntimeConfig
+workers(unsigned n)
+{
+    RuntimeConfig cfg;
+    cfg.numWorkers = n;
+    return cfg;
+}
+
+/** Spin for about `us` microseconds: long enough for a thief. */
+void
+spinFor(int us)
+{
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(us);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+}
+
+/**
+ * The benchmark's pattern: TaskGroups built on this thread, off the
+ * workers, then used as each worker's stack of sync scopes. A
+ * worker's first spawn into a group claims it for good.
+ */
+class WorkerGroupStacks
+{
+  public:
+    explicit WorkerGroupStacks(Runtime &rt) : rt_(rt)
+    {
+        for (unsigned w = 0; w < rt.numWorkers(); ++w) {
+            stacks_.emplace_back();
+            for (int i = 0; i < 32; ++i)
+                stacks_.back().groups.emplace_back(rt);
+        }
+    }
+
+    /** Sum of `lo..hi-1`, split in binary TaskGroup halves. */
+    long
+    sum(long lo, long hi)
+    {
+        if (hi - lo == 1)
+            return lo;
+        Stack &stack = stacks_[Runtime::currentWorker()];
+        // Helping in wait() nests other subtrees on this stack.
+        if (stack.depth == stack.groups.size())
+            stack.groups.emplace_back(rt_);
+        TaskGroup &g = stack.groups[stack.depth++];
+        const long mid = lo + (hi - lo) / 2;
+        long right = 0;
+        g.run([this, &right, mid, hi] { right = sum(mid, hi); });
+        const long left = sum(lo, mid);
+        g.wait();
+        --stack.depth;
+        return left + right;
+    }
+
+  private:
+    struct Stack
+    {
+        std::deque<TaskGroup> groups;
+        size_t depth = 0;
+    };
+
+    Runtime &rt_;
+    std::deque<Stack> stacks_;
+};
+
+} // namespace
+
+TEST(TaskGroupOwner, GroupsBuiltOffTheWorkersAreClaimedAndReused)
+{
+    auto &rt = sharedRuntime();
+    WorkerGroupStacks stacks(rt);
+    constexpr long kLeaves = 1 << 12;
+    for (int round = 0; round < 50; ++round) {
+        long total = 0;
+        rt.run([&] { total = stacks.sum(0, kLeaves); });
+        ASSERT_EQ(total, kLeaves * (kLeaves - 1) / 2) << "round " << round;
+    }
+    // Destroying the stacks asserts every group is quiescent.
+}
+
+TEST(TaskGroupOwner, SeveralWorkersSpawnIntoOneGroup)
+{
+    // parallelFor's shape: the calling worker owns the group, and
+    // every stolen range spawns into it from another worker (P).
+    auto &rt = sharedRuntime();
+    constexpr size_t kItems = 256;
+    for (int iter = 0; iter < 200; ++iter) {
+        std::vector<std::atomic<int>> hits(kItems);
+        rt.run([&] {
+            runtime::parallelFor(rt, 0, kItems, 1, [&](size_t i) {
+                spinFor(1);
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+            });
+        });
+        for (size_t i = 0; i < kItems; ++i)
+            ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+    }
+}
+
+TEST(TaskGroupRace, ExternalWaitOnWorkerOwnedGroupThenDelete)
+{
+    // A worker claims the group and leaves its children queued; this
+    // thread then waits (backing off until O - R is zero, then the
+    // waiter-bit protocol on P) and frees the group at once.
+    auto &rt = sharedRuntime();
+    std::atomic<int> ran{0};
+    for (int i = 0; i < kRaceIterations; ++i) {
+        auto *group = new TaskGroup(rt);
+        rt.submit([group, &ran] {
+              for (int c = 0; c < 3; ++c)
+                  group->run([&ran] {
+                      ran.fetch_add(1, std::memory_order_relaxed);
+                  });
+          }).wait();
+        group->wait();
+        ASSERT_EQ(group->pending(), 0);
+        delete group;
+    }
+    EXPECT_EQ(ran.load(), 3 * kRaceIterations);
+}
+
+TEST(TaskGroupRace, OwnerCountedChildrenStolenBackByTheOwner)
+{
+    // Two workers, so every steal is deterministic. A gate task keeps
+    // the other worker busy while the owner spawns three children;
+    // once the gate opens, the thief sees all three and its grab of
+    // ceil(3/2) runs the first and stocks its own deque with the
+    // second. The first holds the thief until both others finished,
+    // so the owner, in wait(), pops the third and must steal the
+    // second back and complete it as its owner.
+    Runtime rt(workers(2));
+    int stolen_back = 0;
+    rt.run([&] {
+        const auto self = Runtime::currentWorker();
+        for (int i = 0; i < kRaceIterations; ++i) {
+            const uint64_t steals_before = rt.workerStats(self).steals;
+            TaskGroup gate(rt);
+            auto *group = new TaskGroup(rt);
+            std::atomic<bool> gate_held{false};
+            std::atomic<bool> spawned{false};
+            std::atomic<bool> first_started{false};
+            std::atomic<int> others_done{0};
+            // The spins yield so that a runner with fewer CPUs than
+            // workers still lets the other side in.
+            gate.run([&] {
+                gate_held.store(true, std::memory_order_release);
+                while (!spawned.load(std::memory_order_acquire))
+                    std::this_thread::yield();
+            });
+            while (!gate_held.load(std::memory_order_acquire))
+                std::this_thread::yield();
+            group->run([&] {
+                first_started.store(true, std::memory_order_release);
+                while (others_done.load(std::memory_order_acquire) < 2)
+                    std::this_thread::yield();
+            });
+            for (int c = 0; c < 2; ++c)
+                group->run([&others_done] {
+                    others_done.fetch_add(1, std::memory_order_release);
+                });
+            spawned.store(true, std::memory_order_release);
+            while (!first_started.load(std::memory_order_acquire))
+                std::this_thread::yield();
+            group->wait();
+            ASSERT_EQ(group->pending(), 0);
+            delete group;
+            gate.wait();
+            if (rt.workerStats(self).steals != steals_before)
+                ++stolen_back;
+        }
+    });
+    EXPECT_EQ(stolen_back, kRaceIterations)
+        << "the owner did not steal its child back in every round";
+}
+
+TEST(TaskGroupOwner, ChildrenInlinedOnAFullRing)
+{
+    // A ring of 4 slots holds 3 tasks; the rest run inline on the
+    // owner at spawn, including ones that throw.
+    RuntimeConfig cfg = workers(2);
+    cfg.dequeCapacity = 4;
+    Runtime rt(cfg);
+    std::atomic<int> ran{0};
+    bool threw = false;
+    rt.run([&] {
+        TaskGroup g(rt);
+        for (int c = 0; c < 100; ++c) {
+            g.run([&ran, c] {
+                ran.fetch_add(1, std::memory_order_relaxed);
+                if (c == 50)
+                    throw std::runtime_error("inline");
+            });
+        }
+        try {
+            g.wait();
+        } catch (const std::runtime_error &) {
+            threw = true;
+        }
+        EXPECT_EQ(g.pending(), 0);
+    });
+    EXPECT_EQ(ran.load(), 100);
+    EXPECT_TRUE(threw);
+    EXPECT_GT(rt.stats().inlined, 0u);
+}
+
+TEST(TaskGroupRace, ExceptionsFromOwnerCountedAndRemoteChildren)
+{
+    // Each round's two children throw: one usually on the owner, one
+    // usually on a thief (the owner holds off helping for it). wait()
+    // rethrows exactly one, and the group is clean for reuse.
+    auto &rt = sharedRuntime();
+    int remote = 0;
+    rt.run([&] {
+        const auto self = Runtime::currentWorker();
+        TaskGroup g(rt);
+        for (int i = 0; i < kRaceIterations; ++i) {
+            std::atomic<core::WorkerId> ran_on{core::invalidWorker};
+            g.run([&ran_on] {
+                ran_on.store(Runtime::currentWorker(),
+                             std::memory_order_release);
+                throw std::runtime_error("first");
+            });
+            const auto give_up = std::chrono::steady_clock::now()
+                + std::chrono::milliseconds(1);
+            while (ran_on.load(std::memory_order_acquire)
+                       == core::invalidWorker
+                   && std::chrono::steady_clock::now() < give_up)
+                std::this_thread::yield();
+            g.run([] { throw std::runtime_error("second"); });
+            EXPECT_THROW(g.wait(), std::runtime_error);
+            if (ran_on.load(std::memory_order_relaxed) != self)
+                ++remote;
+            // Reuse: no error and no count left behind.
+            g.run([] {});
+            g.wait();
+            ASSERT_EQ(g.pending(), 0);
+        }
+    });
+    EXPECT_GT(remote, kRaceIterations / 10)
+        << "too few children threw on a thief";
+}
+
+TEST(TaskGroupRace, OwnerReusesGroupAfterStolenChildren)
+{
+    // The owner's counts are never reset: after a wait in which
+    // thieves completed children, O equals R, and the next round
+    // counts on from there.
+    auto &rt = sharedRuntime();
+    std::atomic<int> ran{0};
+    rt.run([&] {
+        TaskGroup g(rt);
+        for (int i = 0; i < kRaceIterations; ++i) {
+            for (int c = 0; c < 2; ++c)
+                g.run([&ran] {
+                    spinFor(2);
+                    ran.fetch_add(1, std::memory_order_relaxed);
+                });
+            g.wait();
+            ASSERT_EQ(g.pending(), 0);
+        }
+    });
     EXPECT_EQ(ran.load(), 2 * kRaceIterations);
 }
