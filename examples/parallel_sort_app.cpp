@@ -44,19 +44,17 @@ runSort(bool use_sample_sort, core::TempoPolicy policy, size_t n,
     auto keys = workloads::randomKeys(n, 12345);
 
     const energy::PowerModel model(cfg.profile);
-    energy::LiveMeter meter([&] { return rt.packagePower(model); },
-                            100.0);
     // Snapshot before the timed region: workers park while the keys
     // are generated, and that idle time is not the sort's.
     const uint64_t parked_before = rt.stats().parkedNanos;
     util::Stopwatch watch;
-    meter.start();
+    harness::RunSampler sampler(rt, model, 100.0);
     if (use_sample_sort)
         workloads::sampleSort(rt, keys);
     else
         workloads::radixSort(rt, keys);
-    meter.stop();
     const double secs = watch.elapsed();
+    sampler.stop();
     const double parked_frac = static_cast<double>(
                                    rt.stats().parkedNanos
                                    - parked_before)
@@ -69,7 +67,7 @@ runSort(bool use_sample_sort, core::TempoPolicy policy, size_t n,
         ? static_cast<double>(s.localHits)
             / static_cast<double>(s.steals)
         : 0.0;
-    return {secs, meter.joules(), parked_frac, s.tasksPerSteal(),
+    return {secs, sampler.joules(), parked_frac, s.tasksPerSteal(),
             local_frac, s.injectFastFraction()};
 }
 

@@ -4,8 +4,9 @@
  *
  * The tempo controller only ever needs two operations: read a clock
  * domain's current frequency and request a new one. Keeping the
- * interface this small lets the identical controller run against real
- * sysfs cpufreq, the simulated backend, or a test recorder.
+ * interface this small lets the identical controller run against the
+ * simulated backend, the simulator's event backend, or a test
+ * recorder.
  *
  * Timestamps are supplied by the caller (wall-clock seconds in the
  * threaded runtime, virtual seconds in the simulator) so one backend

@@ -76,8 +76,8 @@ struct StallSpec {
 /**
  * Everything hermes-chaos can do to a serve run. `enabled` gates the
  * whole layer: when false the serve driver takes the exact pre-chaos
- * path and emits the exact pre-chaos bundle (no faults.csv, no extra
- * summary counters or timeseries columns).
+ * path and the bundle carries no chaos artifact (no faults.csv, no
+ * outcome counters in run.json, no stalled_workers in events.jsonl).
  */
 struct FaultConfig {
     bool enabled = false;

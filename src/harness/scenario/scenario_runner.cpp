@@ -1,13 +1,10 @@
 #include "harness/scenario/scenario_runner.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <sstream>
-#include <thread>
 
 #include "energy/ledger.hpp"
-#include "energy/meter.hpp"
 #include "energy/power_model.hpp"
 #include "harness/serve/serve_driver.hpp"
 #include "platform/system_profile.hpp"
@@ -186,60 +183,6 @@ struct DagDriver
     }
 };
 
-/** Samples the runtime into an events vector at `hz` until
- * stopped. The series is observational (relaxed counters), like
- * the serve driver's. */
-class EventSampler
-{
-  public:
-    EventSampler(runtime::Runtime &rt,
-                 const energy::PowerModel &model, double hz,
-                 uint64_t t0_nanos)
-        : rt_(rt), model_(model), hz_(hz), t0Nanos_(t0_nanos)
-    {
-        thread_ = std::thread([this] { run(); });
-    }
-
-    std::vector<ScenarioEvent>
-    stop()
-    {
-        running_.store(false, std::memory_order_release);
-        thread_.join();
-        return std::move(events_);
-    }
-
-  private:
-    void
-    run()
-    {
-        const auto period = std::chrono::nanoseconds(
-            static_cast<uint64_t>(1e9 / hz_));
-        auto next = std::chrono::steady_clock::now();
-        while (running_.load(std::memory_order_acquire)) {
-            const runtime::RuntimeStats stats = rt_.stats();
-            ScenarioEvent e;
-            e.tSec = static_cast<double>(util::nowNanos() - t0Nanos_)
-                / 1e9;
-            e.executed = stats.executed;
-            e.steals = stats.steals;
-            e.injectPending = rt_.injectTelemetry().pending;
-            e.parkedWorkers = rt_.parkedWorkers();
-            e.packageWatts = rt_.packagePower(model_);
-            events_.push_back(e);
-            next += period;
-            std::this_thread::sleep_until(next);
-        }
-    }
-
-    runtime::Runtime &rt_;
-    const energy::PowerModel &model_;
-    double hz_;
-    uint64_t t0Nanos_;
-    std::atomic<bool> running_{true};
-    std::vector<ScenarioEvent> events_;
-    std::thread thread_;
-};
-
 void
 putStats(const runtime::RuntimeStats &stats,
          std::map<std::string, double> &metrics)
@@ -262,29 +205,26 @@ putStats(const runtime::RuntimeStats &stats,
         static_cast<double>(stats.remoteWakes);
 }
 
-ScenarioResult
-runForkJoinOrDag(const ScenarioConfig &config)
+/** What one fork_join or dag body ran, for the deterministic
+ * section. */
+struct BodyCounts
 {
-    ScenarioResult result;
-    result.config = config;
+    uint64_t expectedTasks = 0;
+    uint64_t checksum = 0;
+    uint64_t dagFrames = 0;
+    uint64_t dagSpawns = 0;
+};
 
-    runtime::Runtime rt(makeRuntimeConfig(config));
-    const energy::PowerModel model(
-        platform::profileByName(config.profile));
-
+/** The fork_join or dag workload of `config`, run once on `rt`:
+ * what `run` measures and `soak` repeats. */
+BodyCounts
+runBody(runtime::Runtime &rt, const ScenarioConfig &config)
+{
+    BodyCounts counts;
     std::atomic<uint64_t> checksum{0};
-    const uint64_t t0 = util::nowNanos();
-    energy::LiveMeter meter(
-        [&rt, model] { return rt.packagePower(model); }, 100.0);
-    EventSampler sampler(rt, model, config.sampleHz, t0);
-    meter.start();
-
-    uint64_t expected_tasks = 0;
-    uint64_t dag_frames = 0;
-    uint64_t dag_spawns = 0;
     if (config.kind == ScenarioKind::kForkJoin) {
         const ForkJoinParams &p = config.forkJoin;
-        expected_tasks = 1 + static_cast<uint64_t>(p.repeats)
+        counts.expectedTasks = 1 + static_cast<uint64_t>(p.repeats)
             * p.tasks;
         const uint64_t seed = config.seed;
         runtime::Runtime *rt_ptr = &rt;
@@ -313,11 +253,11 @@ runForkJoinOrDag(const ScenarioConfig &config)
         params.seed = config.seed;
         const sim::Dag dag =
             sim::makeBenchmark(config.dag.benchmark, params);
-        dag_frames = dag.frameCount();
+        counts.dagFrames = dag.frameCount();
         for (sim::FrameId f = 0;
              f < static_cast<sim::FrameId>(dag.frameCount()); ++f)
-            dag_spawns += dag.frame(f).spawns.size();
-        expected_tasks = 1 + dag_spawns;
+            counts.dagSpawns += dag.frame(f).spawns.size();
+        counts.expectedTasks = 1 + counts.dagSpawns;
         const DagDriver driver{rt, dag,
                                1.0 / config.dag.gigacyclesPerSec,
                                checksum, config.seed};
@@ -325,23 +265,40 @@ runForkJoinOrDag(const ScenarioConfig &config)
         const sim::FrameId root = dag.root();
         rt.run([driver_ptr, root] { driver_ptr->runFrame(root); });
     }
+    counts.checksum = checksum.load(std::memory_order_relaxed);
+    return counts;
+}
 
-    meter.stop();
-    result.events = sampler.stop();
+ScenarioResult
+runForkJoinOrDag(const ScenarioConfig &config)
+{
+    ScenarioResult result;
+    result.config = config;
+
+    runtime::Runtime rt(makeRuntimeConfig(config));
+    const energy::PowerModel model(
+        platform::profileByName(config.profile));
+
+    const uint64_t t0 = util::nowNanos();
+    RunSampler sampler(rt, model, config.sampleHz);
+    const BodyCounts counts = runBody(rt, config);
     result.wallSeconds =
         static_cast<double>(util::nowNanos() - t0) / 1e9;
-    result.joules = meter.joules();
+    sampler.stop();
+    result.events = sampler.samples();
+    result.joules = sampler.joules();
     result.stats = rt.stats();
 
     result.deterministic.emplace_back("expected_tasks",
-                                      expected_tasks);
+                                      counts.expectedTasks);
     result.deterministic.emplace_back("executed_tasks",
                                       result.stats.executed);
-    result.deterministic.emplace_back(
-        "checksum", checksum.load(std::memory_order_relaxed));
+    result.deterministic.emplace_back("checksum", counts.checksum);
     if (config.kind == ScenarioKind::kDag) {
-        result.deterministic.emplace_back("dag_frames", dag_frames);
-        result.deterministic.emplace_back("dag_spawns", dag_spawns);
+        result.deterministic.emplace_back("dag_frames",
+                                          counts.dagFrames);
+        result.deterministic.emplace_back("dag_spawns",
+                                          counts.dagSpawns);
     }
 
     putStats(result.stats, result.metrics);
@@ -353,7 +310,7 @@ runForkJoinOrDag(const ScenarioConfig &config)
             / result.wallSeconds
         : 0.0;
     result.metrics["executed_matches_expected"] =
-        result.stats.executed == expected_tasks ? 1.0 : 0.0;
+        result.stats.executed == counts.expectedTasks ? 1.0 : 0.0;
     return result;
 }
 
@@ -364,7 +321,7 @@ runServeScenario(const ScenarioConfig &config)
     result.config = config;
 
     runtime::Runtime rt(makeRuntimeConfig(config));
-    const serve::ServeResult serve_result =
+    serve::ServeResult serve_result =
         serve::runServe(rt, makeServeConfig(config));
 
     result.wallSeconds = serve_result.wallSeconds;
@@ -401,6 +358,8 @@ runServeScenario(const ScenarioConfig &config)
         : 0.0;
     result.metrics["completed_eq_accepted"] =
         serve_result.completed == serve_result.accepted ? 1.0 : 0.0;
+    result.metrics["admission_transitions"] =
+        static_cast<double>(serve_result.admissionTransitions);
     if (config.faults.enabled) {
         result.metrics["outcome_ok"] =
             static_cast<double>(serve_result.ok);
@@ -418,10 +377,11 @@ runServeScenario(const ScenarioConfig &config)
             static_cast<double>(serve_result.injectedFaults);
         result.metrics["goodput_per_sec"] =
             serve_result.goodputPerSec;
+        // The sojourn recorder holds successful requests only.
         result.metrics["success_p50_ns"] = static_cast<double>(
-            serve_result.successSojourn.quantileNanos(0.50));
+            serve_result.sojourn.quantileNanos(0.50));
         result.metrics["success_p99_ns"] = static_cast<double>(
-            serve_result.successSojourn.quantileNanos(0.99));
+            serve_result.sojourn.quantileNanos(0.99));
         result.metrics["watchdog_stalls"] =
             static_cast<double>(serve_result.watchdogStalls);
         result.metrics["compensating_wakes"] =
@@ -433,8 +393,11 @@ runServeScenario(const ScenarioConfig &config)
         serve_result.sojourn.quantileNanos(0.99));
     result.metrics["sojourn_p999_ns"] = static_cast<double>(
         serve_result.sojourn.quantileNanos(0.999));
+    result.metrics["sojourn_mean_ns"] = serve_result.sojourn.meanNanos();
     result.metrics["queueing_p99_ns"] = static_cast<double>(
         serve_result.queueing.quantileNanos(0.99));
+    result.metrics["service_p50_ns"] = static_cast<double>(
+        serve_result.service.quantileNanos(0.50));
     result.metrics["joules"] = serve_result.joules;
     result.metrics["joules_per_request"] =
         serve_result.joulesPerRequest;
@@ -450,7 +413,7 @@ runServeScenario(const ScenarioConfig &config)
     // Mean fraction of workers parked over the sampled series — the
     // power-side axis of the tail-vs-parked-power tradeoff curves.
     double parked_sum = 0.0;
-    for (const serve::SeriesSample &s : serve_result.series)
+    for (const RunSample &s : serve_result.series)
         parked_sum += static_cast<double>(s.parkedWorkers);
     result.metrics["mean_parked_fraction"] =
         (!serve_result.series.empty()
@@ -460,18 +423,7 @@ runServeScenario(const ScenarioConfig &config)
                * config.runtime.workers)
         : 0.0;
 
-    result.events.reserve(serve_result.series.size());
-    for (const serve::SeriesSample &s : serve_result.series) {
-        ScenarioEvent e;
-        e.tSec = s.tSec;
-        e.executed = s.completed;
-        e.steals = 0; // not sampled by the serve driver's series
-        e.injectPending = s.injectPending;
-        e.parkedWorkers = s.parkedWorkers;
-        e.packageWatts = s.packageWatts;
-        e.stalledWorkers = s.stalledWorkers;
-        result.events.push_back(e);
-    }
+    result.events = std::move(serve_result.series);
     return result;
 }
 
@@ -489,41 +441,10 @@ void
 runScenarioIteration(runtime::Runtime &rt,
                      const ScenarioConfig &config)
 {
-    switch (config.kind) {
-    case ScenarioKind::kForkJoin: {
-        const ForkJoinParams p = config.forkJoin;
-        runtime::Runtime *rt_ptr = &rt;
-        rt.run([rt_ptr, p] {
-            for (unsigned rep = 0; rep < p.repeats; ++rep) {
-                runtime::TaskGroup group(*rt_ptr);
-                for (uint64_t i = 0; i < p.tasks; ++i) {
-                    const uint64_t spin = p.spinNanos;
-                    group.run([spin] { spinFor(spin); });
-                }
-                group.wait();
-            }
-        });
-        return;
-    }
-    case ScenarioKind::kDag: {
-        sim::WorkloadParams params;
-        params.scale = config.dag.scale;
-        params.seed = config.seed;
-        const sim::Dag dag =
-            sim::makeBenchmark(config.dag.benchmark, params);
-        std::atomic<uint64_t> checksum{0};
-        const DagDriver driver{rt, dag,
-                               1.0 / config.dag.gigacyclesPerSec,
-                               checksum, config.seed};
-        const DagDriver *driver_ptr = &driver;
-        const sim::FrameId root = dag.root();
-        rt.run([driver_ptr, root] { driver_ptr->runFrame(root); });
-        return;
-    }
-    case ScenarioKind::kServe:
+    if (config.kind == ScenarioKind::kServe)
         serve::runServe(rt, makeServeConfig(config));
-        return;
-    }
+    else
+        runBody(rt, config);
 }
 
 std::string
@@ -599,7 +520,7 @@ writeScenarioBundle(const std::string &dir,
     {
         std::ostringstream out;
         char buf[64];
-        for (const ScenarioEvent &e : result.events) {
+        for (const RunSample &e : result.events) {
             std::snprintf(buf, sizeof(buf), "%.6f", e.tSec);
             out << "{\"t_sec\": " << buf
                 << ", \"executed\": " << e.executed

@@ -7,9 +7,10 @@
  * as actual tasks (cycles mapped to wall-clock spins), or an
  * open-loop serving run delegated to harness::serve::runServe() —
  * and collects everything a perf claim needs: the scheduler
- * counters, metered energy, a sampled time series, and a
- * *deterministic counter section* that two same-seed runs must
- * reproduce byte-identically (the `cmp` gate in CI).
+ * counters, the time series and energy integral of one
+ * harness::RunSampler, and a *deterministic counter section* that
+ * two same-seed runs must reproduce byte-identically (the `cmp`
+ * gate in CI).
  *
  * The evidence bundle (writeScenarioBundle) is four artifacts:
  *
@@ -39,6 +40,7 @@
 #include <vector>
 
 #include "harness/faults/fault_plan.hpp"
+#include "harness/run_sampler.hpp"
 #include "harness/scenario/scenario_config.hpp"
 #include "runtime/runtime_config.hpp"
 #include "runtime/stats.hpp"
@@ -48,20 +50,6 @@ class Runtime;
 }
 
 namespace hermes::harness::scenario {
-
-/** One events.jsonl sample. */
-struct ScenarioEvent
-{
-    double tSec = 0.0;          ///< seconds since run start
-    uint64_t executed = 0;      ///< cumulative executed tasks
-    uint64_t steals = 0;        ///< cumulative successful steals
-    size_t injectPending = 0;   ///< inject backlog at sample time
-    unsigned parkedWorkers = 0; ///< workers parked at sample time
-    double packageWatts = 0.0;  ///< modeled package power
-    /** Workers the serve watchdog currently suspects stalled.
-     * Emitted into events.jsonl only when faults are enabled. */
-    unsigned stalledWorkers = 0;
-};
 
 /** Everything one scenario run produced. */
 struct ScenarioResult
@@ -89,7 +77,8 @@ struct ScenarioResult
      * enabled; empty otherwise) — echoed into faults.csv. */
     faults::FaultPlan faultPlan;
 
-    std::vector<ScenarioEvent> events;
+    /** The RunSampler's rows, written to events.jsonl. */
+    std::vector<RunSample> events;
 };
 
 /** Map the declarative policy surface onto a RuntimeConfig (shared
@@ -102,8 +91,8 @@ runtime::RuntimeConfig makeRuntimeConfig(const ScenarioConfig &config);
 ScenarioResult runScenario(const ScenarioConfig &config);
 
 /** One workload iteration of `config` on an existing runtime — the
- * soak unit. Equivalent work to one runScenario() workload body,
- * without metering or evidence collection. */
+ * soak unit. The same workload body runScenario() measures, without
+ * sampling or evidence collection. */
 void runScenarioIteration(runtime::Runtime &rt,
                           const ScenarioConfig &config);
 

@@ -7,9 +7,9 @@
  * producer threads pace submissions against the wall clock no matter
  * how far the runtime falls behind. Keeping generation here, away
  * from any runtime state, is what makes a fixed seed produce a
- * byte-identical schedule across runs and machines — the CSV echo of
- * the schedule is part of the run bundle precisely so that claim can
- * be diffed.
+ * byte-identical schedule across runs and machines — the schedule's
+ * hash is part of the run bundle's deterministic section precisely
+ * so that claim can be checked.
  *
  * Decorrelated RNG streams are derived from the base seed via
  * util::mix64: stream 0 draws inter-arrival gaps, stream 1 draws the

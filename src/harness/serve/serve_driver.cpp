@@ -2,19 +2,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <filesystem>
 #include <functional>
-#include <sstream>
 #include <thread>
 
-#include "energy/meter.hpp"
 #include "energy/power_model.hpp"
 #include "platform/system_profile.hpp"
 #include "util/assert.hpp"
-#include "util/atomic_file.hpp"
-#include "util/csv.hpp"
-#include "util/log.hpp"
 #include "util/time.hpp"
 #include "workloads/registry.hpp"
 
@@ -32,7 +25,6 @@ struct alignas(64) WorkerRecorders
     LatencyRecorder sojourn;
     LatencyRecorder queueing;
     LatencyRecorder service;
-    LatencyRecorder successSojourn;
     // Outcome taxonomy, same owner-worker write discipline as the
     // recorders above (plain words: no other thread reads them until
     // after every handle has been waited).
@@ -67,28 +59,6 @@ spinFor(uint64_t nanos)
     while (util::nowNanos() < deadline) {
         // spin
     }
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-/** Shortest round-trip double formatting for JSON values. */
-std::string
-jsonNumber(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
 }
 
 /** A mix entry compiled to a callable request kernel. */
@@ -149,95 +119,68 @@ runServe(runtime::Runtime &rt, const ServeConfig &config)
     for (const MixEntry &m : config.mix)
         kernels.push_back(compileKernel(m));
 
-    // Live counters the sampler thread reads mid-run. Relaxed: the
-    // series is an observational trace, not a synchronization edge.
-    std::atomic<uint64_t> offered_live{0};
+    // Live counters the watchdog reads mid-run. Relaxed: it only
+    // asks whether accepted work is still outstanding.
     std::atomic<uint64_t> accepted_live{0};
-    std::atomic<uint64_t> shed_live{0};
     std::atomic<uint64_t> completed_live{0};
+
+    // Stall watchdog (docs/RESILIENCE.md): a worker whose heartbeat
+    // is frozen while unparked for kStallSamples consecutive samples
+    // is treated as stalled. Always on — the sampler is already
+    // polling the runtime at sampleHz and a compensating wake of a
+    // parked peer is harmless when spurious (it re-checks every work
+    // source and re-parks). Its state is touched only by the sampler
+    // thread and read after sampler.stop().
+    constexpr unsigned kStallSamples = 3;
+    std::vector<uint64_t> last_beat(num_workers, 0);
+    std::vector<unsigned> stagnant(num_workers, 0);
+    uint64_t watchdog_stalls = 0;
+    uint64_t compensating_wakes = 0;
+    // The sampler doubles as the chaos clock: a scheduled worker
+    // stall fires at its run-relative time from the hook.
+    bool stall_pending = chaos_on && config.faults.stall.active()
+        && config.faults.stall.worker
+            < static_cast<int32_t>(num_workers);
+    auto watchdog = [&](RunSample &s) {
+        if (stall_pending && s.tSec >= config.faults.stall.atSec) {
+            rt.stallWorker(
+                static_cast<core::WorkerId>(config.faults.stall.worker),
+                static_cast<uint64_t>(
+                    config.faults.stall.durationMs * 1e6));
+            stall_pending = false;
+        }
+        const runtime::StallTelemetry beats = rt.stallTelemetry();
+        unsigned stalled = 0;
+        for (unsigned w = 0; w < beats.workers.size(); ++w) {
+            const auto &b = beats.workers[w];
+            if (!b.parked && b.heartbeat == last_beat[w]) {
+                // One episode per freeze: count at the crossing.
+                if (++stagnant[w] == kStallSamples)
+                    ++watchdog_stalls;
+            } else {
+                stagnant[w] = 0;
+            }
+            last_beat[w] = b.heartbeat;
+            if (stagnant[w] >= kStallSamples)
+                ++stalled;
+        }
+        s.stalledWorkers = stalled;
+        // Compensating wakes: accepted work is still outstanding and
+        // a worker is wedged — re-advertise the published backlog so
+        // one stalled worker never strands parked peers. No new
+        // work-publish needed (wakeWorkers()).
+        const uint64_t accepted =
+            accepted_live.load(std::memory_order_relaxed);
+        if (stalled > 0
+            && completed_live.load(std::memory_order_relaxed) < accepted)
+            compensating_wakes += rt.wakeWorkers(num_workers);
+    };
 
     const energy::PowerModel model(
         platform::profileByName(config.profileName));
-    energy::LiveMeter meter(
-        [&rt, model] { return rt.packagePower(model); },
-        config.meterHz);
-
-    std::atomic<bool> sampling{true};
-    std::vector<SeriesSample> series;
-    // Watchdog outputs, written by the sampler thread and read only
-    // after sampler.join().
-    uint64_t watchdog_stalls = 0;
-    uint64_t compensating_wakes = 0;
     const auto t0 = std::chrono::steady_clock::now();
     const uint64_t t0_ns = util::nowNanos();
-
-    std::thread sampler([&] {
-        const auto period = std::chrono::nanoseconds(
-            static_cast<uint64_t>(1e9 / config.sampleHz));
-        auto next = std::chrono::steady_clock::now();
-        // Stall watchdog (docs/RESILIENCE.md): a worker whose
-        // heartbeat is frozen while unparked for kStallSamples
-        // consecutive samples is treated as stalled. Always on — the
-        // sampler is already polling the runtime at sampleHz and a
-        // compensating wake of a parked peer is harmless when
-        // spurious (it re-checks every work source and re-parks).
-        constexpr unsigned kStallSamples = 3;
-        std::vector<uint64_t> last_beat(rt.numWorkers(), 0);
-        std::vector<unsigned> stagnant(rt.numWorkers(), 0);
-        // The sampler doubles as the chaos clock: a scheduled
-        // worker stall fires at its run-relative time from here.
-        bool stall_pending = chaos_on && config.faults.stall.active()
-            && config.faults.stall.worker
-                < static_cast<int32_t>(rt.numWorkers());
-        while (sampling.load(std::memory_order_acquire)) {
-            SeriesSample s;
-            s.tSec =
-                static_cast<double>(util::nowNanos() - t0_ns) / 1e9;
-            s.offered = offered_live.load(std::memory_order_relaxed);
-            s.accepted = accepted_live.load(std::memory_order_relaxed);
-            s.shed = shed_live.load(std::memory_order_relaxed);
-            s.completed =
-                completed_live.load(std::memory_order_relaxed);
-            s.injectPending = rt.injectTelemetry().pending;
-            s.parkedWorkers = rt.parkedWorkers();
-            s.packageWatts = rt.packagePower(model);
-            if (stall_pending && s.tSec >= config.faults.stall.atSec) {
-                rt.stallWorker(
-                    static_cast<core::WorkerId>(
-                        config.faults.stall.worker),
-                    static_cast<uint64_t>(
-                        config.faults.stall.durationMs * 1e6));
-                stall_pending = false;
-            }
-            const runtime::StallTelemetry beats = rt.stallTelemetry();
-            unsigned stalled = 0;
-            for (unsigned w = 0; w < beats.workers.size(); ++w) {
-                const auto &b = beats.workers[w];
-                if (!b.parked && b.heartbeat == last_beat[w]) {
-                    // One episode per freeze: count at the crossing.
-                    if (++stagnant[w] == kStallSamples)
-                        ++watchdog_stalls;
-                } else {
-                    stagnant[w] = 0;
-                }
-                last_beat[w] = b.heartbeat;
-                if (stagnant[w] >= kStallSamples)
-                    ++stalled;
-            }
-            s.stalledWorkers = stalled;
-            // Compensating wakes: accepted work is still outstanding
-            // and a worker is wedged — re-advertise the published
-            // backlog so one stalled worker never strands parked
-            // peers. No new work-publish needed (wakeWorkers()).
-            if (stalled > 0
-                && s.completed < s.accepted)
-                compensating_wakes += rt.wakeWorkers(rt.numWorkers());
-            series.push_back(s);
-            next += period;
-            std::this_thread::sleep_until(next);
-        }
-    });
-    meter.start();
+    RunSampler sampler(rt, model, config.sampleHz, watchdog);
 
     // One controller and one handle vector per producer: both are
     // single-threaded by construction, so the submit loop takes no
@@ -262,15 +205,11 @@ runServe(runtime::Runtime &rt, const ServeConfig &config)
                 std::this_thread::sleep_until(
                     t0 + std::chrono::nanoseconds(a.offsetNanos));
 
-                offered_live.fetch_add(1, std::memory_order_relaxed);
                 if (config.admissionEnabled) {
                     const auto telemetry = rt.injectTelemetry();
                     if (!admission.admit(telemetry.pending,
-                                         telemetry.spill)) {
-                        shed_live.fetch_add(
-                            1, std::memory_order_relaxed);
+                                         telemetry.spill))
                         continue;
-                    }
                 } else {
                     admission.admit(0, 0);
                 }
@@ -306,8 +245,6 @@ runServe(runtime::Runtime &rt, const ServeConfig &config)
                                                      - submit_ns);
                             sinks[w].service.record(finish_ns
                                                     - start_ns);
-                            sinks[w].successSojourn.record(finish_ns
-                                                           - submit_ns);
                             sinks[w].ok += 1;
                             completed->fetch_add(
                                 1, std::memory_order_relaxed);
@@ -398,8 +335,6 @@ runServe(runtime::Runtime &rt, const ServeConfig &config)
                         sink.sojourn.record(finish_ns - submit_ns);
                         sink.queueing.record(start_ns - submit_ns);
                         sink.service.record(finish_ns - start_ns);
-                        sink.successSojourn.record(finish_ns
-                                                   - submit_ns);
                         (attempt == 0 ? sink.ok : sink.retriedOk) += 1;
                         completed->fetch_add(
                             1, std::memory_order_relaxed);
@@ -419,10 +354,7 @@ runServe(runtime::Runtime &rt, const ServeConfig &config)
         producer_handles.clear();
     }
     const uint64_t end_ns = util::nowNanos();
-
-    meter.stop();
-    sampling.store(false, std::memory_order_release);
-    sampler.join();
+    sampler.stop();
 
     for (const AdmissionController &admission : admissions) {
         result.offered += admission.offered();
@@ -435,7 +367,6 @@ runServe(runtime::Runtime &rt, const ServeConfig &config)
         result.sojourn.merge(r.sojourn);
         result.queueing.merge(r.queueing);
         result.service.merge(r.service);
-        result.successSojourn.merge(r.successSojourn);
         result.ok += r.ok;
         result.retriedOk += r.retriedOk;
         result.failed += r.failed;
@@ -458,215 +389,13 @@ runServe(runtime::Runtime &rt, const ServeConfig &config)
         ? static_cast<double>(result.ok + result.retriedOk)
             / result.wallSeconds
         : 0.0;
-    result.joules = meter.joules();
+    result.joules = sampler.joules();
     result.joulesPerRequest = result.completed != 0
         ? result.joules / static_cast<double>(result.completed)
         : 0.0;
-    result.inject = rt.injectTelemetry();
     result.stats = rt.stats();
-    result.series = std::move(series);
+    result.series = sampler.samples();
     return result;
-}
-
-void
-writeRunBundle(const std::string &dir, const ServeResult &result)
-{
-    std::filesystem::create_directories(dir);
-    const ServeConfig &config = result.config;
-    const bool chaos = config.faults.enabled;
-
-    { // config.json — the run's inputs, echoed for reproduction.
-      // Built in memory and written atomically (temp + rename) so an
-      // interrupted run never leaves a torn artifact.
-        std::ostringstream out;
-        out << "{\n"
-            << "  \"seed\": " << config.arrivals.seed << ",\n"
-            << "  \"mode\": \""
-            << (config.arrivals.mode == ArrivalMode::kPoisson
-                    ? "poisson" : "trace") << "\",\n"
-            << "  \"rate_per_sec\": "
-            << jsonNumber(config.arrivals.ratePerSec) << ",\n"
-            << "  \"duration_sec\": "
-            << jsonNumber(config.arrivals.durationSec) << ",\n"
-            << "  \"trace_path\": \""
-            << jsonEscape(config.arrivals.tracePath) << "\",\n"
-            << "  \"producers\": " << config.producers << ",\n"
-            << "  \"admission_enabled\": "
-            << (config.admissionEnabled ? "true" : "false") << ",\n"
-            << "  \"admission_high_watermark\": "
-            << config.admission.highWatermark << ",\n"
-            << "  \"admission_low_watermark\": "
-            << config.admission.lowWatermark << ",\n"
-            << "  \"admission_shed_on_spill\": "
-            << (config.admission.shedOnSpill ? "true" : "false")
-            << ",\n";
-        if (chaos) {
-            // Emitted only when enabled: a faults-off bundle stays
-            // byte-identical to the pre-chaos layout.
-            const faults::FaultConfig &f = config.faults;
-            out << "  \"faults\": {\"fail_prob\": "
-                << jsonNumber(f.failProb) << ", \"straggler_prob\": "
-                << jsonNumber(f.stragglerProb)
-                << ", \"straggler_factor\": "
-                << jsonNumber(f.stragglerFactor)
-                << ", \"stall_worker\": " << f.stall.worker
-                << ", \"stall_at_sec\": " << jsonNumber(f.stall.atSec)
-                << ", \"stall_ms\": " << jsonNumber(f.stall.durationMs)
-                << ", \"force_spill\": "
-                << (f.forceSpill ? "true" : "false")
-                << ", \"deadline_ms\": " << jsonNumber(f.deadlineMs)
-                << ", \"max_retries\": " << f.maxRetries
-                << ", \"retry_backoff_ms\": "
-                << jsonNumber(f.retryBackoffMs) << "},\n";
-        }
-        out << "  \"sample_hz\": " << jsonNumber(config.sampleHz)
-            << ",\n"
-            << "  \"meter_hz\": " << jsonNumber(config.meterHz)
-            << ",\n"
-            << "  \"profile\": \"" << jsonEscape(config.profileName)
-            << "\",\n"
-            << "  \"mix\": [";
-        for (size_t i = 0; i < config.mix.size(); ++i) {
-            const MixEntry &m = config.mix[i];
-            out << (i ? ", " : "") << "{\"name\": \""
-                << jsonEscape(m.name) << "\", \"weight\": "
-                << jsonNumber(m.weight) << ", \"spin_nanos\": "
-                << m.spinNanos << ", \"workload\": \""
-                << jsonEscape(m.workload) << "\", \"scale\": "
-                << m.scale << "}";
-        }
-        out << "]\n}\n";
-        util::writeFileAtomic(dir + "/config.json", out.str());
-    }
-
-    { // summary.json — Google Benchmark schema so the existing
-      // tools/bench_compare.py gates the counters unchanged.
-        std::ostringstream out;
-        const double offered = static_cast<double>(result.offered);
-        const double shed_frac = result.offered != 0
-            ? static_cast<double>(result.shed) / offered : 0.0;
-        const double inject_total = static_cast<double>(
-            result.inject.fastPath + result.inject.spill);
-        const double inject_fast_frac = inject_total > 0.0
-            ? static_cast<double>(result.inject.fastPath)
-                / inject_total
-            : 1.0;
-        const double wall = result.wallSeconds;
-        out << "{\n"
-            << "  \"context\": {\"executable\": \"hermes-serve\"},\n"
-            << "  \"benchmarks\": [\n"
-            << "    {\n"
-            << "      \"name\": \"serve/summary\",\n"
-            << "      \"run_type\": \"iteration\",\n"
-            << "      \"iterations\": 1,\n"
-            << "      \"real_time\": " << jsonNumber(wall * 1e9)
-            << ",\n"
-            << "      \"time_unit\": \"ns\",\n"
-            << "      \"items_per_second\": "
-            << jsonNumber(wall > 0.0
-                              ? static_cast<double>(result.completed)
-                                  / wall
-                              : 0.0)
-            << ",\n"
-            << "      \"counters\": {\n"
-            << "        \"offered\": " << result.offered << ",\n"
-            << "        \"accepted\": " << result.accepted << ",\n"
-            << "        \"shed\": " << result.shed << ",\n"
-            << "        \"completed\": " << result.completed << ",\n"
-            << "        \"shed_frac\": " << jsonNumber(shed_frac)
-            << ",\n"
-            << "        \"inject_fast_frac\": "
-            << jsonNumber(inject_fast_frac) << ",\n"
-            << "        \"completed_eq_accepted\": "
-            << (result.completed == result.accepted ? 1 : 0) << ",\n"
-            << "        \"admission_transitions\": "
-            << result.admissionTransitions << ",\n"
-            << "        \"sojourn_p50_ns\": "
-            << result.sojourn.quantileNanos(0.50) << ",\n"
-            << "        \"sojourn_p99_ns\": "
-            << result.sojourn.quantileNanos(0.99) << ",\n"
-            << "        \"sojourn_p999_ns\": "
-            << result.sojourn.quantileNanos(0.999) << ",\n"
-            << "        \"sojourn_mean_ns\": "
-            << jsonNumber(result.sojourn.meanNanos()) << ",\n"
-            << "        \"queueing_p99_ns\": "
-            << result.queueing.quantileNanos(0.99) << ",\n"
-            << "        \"service_p50_ns\": "
-            << result.service.quantileNanos(0.50) << ",\n"
-            << "        \"joules\": " << jsonNumber(result.joules)
-            << ",\n"
-            << "        \"joules_per_request\": "
-            << jsonNumber(result.joulesPerRequest);
-        if (chaos) {
-            // Outcome taxonomy + watchdog + goodput — first-class
-            // gateable counters, present only on chaos runs.
-            out << ",\n        \"ok\": " << result.ok
-                << ",\n        \"retried_ok\": " << result.retriedOk
-                << ",\n        \"failed\": " << result.failed
-                << ",\n        \"deadline_expired\": "
-                << result.deadlineExpired
-                << ",\n        \"retries_spent\": "
-                << result.retriesSpent
-                << ",\n        \"stragglers\": " << result.stragglers
-                << ",\n        \"injected_faults\": "
-                << result.injectedFaults
-                << ",\n        \"goodput_per_sec\": "
-                << jsonNumber(result.goodputPerSec)
-                << ",\n        \"success_p50_ns\": "
-                << result.successSojourn.quantileNanos(0.50)
-                << ",\n        \"success_p99_ns\": "
-                << result.successSojourn.quantileNanos(0.99)
-                << ",\n        \"watchdog_stalls\": "
-                << result.watchdogStalls
-                << ",\n        \"compensating_wakes\": "
-                << result.compensatingWakes;
-        }
-        out << "\n"
-            << "      }\n"
-            << "    }\n"
-            << "  ]\n"
-            << "}\n";
-        util::writeFileAtomic(dir + "/summary.json", out.str());
-    }
-
-    { // timeseries.csv — the run as the paper's strip charts see it.
-        util::CsvWriter csv(dir + "/timeseries.csv");
-        std::vector<std::string> header{
-            "t_sec", "offered", "accepted", "shed", "completed",
-            "inject_pending", "parked_workers", "package_watts"};
-        if (chaos)
-            header.push_back("stalled_workers");
-        csv.row(header);
-        char t_buf[64], w_buf[64];
-        for (const SeriesSample &s : result.series) {
-            std::snprintf(t_buf, sizeof(t_buf), "%.6f", s.tSec);
-            std::snprintf(w_buf, sizeof(w_buf), "%.6f",
-                          s.packageWatts);
-            std::vector<std::string> row{
-                t_buf, std::to_string(s.offered),
-                std::to_string(s.accepted), std::to_string(s.shed),
-                std::to_string(s.completed),
-                std::to_string(s.injectPending),
-                std::to_string(s.parkedWorkers), w_buf};
-            if (chaos)
-                row.push_back(std::to_string(s.stalledWorkers));
-            csv.row(row);
-        }
-    }
-
-    { // schedule.csv — byte-identical per seed; diff two runs to
-      // check the determinism claim.
-        util::CsvWriter csv(dir + "/schedule.csv");
-        writeScheduleCsv(csv, result.schedule);
-    }
-
-    if (chaos) {
-        // faults.csv — the drawn fault plan, byte-identical per
-        // seed; the chaos-smoke CI gate diffs two runs of it.
-        faults::writeFaultsCsv(dir + "/faults.csv", result.faultPlan);
-    }
-
-    util::inform("serve: wrote run bundle to " + dir);
 }
 
 } // namespace hermes::harness::serve

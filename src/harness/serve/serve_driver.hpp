@@ -25,11 +25,11 @@
  *    Runtime::injectTelemetry(), and shed requests are counted, not
  *    queued.
  *
- * Energy per request comes from energy::LiveMeter sampling the
- * modeled package power for the whole run; the run bundle
- * (writeRunBundle) echoes the config, a Google-Benchmark-schema
- * summary JSON (so tools/bench_compare.py gates it unchanged), the
- * time series CSV, and the arrival schedule CSV.
+ * One harness::RunSampler samples the run: its rows are the time
+ * series and its integral is the energy per request. Its hook is the
+ * chaos clock (the scheduled worker stall fires from it) and the
+ * stall watchdog. hermes-scenario's serve kind is the CLI over this
+ * driver and writes its evidence bundle (docs/SCENARIOS.md).
  */
 
 #ifndef HERMES_HARNESS_SERVE_SERVE_DRIVER_HPP
@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "harness/faults/fault_plan.hpp"
+#include "harness/run_sampler.hpp"
 #include "harness/serve/admission.hpp"
 #include "harness/serve/arrivals.hpp"
 #include "harness/serve/latency_recorder.hpp"
@@ -94,38 +95,19 @@ struct ServeConfig
      * raw saturation behavior). */
     bool admissionEnabled = true;
 
-    /** Time-series sampling rate (offered/completed/parked/power). */
+    /** RunSampler rate: time-series rows, energy integration and
+     * watchdog checks per second (paper rig: 100 Hz). */
     double sampleHz = 100.0;
-
-    /** Power-meter sampling rate (paper rig: 100 Hz). */
-    double meterHz = 100.0;
 
     /** platform::profileByName() name for the power model. */
     std::string profileName = "SystemA";
 
     /** hermes-chaos: deterministic fault injection + request
      * lifecycle (deadlines/retries). Disabled by default; when
-     * `faults.enabled` is false the run and its bundle are
-     * byte-identical to the pre-chaos driver. See
+     * `faults.enabled` is false requests take the pre-chaos path
+     * and the scenario bundle carries no chaos artifact. See
      * docs/RESILIENCE.md. */
     faults::FaultConfig faults;
-};
-
-/** One row of the run's time series. */
-struct SeriesSample
-{
-    double tSec = 0.0;          ///< seconds since run start
-    uint64_t offered = 0;       ///< cumulative offered requests
-    uint64_t accepted = 0;      ///< cumulative accepted requests
-    uint64_t shed = 0;          ///< cumulative shed requests
-    uint64_t completed = 0;     ///< cumulative finished requests
-    size_t injectPending = 0;   ///< instantaneous inject backlog
-    unsigned parkedWorkers = 0; ///< workers parked at sample time
-    double packageWatts = 0.0;  ///< modeled package power
-    /** Workers the watchdog currently suspects (heartbeat frozen,
-     * not parked, past the detection threshold). Emitted into
-     * timeseries.csv only when faults are enabled. */
-    unsigned stalledWorkers = 0;
 };
 
 /** Everything a serving run produced. */
@@ -171,20 +153,15 @@ struct ServeResult
     LatencyRecorder queueing;
     /** finish − start (service time as executed). */
     LatencyRecorder service;
-    /** Alias view for gating: sojourn of successful requests only
-     * (== sojourn today; kept distinct so the healthy-path recorder
-     * can widen later without breaking p99-of-successful gates). */
-    LatencyRecorder successSojourn;
 
     double wallSeconds = 0.0;       ///< first submit to last completion
-    double joules = 0.0;            ///< metered energy over the run
+    double joules = 0.0;            ///< sampled energy over the run
     double joulesPerRequest = 0.0;  ///< joules / completed (0 if none)
 
-    runtime::InjectTelemetry inject; ///< final inject-path snapshot
-    runtime::RuntimeStats stats;     ///< final scheduler counters
+    runtime::RuntimeStats stats; ///< final scheduler counters
 
-    std::vector<SeriesSample> series;
-    std::vector<Arrival> schedule; ///< echoed into the bundle
+    std::vector<RunSample> series; ///< the RunSampler's rows
+    std::vector<Arrival> schedule; ///< hashed into the bundle
 
     /** The per-request fault schedule as drawn (empty requests vector
      * when faults are disabled); echoed into faults.csv. */
@@ -199,19 +176,6 @@ struct ServeResult
  * end). The runtime outlives the call and can be reused.
  */
 ServeResult runServe(runtime::Runtime &rt, const ServeConfig &config);
-
-/**
- * Write the run bundle into directory `dir` (created if needed):
- * config.json (config echo), summary.json (Google Benchmark schema —
- * bench_compare.py-gateable counters), timeseries.csv, schedule.csv.
- * JSON artifacts are written atomically (temp file + rename). With
- * faults enabled the bundle additionally gets faults.csv (the drawn
- * fault plan, byte-identical per seed), outcome counters in
- * summary.json, and a stalled_workers column in timeseries.csv;
- * with faults disabled the bundle is byte-identical to the
- * pre-chaos layout.
- */
-void writeRunBundle(const std::string &dir, const ServeResult &result);
 
 } // namespace hermes::harness::serve
 

@@ -14,13 +14,12 @@
 #include "core/tempo_controller.hpp"
 #include "core/threshold_profiler.hpp"
 #include "dvfs/backend.hpp"
-#include "dvfs/cpufreq.hpp"
 #include "dvfs/simulated.hpp"
 #include "energy/ledger.hpp"
-#include "energy/meter.hpp"
 #include "energy/power_model.hpp"
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
+#include "harness/run_sampler.hpp"
 #include "platform/affinity.hpp"
 #include "platform/frequency.hpp"
 #include "platform/system_profile.hpp"
@@ -35,7 +34,6 @@
 #include "util/assert.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
-#include "util/histogram.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"

@@ -237,8 +237,8 @@ class Runtime
      * Instantaneous modeled package power in watts: busy worker
      * cores at active power for their domain frequency, hunting
      * workers at spin power, parked workers at clock-gated parked
-     * power, unoccupied cores idle. Feed this to energy::LiveMeter
-     * for the paper's 100 Hz measurement.
+     * power, unoccupied cores idle. harness::RunSampler integrates
+     * it for the paper's 100 Hz measurement.
      */
     double packagePower(const energy::PowerModel &model) const;
 

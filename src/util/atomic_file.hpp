@@ -5,7 +5,7 @@
  * Run bundles are consumed by tools that re-read them later —
  * `hermes-scenario compare`, `sweep --reduce-only`, CI `cmp` gates —
  * and a run interrupted mid-write must never leave a torn
- * config.json/run.json/summary.json/curves.json for those readers to
+ * config.json/run.json/summary.md/curves.json for those readers to
  * trip over. The classic fix: write the full content to a sibling
  * temp file, flush and close it, then rename() over the target —
  * rename within one directory is atomic on POSIX, so readers observe

@@ -69,9 +69,8 @@ TEST(Arrivals, FixedSeedIsBitwiseStable)
     const auto second = generateSchedule(config);
     ASSERT_FALSE(first.empty());
     EXPECT_EQ(first, second);
-    // Byte-identical, not merely value-equal: the run bundle's
-    // schedule.csv is the artifact the determinism claim is checked
-    // against.
+    // Byte-identical, not merely value-equal: the CSV is what trace
+    // replay reads back.
     EXPECT_EQ(scheduleCsvString(first), scheduleCsvString(second));
 }
 

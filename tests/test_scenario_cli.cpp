@@ -14,13 +14,16 @@
  *   curves pair plus per-point bundles (exit 0), refuses scenarios
  *   without a sweep block (3), re-reduces stored bundles to
  *   byte-identical curves.json under --reduce-only, and reports a
- *   doctored gate metric as exit 7.
+ *   doctored gate metric as exit 7; a serve bundle carries outcome
+ *   counters, watchdog fields and faults.csv only when faults are
+ *   on.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
@@ -446,6 +449,75 @@ TEST_F(ScenarioCli, DoctoredGateMetricExitsSevenUnderReduceOnly)
         << output;
     const std::string md = slurp(path("out/curves.md"));
     EXPECT_NE(md.find("**FAIL**"), std::string::npos);
+}
+
+TEST_F(ScenarioCli, ServeBundleCarriesChaosFieldsOnlyWithFaults)
+{
+    // A serve scenario with faults and its faults-off twin: both
+    // bundles carry the serving counters, and only the chaos run
+    // carries outcome counters, watchdog fields and faults.csv.
+    const std::string serve = R"("name": "cli_serve",
+  "kind": "serve",
+  "seed": 11,
+  "runtime": {"workers": 2},
+  "serve": {
+    "rate_per_sec": 500, "duration_sec": 0.1,
+    "producers": 1, "spin_nanos": 10000
+  })";
+    writeFile("chaos.json", "{" + serve + R"(,
+  "faults": {"fail_prob": 0.3, "max_retries": 1}
+})");
+    writeFile("plain.json", "{" + serve + "\n}");
+    ASSERT_EQ(run("run " + path("chaos.json") + " --out "
+                  + path("chaos")),
+              0);
+    ASSERT_EQ(run("run " + path("plain.json") + " --out "
+                  + path("plain")),
+              0);
+
+    const auto counterNames = [this](const std::string &bundle) {
+        const JsonParseResult parsed =
+            parseJson(slurp(path(bundle + "/run.json")));
+        EXPECT_TRUE(parsed.ok) << bundle;
+        std::set<std::string> names;
+        const auto *benchmarks = parsed.value.find("benchmarks");
+        if (benchmarks == nullptr || benchmarks->array().empty())
+            return names;
+        const auto *counters = benchmarks->array()[0].find("counters");
+        if (counters == nullptr)
+            return names;
+        for (const auto &[name, value] : counters->members())
+            names.insert(name);
+        return names;
+    };
+    const std::set<std::string> chaos = counterNames("chaos");
+    const std::set<std::string> plain = counterNames("plain");
+    for (const char *key :
+         {"shed_frac", "inject_fast_frac", "completed_eq_accepted",
+          "admission_transitions", "sojourn_p50_ns", "sojourn_p99_ns",
+          "sojourn_p999_ns", "sojourn_mean_ns", "service_p50_ns",
+          "joules_per_request"}) {
+        EXPECT_TRUE(chaos.count(key)) << key;
+        EXPECT_TRUE(plain.count(key)) << key;
+    }
+    for (const char *key :
+         {"outcome_ok", "outcome_retried_ok", "outcome_failed",
+          "outcome_deadline_expired", "goodput_per_sec",
+          "success_p99_ns", "watchdog_stalls"}) {
+        EXPECT_TRUE(chaos.count(key)) << key;
+        EXPECT_FALSE(plain.count(key)) << key;
+    }
+
+    EXPECT_NE(slurp(path("chaos/events.jsonl")).find("stalled_workers"),
+              std::string::npos);
+    EXPECT_EQ(slurp(path("plain/events.jsonl")).find("stalled_workers"),
+              std::string::npos);
+    EXPECT_TRUE(fs::exists(path("chaos/faults.csv")));
+    EXPECT_FALSE(fs::exists(path("plain/faults.csv")));
+    EXPECT_NE(slurp(path("chaos/config.json")).find("\"fail_prob\""),
+              std::string::npos);
+    EXPECT_EQ(slurp(path("plain/config.json")).find("\"faults\""),
+              std::string::npos);
 }
 
 TEST_F(ScenarioCli, OutcomeGateFailureExitsEight)

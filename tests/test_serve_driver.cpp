@@ -12,10 +12,6 @@
  * bounds so the suite survives sanitizers and one-CPU CI runners.
  */
 
-#include <filesystem>
-#include <fstream>
-#include <string>
-
 #include <gtest/gtest.h>
 
 #include "harness/serve/serve_driver.hpp"
@@ -85,7 +81,7 @@ TEST(ServeDriver, ModerateLoadCompletesEverythingItAccepts)
     EXPECT_GE(result.sojourn.quantileNanos(0.5),
               result.service.quantileNanos(0.5));
 
-    // The meter sampled a positive power over a ~0.25 s run.
+    // The sampler integrated a positive power over a ~0.25 s run.
     EXPECT_GT(result.joules, 0.0);
     EXPECT_GT(result.joulesPerRequest, 0.0);
     EXPECT_GT(result.wallSeconds, 0.2);
@@ -127,7 +123,7 @@ TEST(ServeDriver, OverloadShedsWithBoundedAcceptedP99)
 
     // Shedding kept the backlog near the watermark; the final
     // telemetry must show a drained queue.
-    EXPECT_EQ(result.inject.pending, 0u);
+    EXPECT_EQ(rt.injectTelemetry().pending, 0u);
 }
 
 TEST(ServeDriver, DisablingAdmissionAcceptsEverything)
@@ -180,39 +176,6 @@ TEST(ServeDriver, RegisteredWorkloadMixServesRealKernels)
     EXPECT_TRUE(saw[1]);
 }
 
-TEST(ServeDriver, RunBundleContainsTheFourArtifacts)
-{
-    runtime::Runtime rt(twoWorkers());
-    auto config = lightLoad();
-    config.arrivals.ratePerSec = 500.0;
-    config.arrivals.durationSec = 0.1;
-    const ServeResult result = runServe(rt, config);
-
-    const std::string dir = testing::TempDir() + "serve_bundle";
-    writeRunBundle(dir, result);
-    for (const char *name :
-         {"config.json", "summary.json", "timeseries.csv",
-          "schedule.csv"}) {
-        EXPECT_TRUE(
-            std::filesystem::exists(dir + "/" + std::string(name)))
-            << name;
-    }
-
-    // The summary must carry the gateable counters and the tail
-    // quantiles the acceptance criteria name.
-    std::ifstream in(dir + "/summary.json");
-    std::string json((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    for (const char *key :
-         {"\"shed_frac\"", "\"inject_fast_frac\"",
-          "\"completed_eq_accepted\"", "\"sojourn_p50_ns\"",
-          "\"sojourn_p99_ns\"", "\"sojourn_p999_ns\"",
-          "\"joules_per_request\"", "\"run_type\": \"iteration\""}) {
-        EXPECT_NE(json.find(key), std::string::npos) << key;
-    }
-    std::filesystem::remove_all(dir);
-}
-
 TEST(ServeDriver, FaultsOffLeavesOutcomeCountersTrivial)
 {
     runtime::Runtime rt(twoWorkers());
@@ -230,7 +193,6 @@ TEST(ServeDriver, FaultsOffLeavesOutcomeCountersTrivial)
     EXPECT_EQ(result.stragglers, 0u);
     EXPECT_EQ(result.injectedFaults, 0u);
     EXPECT_TRUE(result.faultPlan.requests.empty());
-    EXPECT_EQ(result.successSojourn.count(), result.completed);
 }
 
 TEST(ServeDriver, InjectedFailuresFollowThePlanExactly)
@@ -278,8 +240,6 @@ TEST(ServeDriver, InjectedFailuresFollowThePlanExactly)
     // latency recorders; goodput counts only successes.
     EXPECT_EQ(result.completed, result.accepted);
     EXPECT_EQ(result.sojourn.count(), result.ok + result.retriedOk);
-    EXPECT_EQ(result.successSojourn.count(),
-              result.ok + result.retriedOk);
     EXPECT_GT(result.goodputPerSec, 0.0);
 }
 
@@ -318,42 +278,4 @@ TEST(ServeDriver, StragglersInflateServiceTime)
     EXPECT_EQ(result.stragglers, result.accepted);
     // Every service time was stretched to ~4x the 10 us kernel.
     EXPECT_GE(result.service.quantileNanos(0.5), 30'000u);
-}
-
-TEST(ServeDriver, ChaosBundleAddsFaultArtifactsGatedOnEnable)
-{
-    runtime::Runtime rt(twoWorkers());
-    auto config = lightLoad();
-    config.arrivals.ratePerSec = 500.0;
-    config.arrivals.durationSec = 0.1;
-    config.faults.enabled = true;
-    config.faults.failProb = 0.3;
-    config.faults.maxRetries = 1;
-    const ServeResult result = runServe(rt, config);
-
-    const std::string dir = testing::TempDir() + "serve_chaos_bundle";
-    writeRunBundle(dir, result);
-    EXPECT_TRUE(std::filesystem::exists(dir + "/faults.csv"));
-
-    std::ifstream in(dir + "/summary.json");
-    std::string json((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    for (const char *key :
-         {"\"ok\"", "\"retried_ok\"", "\"failed\"",
-          "\"deadline_expired\"", "\"goodput_per_sec\"",
-          "\"success_p99_ns\"", "\"watchdog_stalls\""}) {
-        EXPECT_NE(json.find(key), std::string::npos) << key;
-    }
-    std::ifstream csv(dir + "/timeseries.csv");
-    std::string header;
-    std::getline(csv, header);
-    EXPECT_NE(header.find("stalled_workers"), std::string::npos);
-
-    // The config echo carries the faults block (gated on enable).
-    std::ifstream cfg(dir + "/config.json");
-    std::string cfg_json((std::istreambuf_iterator<char>(cfg)),
-                         std::istreambuf_iterator<char>());
-    EXPECT_NE(cfg_json.find("\"faults\""), std::string::npos);
-    EXPECT_NE(cfg_json.find("\"fail_prob\""), std::string::npos);
-    std::filesystem::remove_all(dir);
 }

@@ -129,7 +129,7 @@ TEST(StallWatchdog, InjectedStallIsDetectedAndServeRunStillDrains)
     // many 5 ms samples) and the series makes it visible.
     EXPECT_GE(result.watchdogStalls, 1u);
     unsigned max_stalled = 0;
-    for (const SeriesSample &s : result.series)
+    for (const hermes::harness::RunSample &s : result.series)
         max_stalled = std::max(max_stalled, s.stalledWorkers);
     EXPECT_GE(max_stalled, 1u);
 }
