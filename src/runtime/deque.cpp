@@ -8,20 +8,16 @@
 
 namespace hermes::runtime {
 
+// The slots sit on zero pages, so every word reads as zero until a
+// push writes it. Keep it that way: a push writes only the payload
+// words its closure uses, but a thief copies the whole slot before
+// its CAS, and it must never read a word nothing wrote. The kernel
+// provides those zeros on first touch, so the constructor writes
+// nothing and untouched capacity costs no resident memory.
 WsDeque::WsDeque(size_t capacity_pow2, DequePolicy policy)
-    : impl_(policy.impl)
-{
-    const size_t cap =
-        std::bit_ceil(std::max<size_t>(2, capacity_pow2));
-    // make_unique value-initializes, so every slot word starts at
-    // zero. Keep it that way: a push writes only the payload words
-    // its closure uses, but a thief copies the whole slot before its
-    // CAS, so without the zero-fill it could read words nothing ever
-    // wrote.
-    slots_ =
-        std::make_unique<std::atomic<uint64_t>[]>(cap * kSlotWords);
-    mask_ = cap - 1;
-}
+    : mask_(std::bit_ceil(std::max<size_t>(2, capacity_pow2)) - 1),
+      slots_((mask_ + 1) * Task::kSlotWords), impl_(policy.impl)
+{}
 
 WsDeque::~WsDeque()
 {
@@ -33,35 +29,24 @@ WsDeque::~WsDeque()
         Task::adopt(loadSlot(i));
 }
 
-std::atomic<uint64_t> *
+uint64_t *
 WsDeque::slotAt(int64_t index) const
 {
-    return &slots_[(static_cast<size_t>(index) & mask_) * kSlotWords];
+    return slots_.data()
+        + (static_cast<size_t>(index) & mask_) * Task::kSlotWords;
 }
 
 Task::Repr
 WsDeque::loadSlot(int64_t index) const
 {
-    uint64_t words[kSlotWords];
-    const std::atomic<uint64_t> *slot = slotAt(index);
-    for (size_t w = 0; w < kSlotWords; ++w)
-        words[w] = slot[w].load(std::memory_order_relaxed);
+    uint64_t words[Task::kSlotWords];
+    uint64_t *slot = slotAt(index);
+    for (size_t w = 0; w < Task::kSlotWords; ++w)
+        words[w] = std::atomic_ref<uint64_t>(slot[w])
+                       .load(std::memory_order_relaxed);
     Task::Repr repr;
     std::memcpy(&repr, words, sizeof(repr));
     return repr;
-}
-
-void
-WsDeque::takeOwnSlot(int64_t index, Task &out) const
-{
-    const std::atomic<uint64_t> *slot = slotAt(index);
-    out.body.relocateFrom(slot + Task::kPayloadWord,
-                          slot[Task::kOpsWord]);
-    out.group = reinterpret_cast<TaskGroup *>(static_cast<uintptr_t>(
-        slot[Task::kGroupWord].load(std::memory_order_relaxed)));
-    out.ownerCounted =
-        slot[Task::kOwnerCountedWord].load(std::memory_order_relaxed)
-        != 0;
 }
 
 bool
@@ -83,12 +68,7 @@ WsDeque::push(TaskFn &&fn, TaskGroup *group, bool owner_counted,
         return false; // full: caller executes inline
     // Straight from the closure into the slot: its payload words,
     // then the ops, group and owner-counted words.
-    std::atomic<uint64_t> *slot = slotAt(tail);
-    fn.relocateTo(slot + Task::kPayloadWord, slot[Task::kOpsWord]);
-    slot[Task::kGroupWord].store(reinterpret_cast<uintptr_t>(group),
-                                 std::memory_order_relaxed);
-    slot[Task::kOwnerCountedWord].store(owner_counted ? 1 : 0,
-                                        std::memory_order_relaxed);
+    Task::writeSlot(slotAt(tail), fn, group, owner_counted);
     // Publishing tail+1 makes the slot visible to thieves. seq_cst
     // rather than release: this store is the producer half of the
     // parking Dekker handshake, and the head read below must be
@@ -149,13 +129,13 @@ WsDeque::popChaseLev(Task &out, size_t &size_after)
             ownedAdd(popCasLosses_); // only the owner pops
             return false;
         }
-        takeOwnSlot(t, out);
+        Task::readSlot(slotAt(t), out);
         size_after = 0;
         return true;
     }
     // h < t: the slot is ours without arbitration — no thief can
     // claim index t while head_ < t, and head_ only grows.
-    takeOwnSlot(t, out);
+    Task::readSlot(slotAt(t), out);
     size_after = static_cast<size_t>(t - h);
     return true;
 }
@@ -184,7 +164,7 @@ WsDeque::popThe(Task &out, size_t &size_after)
             return false;
         }
     }
-    takeOwnSlot(t, out);
+    Task::readSlot(slotAt(t), out);
     size_after = static_cast<size_t>(t - head_.load());
     return true;
 }

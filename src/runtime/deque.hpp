@@ -18,15 +18,16 @@
  *    race, steal always locking (the pre-PR-5 behavior).
  *
  * Both protocols share the ring representation: tasks are stored as
- * their trivially-copyable `Task::Repr` (task.hpp), written and read
- * word-by-word with relaxed atomics. The owner's push and pop move
- * only the payload words the closure uses (`TaskFn::relocateTo`/
- * `relocateFrom`) plus the ops, group and owner-counted words. A
- * Chase-Lev steal copies the whole slot before its CAS, which keeps
- * that copy race-free for the sanitizers: only a *successful* head
- * CAS adopts the bytes — a failed CAS discards a possibly-torn copy
- * that never had a constructor or destructor run on it, and no ops
- * pointer is dereferenced before the CAS wins.
+ * their trivially-copyable `Task::Repr` (task.hpp) in zero-filled
+ * words (zeroed_words.hpp), written and read word-by-word with
+ * relaxed `std::atomic_ref` accesses. The owner's push and pop move
+ * only the payload words the closure uses plus the ops, group and
+ * owner-counted words (`Task::writeSlot`/`readSlot`). A Chase-Lev
+ * steal copies the whole slot before its CAS, which keeps that copy
+ * race-free for the sanitizers: only a *successful* head CAS adopts
+ * the bytes — a failed CAS discards a possibly-torn copy that never
+ * had a constructor or destructor run on it, and no ops pointer is
+ * dereferenced before the CAS wins.
  *
  * Index convention (the paper's pseudocode mixes two): items occupy
  * [head, tail); size == tail - head; push stores at tail then
@@ -41,12 +42,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "runtime/stats.hpp"
 #include "runtime/task.hpp"
+#include "runtime/zeroed_words.hpp"
 
 namespace hermes::runtime {
 
@@ -74,8 +75,11 @@ class WsDeque
 {
   public:
     /**
+     * The ring reserves address space for its capacity and writes
+     * nothing: a page becomes resident when a push first reaches it.
      * @param capacity_pow2 ring capacity; rounded up to 2^k
      * @param policy protocol selection (default lock-free Chase-Lev)
+     * @throws std::bad_alloc when the ring cannot be mapped
      */
     explicit WsDeque(size_t capacity_pow2 = 1 << 13,
                      DequePolicy policy = {});
@@ -214,9 +218,6 @@ class WsDeque
     }
 
   private:
-    static constexpr size_t kSlotWords =
-        sizeof(Task::Repr) / sizeof(uint64_t);
-
     bool popChaseLev(Task &out, size_t &size_after);
     bool popThe(Task &out, size_t &size_after);
     bool stealChaseLev(Task &out, size_t &size_after);
@@ -225,8 +226,8 @@ class WsDeque
                              size_t &size_after);
     size_t stealHalfThe(std::vector<Task> &out, size_t &size_after);
 
-    /** First of the kSlotWords words of ring slot `index`. */
-    std::atomic<uint64_t> *slotAt(int64_t index) const;
+    /** First of the Task::kSlotWords words of ring slot `index`. */
+    uint64_t *slotAt(int64_t index) const;
 
     /** Read the whole of ring slot `index` as relocated bytes
      * (relaxed per-word atomic loads). Under Chase-Lev the result
@@ -234,18 +235,13 @@ class WsDeque
      * callers must discard it unless their claiming CAS succeeds. */
     Task::Repr loadSlot(int64_t index) const;
 
-    /** Relocate ring slot `index` into `out`, reading the ops word
-     * first and then only the payload words it names. Only for a
-     * slot no thief can still claim: the owner's pop, once the slot
-     * is its own. */
-    void takeOwnSlot(int64_t index, Task &out) const;
-
-    /** One ring slot = kSlotWords consecutive 64-bit words; atomic
-     * words (not Task objects) so the thief's copy-before-CAS is a
-     * defined read even when it races the owner's wrap-around
-     * overwrite. Zero-filled at construction (see the constructor). */
-    std::unique_ptr<std::atomic<uint64_t>[]> slots_;
     size_t mask_;
+    /** One ring slot = Task::kSlotWords consecutive 64-bit words,
+     * accessed only through `std::atomic_ref` (not Task objects), so
+     * the thief's copy-before-CAS is a defined read even when it
+     * races the owner's wrap-around overwrite. The words sit on zero
+     * pages: one no push wrote reads as zero (see the constructor). */
+    ZeroedWords slots_;
     DequeImpl impl_;
     // Index words. All cross-thread accesses that arbitrate
     // ownership (tail publish/retract, head reads in pop/steal, the

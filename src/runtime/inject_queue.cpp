@@ -17,25 +17,56 @@ constexpr unsigned kDrainBackBatch = 8;
 } // namespace
 
 InjectRing::InjectRing(size_t capacity)
+    : mask_(std::bit_ceil(std::max<size_t>(2, capacity)) - 1),
+      cells_((mask_ + 1) * kCellWords)
+{}
+
+InjectRing::~InjectRing()
 {
-    const size_t cap = std::bit_ceil(std::max<size_t>(2, capacity));
-    cells_ = std::make_unique<Cell[]>(cap);
-    mask_ = cap - 1;
-    for (size_t i = 0; i < cap; ++i)
-        cells_[i].seq.store(i, std::memory_order_relaxed);
+    // Adopt-and-drop the occupied cells so boxed closures are
+    // released. Destruction is single-threaded by contract, so every
+    // claimed position is also published.
+    const size_t end = enqueuePos_.load(std::memory_order_relaxed);
+    Task dropped;
+    for (size_t pos = dequeuePos_.load(std::memory_order_relaxed);
+         pos != end; ++pos)
+        Task::readSlot(cellAt(pos), dropped);
+}
+
+uint64_t *
+InjectRing::cellAt(size_t pos) const
+{
+    return cells_.data() + (pos & mask_) * kCellWords;
+}
+
+size_t
+InjectRing::loadSeq(uint64_t *cell, size_t pos) const
+{
+    // Stored relative to the cell index, so untouched zero pages
+    // read as the initial sequence: cell i holds i.
+    return static_cast<size_t>(std::atomic_ref<uint64_t>(cell[kSeqWord])
+                                   .load(std::memory_order_acquire))
+        + (pos & mask_);
+}
+
+void
+InjectRing::storeSeq(uint64_t *cell, size_t pos, size_t seq)
+{
+    std::atomic_ref<uint64_t>(cell[kSeqWord])
+        .store(seq - (pos & mask_), std::memory_order_release);
 }
 
 bool
 InjectRing::tryPush(Task &&t)
 {
-    Cell *cell;
+    uint64_t *cell;
     size_t pos = enqueuePos_.load(std::memory_order_relaxed);
     for (;;) {
-        cell = &cells_[pos & mask_];
+        cell = cellAt(pos);
         // Acquire pairs with the consumer's freeing store: once the
         // sequence says the cell is ours, the previous lap's task has
         // fully moved out.
-        const size_t seq = cell->seq.load(std::memory_order_acquire);
+        const size_t seq = loadSeq(cell, pos);
         const auto dif = static_cast<intptr_t>(seq)
             - static_cast<intptr_t>(pos);
         if (dif == 0) {
@@ -55,20 +86,20 @@ InjectRing::tryPush(Task &&t)
             pos = enqueuePos_.load(std::memory_order_relaxed);
         }
     }
-    cell->task = std::move(t);
+    Task::writeSlot(cell, t.body, t.group, t.ownerCounted);
     // Publish: consumers' acquire load of seq sees the task store.
-    cell->seq.store(pos + 1, std::memory_order_release);
+    storeSeq(cell, pos, pos + 1);
     return true;
 }
 
 bool
 InjectRing::tryPop(Task &out)
 {
-    Cell *cell;
+    uint64_t *cell;
     size_t pos = dequeuePos_.load(std::memory_order_relaxed);
     for (;;) {
-        cell = &cells_[pos & mask_];
-        const size_t seq = cell->seq.load(std::memory_order_acquire);
+        cell = cellAt(pos);
+        const size_t seq = loadSeq(cell, pos);
         const auto dif = static_cast<intptr_t>(seq)
             - static_cast<intptr_t>(pos + 1);
         if (dif == 0) {
@@ -84,12 +115,12 @@ InjectRing::tryPop(Task &out)
             pos = dequeuePos_.load(std::memory_order_relaxed);
         }
     }
-    out = std::move(cell->task);
-    // Drop the moved-from closure now so captured resources do not
-    // linger a full lap in the ring.
-    cell->task = Task{};
+    // The claim makes the cell ours: move the task out, ops word
+    // first, and leave the relocated bytes for the next lap's push
+    // to overwrite.
+    Task::readSlot(cell, out);
     // Free the cell for the producer one lap ahead.
-    cell->seq.store(pos + mask_ + 1, std::memory_order_release);
+    storeSeq(cell, pos, pos + mask_ + 1);
     return true;
 }
 

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "runtime/task.hpp"
+#include "runtime/zeroed_words.hpp"
 
 namespace hermes::runtime {
 
@@ -64,13 +65,25 @@ struct InjectPolicy
  * move itself is uncontended. Both operations are non-blocking:
  * `tryPush` fails on a full ring, `tryPop` on an empty one, and
  * neither spins on a stalled peer.
+ *
+ * The cells are 64-bit words on zero pages (zeroed_words.hpp): a
+ * task slot in the deque's layout (`Task::writeSlot`/`readSlot`)
+ * followed by the sequence word. Cell `i` stores its sequence minus
+ * `i`, so all-zero memory is a ring whose cell `i` holds sequence
+ * `i` — empty — and building one writes nothing.
  */
 class InjectRing
 {
   public:
     /** @param capacity ring capacity in tasks; rounded up to 2^k,
-     *        minimum 2. */
+     *        minimum 2. Reserves address space for it; a cell's
+     *        pages become resident when a push first reaches it.
+     * @throws std::bad_alloc when the ring cannot be mapped */
     explicit InjectRing(size_t capacity);
+
+    /** Destroys the tasks still queued, the cells in
+     * [dequeuePos, enqueuePos) (releases boxed closures). */
+    ~InjectRing();
 
     InjectRing(const InjectRing &) = delete;
     InjectRing &operator=(const InjectRing &) = delete;
@@ -93,14 +106,25 @@ class InjectRing
     size_t capacity() const { return mask_ + 1; }
 
   private:
-    struct Cell
-    {
-        std::atomic<size_t> seq{0};
-        Task task;
-    };
+    /** Words per cell: a task slot, then the sequence word, padded to
+     * 16 words so a cell fills two whole cachelines of the
+     * page-aligned mapping and no two cells share one. */
+    static constexpr size_t kCellWords = 16;
+    static constexpr size_t kSeqWord = Task::kSlotWords;
+    static_assert(kSeqWord < kCellWords);
 
-    std::unique_ptr<Cell[]> cells_;
+    /** First word of the cell that position `pos` maps to. */
+    uint64_t *cellAt(size_t pos) const;
+
+    /** The sequence of `cell`, the cell of position `pos` (acquire). */
+    size_t loadSeq(uint64_t *cell, size_t pos) const;
+
+    /** Publish sequence `seq` for `cell`, the cell of position `pos`
+     * (release). */
+    void storeSeq(uint64_t *cell, size_t pos, size_t seq);
+
     size_t mask_;
+    ZeroedWords cells_;
     /** Producer and consumer claim words on separate cachelines so
      * push traffic never invalidates the pop side and vice versa. */
     alignas(64) std::atomic<size_t> enqueuePos_{0};

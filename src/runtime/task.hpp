@@ -11,16 +11,18 @@
  * The closure is a TaskFn (task_fn.hpp): allocation-free for the
  * small trivially-copyable lambdas every spawn site produces, boxed
  * otherwise, and trivially relocatable either way. Task::Repr is the
- * flat trivially-copyable form the lock-free deque stores in its
- * ring — release()/adopt() transfer ownership of the closure as raw
- * bytes without running any constructor or destructor in between.
- * The ring lays a slot out word for word as a Repr (the k*Word
- * offsets below).
+ * flat trivially-copyable form the deque and inject rings store —
+ * release()/adopt() transfer ownership of the closure as raw bytes
+ * without running any constructor or destructor in between. A ring
+ * slot is laid out word for word as a Repr, and writeSlot()/
+ * readSlot() below are the one codec that knows where each field
+ * sits.
  */
 
 #ifndef HERMES_RUNTIME_TASK_HPP
 #define HERMES_RUNTIME_TASK_HPP
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -51,9 +53,9 @@ struct Task
     explicit operator bool() const { return static_cast<bool>(body); }
 
     /** Trivially-copyable relocation form (see TaskFn::Repr): the
-     * deque ring stores Tasks as these, copied word-by-word with
-     * relaxed atomics. `ownerCounted` fills the word that would
-     * otherwise be padding, so a slot stays 96 bytes. */
+     * rings store Tasks as these, copied word-by-word with relaxed
+     * atomics. `ownerCounted` fills the word that would otherwise be
+     * padding, so a slot stays 96 bytes. */
     struct Repr
     {
         TaskFn::Repr fn;
@@ -61,17 +63,48 @@ struct Task
         uint64_t ownerCounted;
     };
 
-    /** Word offsets of a Repr's fields in a ring slot. */
-    static constexpr size_t kPayloadWord =
-        (offsetof(Repr, fn) + offsetof(TaskFn::Repr, storage))
-        / sizeof(uint64_t);
-    static constexpr size_t kOpsWord =
-        (offsetof(Repr, fn) + offsetof(TaskFn::Repr, ops))
-        / sizeof(uint64_t);
-    static constexpr size_t kGroupWord =
-        offsetof(Repr, group) / sizeof(uint64_t);
-    static constexpr size_t kOwnerCountedWord =
-        offsetof(Repr, ownerCounted) / sizeof(uint64_t);
+    /** 64-bit words in one ring slot. */
+    static constexpr size_t kSlotWords = sizeof(Repr) / sizeof(uint64_t);
+
+    /**
+     * Move a task into ring slot words: the closure's live payload
+     * words and its ops word (TaskFn::relocateTo), then the group and
+     * owner-counted words, each a relaxed `std::atomic_ref` store.
+     * `fn` is left empty; slot words past the closure's payload are
+     * not written.
+     */
+    static void
+    writeSlot(uint64_t *slot, TaskFn &fn, TaskGroup *group,
+              bool owner_counted) noexcept
+    {
+        fn.relocateTo(slot + kPayloadWord, slot + kOpsWord);
+        std::atomic_ref<uint64_t>(slot[kGroupWord])
+            .store(reinterpret_cast<uintptr_t>(group),
+                   std::memory_order_relaxed);
+        std::atomic_ref<uint64_t>(slot[kOwnerCountedWord])
+            .store(owner_counted ? 1 : 0, std::memory_order_relaxed);
+    }
+
+    /**
+     * Move the task writeSlot() stored in `slot` into `out`, reading
+     * the ops word first and then only the payload words it names
+     * (TaskFn::relocateFrom), then the group and owner-counted words.
+     * Only for a slot no other thread can still claim: the owner's
+     * pop, an inject ring consumer's claimed cell, a destructor. Any
+     * payload `out` held is destroyed first.
+     */
+    static void
+    readSlot(uint64_t *slot, Task &out) noexcept
+    {
+        out.body.relocateFrom(slot + kPayloadWord, slot + kOpsWord);
+        out.group = reinterpret_cast<TaskGroup *>(static_cast<uintptr_t>(
+            std::atomic_ref<uint64_t>(slot[kGroupWord])
+                .load(std::memory_order_relaxed)));
+        out.ownerCounted = std::atomic_ref<uint64_t>(
+                               slot[kOwnerCountedWord])
+                               .load(std::memory_order_relaxed)
+            != 0;
+    }
 
     /** Relocate out: this Task becomes empty; the returned bytes own
      * the closure and must be adopted exactly once. */
@@ -88,10 +121,24 @@ struct Task
     {
         return Task(TaskFn::adopt(r.fn), r.group, r.ownerCounted != 0);
     }
+
+  private:
+    /** Word offsets of a Repr's fields in a ring slot; only the codec
+     * above reads them. */
+    static constexpr size_t kPayloadWord =
+        (offsetof(Repr, fn) + offsetof(TaskFn::Repr, storage))
+        / sizeof(uint64_t);
+    static constexpr size_t kOpsWord =
+        (offsetof(Repr, fn) + offsetof(TaskFn::Repr, ops))
+        / sizeof(uint64_t);
+    static constexpr size_t kGroupWord =
+        offsetof(Repr, group) / sizeof(uint64_t);
+    static constexpr size_t kOwnerCountedWord =
+        offsetof(Repr, ownerCounted) / sizeof(uint64_t);
 };
 
 static_assert(std::is_trivially_copyable_v<Task::Repr>,
-              "the deque ring copies Task::Repr as raw words");
+              "the rings copy Task::Repr as raw words");
 static_assert(sizeof(Task::Repr) == 12 * sizeof(uint64_t),
               "Task::Repr must tile the ring's 96-byte slots");
 

@@ -25,14 +25,15 @@
  * pointer — which makes a TaskFn **trivially relocatable by
  * construction**: moving it is a byte copy plus emptying the source,
  * and `release()`/`adopt()` expose exactly that transfer for
- * containers that store tasks as raw words (the lock-free deque's
- * ring copies slots with relaxed per-word atomic accesses, see
- * deque.hpp). This relocatability contract is what lets a thief copy
- * a slot *before* its claiming CAS and discard the bytes on failure
- * without ever running a constructor or destructor on them.
- * `relocateTo()`/`relocateFrom()` are the same transfer straight
- * between a TaskFn and ring words, copying only the payload words
- * the closure uses (`Ops::words`): the owner's push and pop.
+ * containers that store tasks as raw words (the deque and inject
+ * rings access their slots with relaxed per-word `std::atomic_ref`
+ * accesses, see deque.hpp). This relocatability contract is what
+ * lets a thief copy a slot *before* its claiming CAS and discard the
+ * bytes on failure without ever running a constructor or destructor
+ * on them. `relocateTo()`/`relocateFrom()` are the same transfer
+ * straight between a TaskFn and ring words, copying only the payload
+ * words the closure uses (`Ops::words`): every ring push and every
+ * pop that owns its slot (Task::writeSlot/readSlot).
  */
 
 #ifndef HERMES_RUNTIME_TASK_FN_HPP
@@ -176,46 +177,50 @@ class TaskFn
     }
 
     /**
-     * Relocate out into 64-bit words, as the deque's push does:
+     * Relocate out into 64-bit ring words, as a ring push does:
      * store the payload words the closure uses into `payload` and
-     * its ops pointer into `ops` (relaxed atomic stores), then leave
-     * this empty. Payload words past the closure are not written.
+     * its ops pointer into `*ops` (relaxed `std::atomic_ref` stores),
+     * then leave this empty. Payload words past the closure are not
+     * written.
      */
     void
-    relocateTo(std::atomic<uint64_t> *payload,
-               std::atomic<uint64_t> &ops) noexcept
+    relocateTo(uint64_t *payload, uint64_t *ops) noexcept
     {
         const size_t n = repr_.ops != nullptr ? repr_.ops->words : 0;
         for (size_t w = 0; w < n; ++w) {
             uint64_t word;
             std::memcpy(&word, repr_.storage + w * sizeof(word),
                         sizeof(word));
-            payload[w].store(word, std::memory_order_relaxed);
+            std::atomic_ref<uint64_t>(payload[w])
+                .store(word, std::memory_order_relaxed);
         }
-        ops.store(reinterpret_cast<uintptr_t>(repr_.ops),
-                  std::memory_order_relaxed);
+        std::atomic_ref<uint64_t>(*ops).store(
+            reinterpret_cast<uintptr_t>(repr_.ops),
+            std::memory_order_relaxed);
         repr_.ops = nullptr;
     }
 
     /**
      * Relocate in from words relocateTo() wrote: read the ops word
-     * first, then only the payload words it names. The caller must
-     * own the words outright (the owner's pop); a thief instead
-     * copies the whole slot and adopt()s it once its claim wins,
-     * never reading an ops pointer it does not own. Any payload this
-     * held is destroyed first.
+     * first, then only the payload words it names (relaxed
+     * `std::atomic_ref` loads; nothing is written). The caller must
+     * own the words outright (the owner's pop, an inject ring
+     * consumer's claimed cell); a thief instead copies the whole
+     * slot and adopt()s it once its claim wins, never reading an ops
+     * pointer it does not own. Any payload this held is destroyed
+     * first.
      */
     void
-    relocateFrom(const std::atomic<uint64_t> *payload,
-                 const std::atomic<uint64_t> &ops) noexcept
+    relocateFrom(uint64_t *payload, uint64_t *ops) noexcept
     {
         destroyPayload();
-        repr_.ops = reinterpret_cast<const Ops *>(
-            static_cast<uintptr_t>(ops.load(std::memory_order_relaxed)));
+        repr_.ops = reinterpret_cast<const Ops *>(static_cast<uintptr_t>(
+            std::atomic_ref<uint64_t>(*ops).load(
+                std::memory_order_relaxed)));
         const size_t n = repr_.ops != nullptr ? repr_.ops->words : 0;
         for (size_t w = 0; w < n; ++w) {
-            const uint64_t word =
-                payload[w].load(std::memory_order_relaxed);
+            const uint64_t word = std::atomic_ref<uint64_t>(payload[w])
+                                      .load(std::memory_order_relaxed);
             std::memcpy(repr_.storage + w * sizeof(word), &word,
                         sizeof(word));
         }

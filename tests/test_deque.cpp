@@ -1,6 +1,9 @@
 /** @file Unit tests for the work-stealing deque, run against both
  * protocols (lock-free Chase-Lev and the legacy THE replay) —
- * `DequePolicy::impl = the` must produce identical results. */
+ * `DequePolicy::impl = the` must produce identical results — and
+ * for the zero-page memory its ring lives on. */
+
+#include <new>
 
 #include <gtest/gtest.h>
 
@@ -301,4 +304,18 @@ TEST(DequePolicy, DefaultsToChaseLevAndReplaysThe)
     EXPECT_EQ(def.impl(), DequeImpl::ChaseLev);
     WsDeque legacy(8, DequePolicy{DequeImpl::The});
     EXPECT_EQ(legacy.impl(), DequeImpl::The);
+}
+
+TEST(ZeroedWords, ReadsZeroUntilWrittenAndThrowsWhenUnmappable)
+{
+    // The rings' memory: every word reads as zero before anything
+    // writes it (what the thief's whole-slot copy relies on), and a
+    // size no address space can hold throws like an allocation.
+    hermes::runtime::ZeroedWords words(1 << 16);
+    for (size_t w = 0; w < (1 << 16); w += 511)
+        ASSERT_EQ(words.data()[w], 0u) << "word " << w;
+    words.data()[7] = 42;
+    EXPECT_EQ(words.data()[7], 42u);
+    EXPECT_THROW(hermes::runtime::ZeroedWords(size_t(1) << 60),
+                 std::bad_alloc);
 }

@@ -1,9 +1,9 @@
 /**
  * @file
  * The lock-free sharded inject path: per-cell sequence wrap-around,
- * capacity-full spillover ordering, exactly-once delivery under a
- * multi-producer × multi-consumer torture loop, and the
- * Runtime::submit API.
+ * capacity-full spillover ordering, release of queued tasks on
+ * destruction, exactly-once delivery under a multi-producer ×
+ * multi-consumer torture loop, and the Runtime::submit API.
  */
 
 #include <algorithm>
@@ -65,7 +65,10 @@ TEST(InjectRing, SequenceNumbersSurviveManyWrapArounds)
 {
     // A 4-slot ring cycled far past its capacity: each lap reuses
     // every cell, so a stale per-cell sequence (not advanced by
-    // capacity on pop) would wedge the ring or reorder tasks.
+    // capacity on pop) would wedge the ring or reorder tasks. Each
+    // cell stores its sequence relative to its index; filling the
+    // ring on every lap checks that the full and empty tests still
+    // hold long after the first lap, from every cell phase.
     InjectRing ring(4);
     ASSERT_EQ(ring.capacity(), 4u);
     std::vector<int> sink;
@@ -80,8 +83,22 @@ TEST(InjectRing, SequenceNumbersSurviveManyWrapArounds)
             ASSERT_TRUE(ring.tryPop(out));
             ASSERT_EQ(valueOf(out, sink), next_pop++);
         }
+        // Fill to capacity: the next push is rejected and keeps its
+        // task, and the drain is FIFO.
+        for (size_t i = 0; i < ring.capacity(); ++i)
+            ASSERT_TRUE(ring.tryPush(marker(sink, next_push++)))
+                << "round " << round;
+        Task extra = marker(sink, -2);
+        ASSERT_FALSE(ring.tryPush(std::move(extra))) << "round " << round;
+        ASSERT_TRUE(static_cast<bool>(extra));
+        ASSERT_EQ(valueOf(extra, sink), -2);
+        for (size_t i = 0; i < ring.capacity(); ++i) {
+            ASSERT_TRUE(ring.tryPop(out)) << "round " << round;
+            ASSERT_EQ(valueOf(out, sink), next_pop++);
+        }
+        ASSERT_FALSE(ring.tryPop(out)) << "round " << round;
     }
-    EXPECT_FALSE(ring.tryPop(out));
+    EXPECT_EQ(next_pop, next_push);
 }
 
 TEST(InjectRing, FullRingRejectsAndLeavesTaskIntact)
@@ -101,6 +118,65 @@ TEST(InjectRing, FullRingRejectsAndLeavesTaskIntact)
     EXPECT_EQ(valueOf(out, sink), 0);
     // The freed cell is immediately reusable.
     EXPECT_TRUE(ring.tryPush(marker(sink, 4)));
+}
+
+namespace {
+
+/** A closure that is not trivially copyable, so TaskFn boxes it, and
+ * that counts its constructions and destructions. */
+struct Counted
+{
+    int *made;
+    int *dropped;
+
+    Counted(int &m, int &d) : made(&m), dropped(&d) { ++*made; }
+    Counted(const Counted &o) : made(o.made), dropped(o.dropped)
+    {
+        ++*made;
+    }
+    ~Counted() { ++*dropped; }
+    void operator()() const {}
+};
+
+} // namespace
+
+TEST(InjectRing, DestructionReleasesQueuedBoxedClosuresOnce)
+{
+    static_assert(!runtime::TaskFn::fitsInline<Counted>);
+    int made = 0, dropped = 0;
+    {
+        InjectRing ring(4);
+        // Move the positions past the ring's end first, so the
+        // occupied cells the destructor walks wrap around it.
+        for (int i = 0; i < 3; ++i) {
+            ASSERT_TRUE(ring.tryPush(Task(Counted(made, dropped),
+                                          nullptr)));
+            Task out;
+            ASSERT_TRUE(ring.tryPop(out));
+        }
+        ASSERT_EQ(made, dropped);
+        for (int i = 0; i < 3; ++i)
+            ASSERT_TRUE(ring.tryPush(Task(Counted(made, dropped),
+                                          nullptr)));
+        // The three queued boxes are alive, everything else is gone.
+        EXPECT_EQ(made - dropped, 3);
+    }
+    EXPECT_EQ(made, dropped);
+}
+
+TEST(InjectQueue, DestructionReleasesRingAndSpillTasksOnce)
+{
+    int made = 0, dropped = 0;
+    {
+        InjectPolicy policy;
+        policy.shardCapacity = 4;
+        InjectQueue q(policy, 1);
+        for (int i = 0; i < 7; ++i)
+            q.push(Task(Counted(made, dropped), nullptr), 0);
+        ASSERT_EQ(q.spillSizeApprox(), 3u);
+        EXPECT_EQ(made - dropped, 7);
+    }
+    EXPECT_EQ(made, dropped);
 }
 
 TEST(InjectQueue, DrainBackRestoresFifoUnderSustainedOverflow)

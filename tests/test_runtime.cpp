@@ -2,10 +2,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+
+#include <sys/resource.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <gtest/gtest.h>
 
@@ -439,6 +446,44 @@ TEST(Runtime, PackagePowerIsPositiveAndBounded)
                      + cores * model.coreActivePower(
                            rt.config().profile.ladder.fastest())
                      + 1.0);
+}
+
+namespace {
+
+/** Minor page faults the process takes while building a 3-worker
+ * Runtime whose deques and inject shards each hold `capacity` tasks.
+ * Only the construction is counted: the destructor unmaps. */
+long
+constructionFaults(size_t capacity)
+{
+    auto cfg = config(3);
+    cfg.dequeCapacity = capacity;
+    cfg.inject.shardCapacity = capacity;
+#if defined(__GLIBC__)
+    // Return freed heap pages to the kernel first, so an allocator
+    // reusing resident memory cannot hide writes the build makes.
+    malloc_trim(0);
+#endif
+    rusage before{}, after{};
+    getrusage(RUSAGE_SELF, &before);
+    auto rt = std::make_unique<Runtime>(cfg);
+    getrusage(RUSAGE_SELF, &after);
+    return after.ru_minflt - before.ru_minflt;
+}
+
+} // namespace
+
+TEST(Runtime, ConstructionCostDoesNotScaleWithRingCapacity)
+{
+    // The deque and inject rings sit on zero pages the kernel fills on
+    // first touch, so building a Runtime writes none of their slots:
+    // 64x the capacity must not cost more page faults. Rings that are
+    // written at construction cost about 9,800 more pages here.
+    const long small = constructionFaults(1 << 10);
+    const long large = constructionFaults(1 << 16);
+    EXPECT_LT(std::labs(large - small), 64)
+        << "faults at capacity 2^10: " << small
+        << ", at 2^16: " << large;
 }
 
 TEST(Runtime, SequentialRuntimesAreIndependent)

@@ -6,7 +6,7 @@
  * the lock-free deque ring depends on (task_fn.hpp).
  */
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <iterator>
@@ -150,45 +150,74 @@ TEST(TaskFn, ReleaseAdoptRelocatesWithoutRunningDtors)
 
 TEST(TaskFn, RelocateToWritesOnlyTheLiveWords)
 {
-    // The deque's push and pop: a closure moves to ring words and
-    // back, and words past its payload are never written. A boxed
-    // payload is one pointer word and still freed exactly once.
+    // A ring push and an owning pop: a closure moves to plain ring
+    // words and back, and words past its payload are never written.
+    // A boxed payload is one pointer word and still freed exactly
+    // once.
     constexpr uint64_t kUntouched = 0xdeadbeefcafef00dULL;
-    std::atomic<uint64_t> payload[TaskFn::kInlineBytes / 8];
-    std::atomic<uint64_t> ops{0};
-    for (auto &w : payload)
-        w.store(kUntouched);
+    uint64_t payload[TaskFn::kInlineBytes / 8];
+    uint64_t ops = 0;
+    std::fill(std::begin(payload), std::end(payload), kUntouched);
 
     long sink = 0;
     long a = 1, b = 2;
     TaskFn three_words([&sink, a, b] { sink = a + b; });
-    three_words.relocateTo(payload, ops);
+    three_words.relocateTo(payload, &ops);
     EXPECT_FALSE(static_cast<bool>(three_words));
-    EXPECT_NE(ops.load(), 0u);
+    EXPECT_NE(ops, 0u);
     for (size_t w = 3; w < std::size(payload); ++w)
-        EXPECT_EQ(payload[w].load(), kUntouched) << "word " << w;
+        EXPECT_EQ(payload[w], kUntouched) << "word " << w;
     TaskFn back;
-    back.relocateFrom(payload, ops);
+    back.relocateFrom(payload, &ops);
     ASSERT_TRUE(back.storedInline());
     back();
     EXPECT_EQ(sink, 3);
 
     auto token = std::make_shared<int>(4);
     std::weak_ptr<int> watch = token;
-    for (auto &w : payload)
-        w.store(kUntouched);
+    std::fill(std::begin(payload), std::end(payload), kUntouched);
     TaskFn boxed([token, &sink] { sink = *token; });
     token.reset();
-    boxed.relocateTo(payload, ops);
-    EXPECT_EQ(payload[1].load(), kUntouched);
+    boxed.relocateTo(payload, &ops);
+    EXPECT_EQ(payload[1], kUntouched);
     {
         TaskFn revived;
-        revived.relocateFrom(payload, ops);
+        revived.relocateFrom(payload, &ops);
         revived();
         EXPECT_EQ(sink, 4);
         EXPECT_FALSE(watch.expired());
     }
     EXPECT_TRUE(watch.expired());
+}
+
+TEST(Task, SlotCodecRoundTripsThroughZeroedWords)
+{
+    // Task::writeSlot/readSlot are how both rings store a task. On a
+    // slot of zeroed words the codec writes the live payload words
+    // plus the ops, group and owner-counted words, and leaves the
+    // rest zero — the words a thief's whole-slot copy reads.
+    uint64_t slot[Task::kSlotWords] = {};
+    long sink = 0;
+    long a = 5, b = 6;
+    TaskFn fn([&sink, a, b] { sink = a * b; });
+    auto *fake_group =
+        reinterpret_cast<hermes::runtime::TaskGroup *>(0x5678);
+    Task::writeSlot(slot, fn, fake_group, true);
+    EXPECT_FALSE(static_cast<bool>(fn));
+    size_t written = 0;
+    for (uint64_t w : slot)
+        written += w != 0;
+    // Three payload words, ops, group, owner-counted.
+    EXPECT_EQ(written, 6u);
+
+    Task out;
+    Task::readSlot(slot, out);
+    EXPECT_EQ(out.group, fake_group);
+    EXPECT_TRUE(out.ownerCounted);
+    ASSERT_TRUE(out.body.storedInline());
+    out.body();
+    EXPECT_EQ(sink, 30);
+    out.group = nullptr; // never dereferenced; tag only
 }
 
 TEST(TaskFn, EmptyIsFalseAndMoveLeavesEmpty)
