@@ -1,13 +1,10 @@
 /**
  * @file
- * Micro-benchmarks of the work-stealing deque (Algorithms 2.2-2.4):
- * owner push/pop throughput, steal throughput, and the mixed
- * owner-vs-thief contention case — each as a chaselev-vs-the A/B
- * (`DequePolicy::impl`), which is the acceptance measurement of the
- * lock-free deque: under >= 2 concurrent thieves the Chase-Lev CAS
- * claims must out-steal the mutex-guarded THE protocol. Benchmarks
- * take the impl as arg 0 (0 = chaselev, 1 = the); `benchContended`
- * reports the stolen count and the CAS-retry counters.
+ * Micro-benchmarks of the Chase-Lev work-stealing deque
+ * (Algorithms 2.2-2.4): owner push/pop throughput, steal and bulk
+ * steal throughput, the mixed owner-vs-thief contention case, and
+ * many-thief drains. `benchContended` reports the stolen count and
+ * the CAS-retry counters.
  */
 
 #include <atomic>
@@ -17,19 +14,10 @@
 
 #include "runtime/deque.hpp"
 
-using hermes::runtime::DequeImpl;
-using hermes::runtime::DequePolicy;
 using hermes::runtime::Task;
 using hermes::runtime::WsDeque;
 
 namespace {
-
-DequePolicy
-policyOf(benchmark::State &state)
-{
-    return DequePolicy{state.range(0) != 0 ? DequeImpl::The
-                                           : DequeImpl::ChaseLev};
-}
 
 Task
 noopTask()
@@ -37,12 +25,11 @@ noopTask()
     return Task([] {}, nullptr);
 }
 
-/** Owner-only throughput: the push/pop fast path both protocols keep
- * lock-free — the A/B should be near-identical here. */
+/** Owner-only throughput: the push/pop fast path. */
 void
 benchPushPop(benchmark::State &state)
 {
-    WsDeque deque(1 << 12, policyOf(state));
+    WsDeque deque(1 << 12);
     size_t size_after = 0;
     Task out;
     for (auto _ : state) {
@@ -55,12 +42,11 @@ benchPushPop(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 128);
 }
 
-/** Uncontended steal drain: one CAS per task vs one lock round-trip
- * per task. */
+/** Uncontended steal drain: one CAS per task. */
 void
 benchStealOnly(benchmark::State &state)
 {
-    WsDeque deque(1 << 12, policyOf(state));
+    WsDeque deque(1 << 12);
     size_t size_after = 0;
     Task out;
     for (auto _ : state) {
@@ -79,7 +65,7 @@ benchStealOnly(benchmark::State &state)
 void
 benchStealHalf(benchmark::State &state)
 {
-    WsDeque deque(1 << 12, policyOf(state));
+    WsDeque deque(1 << 12);
     size_t size_after = 0;
     std::vector<Task> batch;
     batch.reserve(64);
@@ -97,9 +83,8 @@ benchStealHalf(benchmark::State &state)
 }
 
 /**
- * Owner pops while `thieves` (arg 1) steal concurrently — the
- * acceptance A/B: with >= 2 thieves the THE mutex serializes every
- * steal while Chase-Lev thieves only collide on the head CAS.
+ * Owner pops while `thieves` (arg 0) steal concurrently: thieves
+ * collide only on the head CAS, and the owner only on the last task.
  * items_per_second counts tasks consumed by either side; `stolen`
  * isolates thief throughput, `steal_retries`/`pop_losses` show the
  * contention the CAS absorbed.
@@ -107,8 +92,8 @@ benchStealHalf(benchmark::State &state)
 void
 benchContended(benchmark::State &state)
 {
-    const int thieves = static_cast<int>(state.range(1));
-    WsDeque deque(1 << 14, policyOf(state));
+    const int thieves = static_cast<int>(state.range(0));
+    WsDeque deque(1 << 14);
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> stolen{0};
 
@@ -151,13 +136,13 @@ benchContended(benchmark::State &state)
         static_cast<double>(deque.popCasLosses());
 }
 
-/** Many thieves, no owner interference: pure steal scalability of
- * the two protocols (arg 1 = thieves, all draining in parallel). */
+/** Many thieves, no owner interference: pure steal scalability
+ * (arg 0 = thieves, all draining in parallel). */
 void
 benchMultiThiefDrain(benchmark::State &state)
 {
-    const int thieves = static_cast<int>(state.range(1));
-    WsDeque deque(1 << 14, policyOf(state));
+    const int thieves = static_cast<int>(state.range(0));
+    WsDeque deque(1 << 14);
     constexpr int kBatch = 4096;
 
     uint64_t total = 0;
@@ -175,12 +160,11 @@ benchMultiThiefDrain(benchmark::State &state)
             pool.emplace_back([&] {
                 Task out;
                 size_t s = 0;
-                // A false return is not proof of emptiness: under
-                // Chase-Lev a lost head CAS on a non-empty deque
-                // also returns false, and exiting on it would
-                // degenerate the run to one thief (biasing the A/B
-                // against the lock-free deque). Drain until every
-                // task of the batch is accounted for.
+                // A false return is not proof of emptiness: a lost
+                // head CAS on a non-empty deque also returns false,
+                // and exiting on it would degenerate the run to one
+                // thief. Drain until every task of the batch is
+                // accounted for.
                 while (drained.load(std::memory_order_relaxed)
                        < static_cast<uint64_t>(kBatch)) {
                     if (deque.steal(out, s))
@@ -200,19 +184,11 @@ benchMultiThiefDrain(benchmark::State &state)
 
 } // namespace
 
-// Arg 0: deque impl (0 = chaselev, 1 = the legacy THE replay).
-BENCHMARK(benchPushPop)->Arg(0)->Arg(1);
-BENCHMARK(benchStealOnly)->Arg(0)->Arg(1);
-BENCHMARK(benchStealHalf)->Arg(0)->Arg(1);
-// Args: {impl, thieves} — the >= 2 thieves rows are the acceptance
-// A/B of the lock-free deque.
-BENCHMARK(benchContended)
-    ->Args({0, 1})->Args({1, 1})
-    ->Args({0, 2})->Args({1, 2})
-    ->Args({0, 4})->Args({1, 4});
-BENCHMARK(benchMultiThiefDrain)
-    ->Args({0, 2})->Args({1, 2})
-    ->Args({0, 4})->Args({1, 4})
-    ->UseRealTime();
+BENCHMARK(benchPushPop);
+BENCHMARK(benchStealOnly);
+BENCHMARK(benchStealHalf);
+// Arg: thieves.
+BENCHMARK(benchContended)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(benchMultiThiefDrain)->Arg(2)->Arg(4)->UseRealTime();
 
 BENCHMARK_MAIN();

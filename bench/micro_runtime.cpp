@@ -97,7 +97,7 @@ reportStealing(benchmark::State &state, const runtime::Runtime &rt,
     // Share of external submissions that took the lock-free inject
     // fast path (docs/ARCHITECTURE.md, "The inject path"); root
     // tasks are the only injects here, so expect 1.0 unless
-    // shardCapacity is tiny or the legacy queue is configured.
+    // shardCapacity is tiny.
     const double routed =
         static_cast<double>(after.injectFastPath
                             - before.injectFastPath)
@@ -109,8 +109,7 @@ reportStealing(benchmark::State &state, const runtime::Runtime &rt,
                 / routed
                      : 0.0);
     // Deque contention absorbed by the lock-free protocol: failed
-    // steal claims and owner last-task losses (both 0 under the THE
-    // replay's plain-empty cases — docs/STEALING.md).
+    // steal claims and owner last-task losses (docs/STEALING.md).
     state.counters["steal_cas_retries"] = benchmark::Counter(
         static_cast<double>(after.stealCasRetries
                             - before.stealCasRetries));
@@ -168,18 +167,13 @@ benchParallelFor(benchmark::State &state)
  * parallel-for over tiny spinning tasks. Each round stocks every
  * deque with several tasks at once, which is exactly the shape
  * steal-half amortizes: tasks_per_steal rises above 1.
- * Args: {workers, theDeque} — the second arg replays the legacy THE
- * deque (`DequePolicy::impl = the`) for the end-to-end side of the
- * chaselev-vs-the A/B that bench_micro_deque measures in isolation.
+ * Arg: {workers}.
  */
 void
 benchForkJoinBurst(benchmark::State &state)
 {
     runtime::RuntimeConfig cfg;
     cfg.numWorkers = static_cast<unsigned>(state.range(0));
-    cfg.deque.impl = state.range(1) != 0
-        ? runtime::DequeImpl::The
-        : runtime::DequeImpl::ChaseLev;
     runtime::Runtime rt(cfg);
 
     const auto before = rt.stats();
@@ -229,11 +223,9 @@ BENCHMARK(benchFib)->Args({4, 0})->Args({4, 1})->Args({8, 0})
 BENCHMARK(benchParallelFor)->Args({4, 0})->Args({4, 1})
     ->Args({8, 0})->Args({8, 1})->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-// Args: {workers, theDeque}; the last bit is the chaselev-vs-the
-// deque A/B.
-BENCHMARK(benchForkJoinBurst)->Args({4, 0})->Args({8, 0})
-    ->Args({4, 1})->Args({8, 1})->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+// Arg: workers.
+BENCHMARK(benchForkJoinBurst)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(benchRadixSort)->Args({8, 0})->Args({8, 1})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 

@@ -228,8 +228,6 @@ readRuntime(const JsonValue &v, const std::string &pointer,
 {
     ObjectReader r(v, pointer, diags);
     r.getInt("workers", out.workers, 1, 256);
-    r.getEnum("deque", out.dequeImpl, {"chaselev", "the"});
-    r.getInt("locality_rounds", out.localityRounds, 0, 16);
     r.getBool("parking", out.parking);
     r.getInt("park_threshold", out.parkThreshold, 1, 1024);
     r.finish();
@@ -658,9 +656,6 @@ runtimeBodyJson(const RuntimePolicy &r, const std::string &ind)
     std::ostringstream out;
     out << "{\n"
         << in2 << "\"workers\": " << r.workers << ",\n"
-        << in2 << "\"deque\": \"" << r.dequeImpl << "\",\n"
-        << in2 << "\"locality_rounds\": " << r.localityRounds
-        << ",\n"
         << in2 << "\"parking\": " << (r.parking ? "true" : "false")
         << ",\n"
         << in2 << "\"park_threshold\": " << r.parkThreshold << "\n"

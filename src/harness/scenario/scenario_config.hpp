@@ -4,7 +4,7 @@
  * defaults-resolved echo.
  *
  * A scenario is a JSON file naming a workload kind (fork_join, dag,
- * serve), the runtime/steal/deque/DVFS policy surface,
+ * serve), the runtime/DVFS policy surface,
  * a duration, and per-metric regression thresholds. One scenario
  * file *is* the experiment: the same file drives `hermes-scenario
  * run`, `baseline`, `compare`, and `soak`, replacing the ad-hoc
@@ -15,7 +15,7 @@
  * tree (never crashes — fuzzed in tests/test_scenario_config.cpp),
  * and this schema layer walks the tree collecting *all* diagnostics
  * instead of stopping at the first. Every diagnostic carries an RFC
- * 6901 JSON pointer ("/runtime/locality_rounds: expected number,
+ * 6901 JSON pointer ("/runtime/park_threshold: expected number,
  * got string") so a CI failure names the exact offending key.
  * Unknown keys and duplicate keys are errors — a typo must not
  * silently run the wrong experiment.
@@ -44,8 +44,6 @@ const char *toString(ScenarioKind kind);
 struct RuntimePolicy
 {
     unsigned workers = 2;
-    std::string dequeImpl = "chaselev"; ///< "chaselev" | "the"
-    unsigned localityRounds = 1;
     bool parking = true;
     unsigned parkThreshold = 4;
 };

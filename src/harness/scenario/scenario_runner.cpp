@@ -58,10 +58,6 @@ makeRuntimeConfig(const ScenarioConfig &c)
     rc.numWorkers = c.runtime.workers;
     rc.profile = platform::profileByName(c.profile);
     rc.seed = c.seed;
-    rc.deque.impl = c.runtime.dequeImpl == "the"
-        ? runtime::DequeImpl::The
-        : runtime::DequeImpl::ChaseLev;
-    rc.stealPolicy.localityRounds = c.runtime.localityRounds;
     rc.enableParking = c.runtime.parking;
     rc.parkThreshold = c.runtime.parkThreshold;
     rc.enableTempo = c.dvfs.tempo;
@@ -546,10 +542,7 @@ writeScenarioBundle(const std::string &dir,
         out << "# Scenario run: " << result.config.name << "\n\n"
             << "- kind: `" << toString(result.config.kind)
             << "`, seed " << result.config.seed << ", "
-            << result.config.runtime.workers << " workers\n"
-            << "- deque `" << result.config.runtime.dequeImpl
-            << "`, locality rounds "
-            << result.config.runtime.localityRounds << ", tempo "
+            << result.config.runtime.workers << " workers, tempo "
             << (result.config.dvfs.tempo ? result.config.dvfs.policy
                                          : "off")
             << "\n"

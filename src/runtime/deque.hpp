@@ -4,29 +4,23 @@
  *
  * Each worker owns one deque. The owner pushes and pops at the tail;
  * thieves steal at the head, so the head always holds the *least
- * immediate* task under the work-first principle. Two interchangeable
- * synchronization protocols sit behind one API, selected by
- * `DequePolicy::impl`:
+ * immediate* task under the work-first principle. The protocol is
+ * Chase-Lev's, lock-free: a thief claims the head slot with a single
+ * CAS on `head_`; the owner's pop retracts `tail_` and resolves the
+ * last-task race with its own CAS on `head_`. No mutex anywhere —
+ * the full memory-order argument is in docs/STEALING.md ("The
+ * deque").
  *
- *  - **ChaseLev** (default): lock-free. A thief claims the head slot
- *    with a single CAS on `head_`; the owner's pop retracts `tail_`
- *    and resolves the last-task race with its own CAS on `head_`. No
- *    mutex anywhere — the full memory-order argument is in
- *    docs/STEALING.md ("The deque").
- *  - **The**: the paper's THE-style protocol kept for bitwise A/B
- *    replay — push lock-free, pop locking only on the last-task
- *    race, steal always locking (the pre-PR-5 behavior).
- *
- * Both protocols share the ring representation: tasks are stored as
- * their trivially-copyable `Task::Repr` (task.hpp) in zero-filled
- * words (zeroed_words.hpp), written and read word-by-word with
- * relaxed `std::atomic_ref` accesses. The owner's push and pop move
- * only the payload words the closure uses plus the ops, group and
- * owner-counted words (`Task::writeSlot`/`readSlot`). A Chase-Lev
- * steal copies the whole slot before its CAS, which keeps that copy
- * race-free for the sanitizers: only a *successful* head CAS adopts
- * the bytes — a failed CAS discards a possibly-torn copy that never
- * had a constructor or destructor run on it, and no ops pointer is
+ * Tasks are stored as their trivially-copyable `Task::Repr`
+ * (task.hpp) in zero-filled words (zeroed_words.hpp), written and
+ * read word-by-word with relaxed `std::atomic_ref` accesses. The
+ * owner's push and pop move only the payload words the closure uses
+ * plus the ops, group and owner-counted words
+ * (`Task::writeSlot`/`readSlot`). A steal copies the whole slot
+ * before its CAS, which keeps that copy race-free for the
+ * sanitizers: only a *successful* head CAS adopts the bytes — a
+ * failed CAS discards a possibly-torn copy that never had a
+ * constructor or destructor run on it, and no ops pointer is
  * dereferenced before the CAS wins.
  *
  * Index convention (the paper's pseudocode mixes two): items occupy
@@ -42,7 +36,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "runtime/stats.hpp"
@@ -51,26 +44,7 @@
 
 namespace hermes::runtime {
 
-/** Which synchronization protocol a WsDeque runs. */
-enum class DequeImpl
-{
-    ChaseLev, ///< lock-free: steal CAS + owner last-task CAS
-    The       ///< legacy THE protocol (mutex on steal/contended pop)
-};
-
-/**
- * Deque knobs (part of RuntimeConfig).
- *
- * `impl = DequeImpl::The` replays the legacy mutex-guarded THE deque
- * for A/B comparison — same task ordering, same scheduler behavior,
- * zero CAS-retry counters.
- */
-struct DequePolicy
-{
-    DequeImpl impl = DequeImpl::ChaseLev;
-};
-
-/** Owner-push/owner-pop/thief-steal deque (Chase-Lev or THE). */
+/** Owner-push/owner-pop/thief-steal Chase-Lev deque. */
 class WsDeque
 {
   public:
@@ -78,11 +52,9 @@ class WsDeque
      * The ring reserves address space for its capacity and writes
      * nothing: a page becomes resident when a push first reaches it.
      * @param capacity_pow2 ring capacity; rounded up to 2^k
-     * @param policy protocol selection (default lock-free Chase-Lev)
      * @throws std::bad_alloc when the ring cannot be mapped
      */
-    explicit WsDeque(size_t capacity_pow2 = 1 << 13,
-                     DequePolicy policy = {});
+    explicit WsDeque(size_t capacity_pow2 = 1 << 13);
 
     /** Destroys any tasks still queued (releases boxed closures). */
     ~WsDeque();
@@ -92,15 +64,12 @@ class WsDeque
 
     /**
      * Owner pushes a task at the tail (Algorithm 2.2), writing it
-     * straight from the closure into the ring slot. Identical for
-     * both protocols.
+     * straight from the closure into the ring slot.
      *
      * The usable capacity is capacity() - 1: one ring slot stays
      * vacant so the owner can never wrap onto the slot of an
-     * in-flight steal (THE: a thief that claimed the head index but
-     * has not yet moved the task out; Chase-Lev: the same rule is
-     * what guarantees a torn pre-CAS slot copy always loses its
-     * claiming CAS — see push() in deque.cpp).
+     * in-flight steal, which is what guarantees a torn pre-CAS slot
+     * copy always loses its claiming CAS (see push() in deque.cpp).
      *
      * The tail publish is deliberately seq_cst, not release: it is
      * the producer half of the parking Dekker handshake
@@ -129,14 +98,13 @@ class WsDeque
 
     /**
      * Owner pops from the tail — the most immediate task
-     * (Algorithm 2.3). Chase-Lev: retract the tail (seq_cst), then
-     * read the head; only the `head == tail` last-task case runs a
-     * CAS on `head_` against the thieves. THE: the same shape with
-     * the contended case retried under the lock.
+     * (Algorithm 2.3): retract the tail (seq_cst), then read the
+     * head; only the `head == tail` last-task case runs a CAS on
+     * `head_` against the thieves.
      * @param out receives the task on success
      * @param size_after set to the size after a successful pop
-     *        (racy estimate under Chase-Lev: thieves may move the
-     *        head concurrently)
+     *        (racy estimate: thieves may move the head
+     *        concurrently)
      * @return true on success, false if empty (or the last task was
      *         lost to a thief)
      */
@@ -144,42 +112,35 @@ class WsDeque
 
     /**
      * Thief steals from the head — the least immediate task
-     * (Algorithm 2.4). Chase-Lev: copy the head slot, then claim it
-     * with one CAS on `head_`; a failed CAS (another thief or the
-     * owner's last-task pop got there first) returns false and
-     * counts a `stealCasRetries`. THE: claim-then-check under the
-     * lock.
+     * (Algorithm 2.4): copy the head slot, then claim it with one
+     * CAS on `head_`; a failed CAS (another thief or the owner's
+     * last-task pop got there first) returns false and counts a
+     * `stealCasRetries`.
      * @param out receives the task on success
      * @param size_after set to the size after the steal (racy
-     *        estimate under Chase-Lev)
+     *        estimate)
      * @return true on success, false if empty/contended
      */
     bool steal(Task &out, size_t &size_after);
 
     /**
      * Thief steals up to ceil(n/2) tasks from the head, where n is
-     * the size observed on entry.
+     * the size the first claim observes.
      *
-     * Chase-Lev: the grab is a bounded sequence of single-steal
-     * steps — read head and tail (seq_cst), copy the head slot,
-     * claim it with one CAS — aborting on the first contended CAS or
-     * observed emptiness. Each step is the proven single-steal
-     * protocol, which is what makes the grab exactly-once: a single
-     * bulk head CAS after copying k slots could duplicate tasks
-     * against the owner's pop, which frees slots from the tail side
-     * without ever writing `head_` (see docs/STEALING.md for the
-     * interleaving). The last-task race therefore always goes
-     * through the single-steal CAS (`want = 1` when `n == 1`).
-     * Unlike the THE grab there is no lock making the whole batch
-     * atomic against other thieves — an interleaved thief simply
-     * ends the batch early; head order is still globally preserved.
-     *
-     * THE: repeats the single-steal claim-then-check step under one
-     * lock acquisition (the pre-PR-5 behavior, unchanged).
+     * The grab is a run of steal()'s claim step — read head and tail
+     * (seq_cst), copy the head slot, claim it with one CAS — ending
+     * at the first contended CAS or observed emptiness. Each step is
+     * the proven single-steal protocol, which is what makes the grab
+     * exactly-once: a single bulk head CAS after copying k slots
+     * could duplicate tasks against the owner's pop, which frees
+     * slots from the tail side without ever writing `head_` (see
+     * docs/STEALING.md for the interleaving). No lock makes the
+     * batch atomic against other thieves — an interleaved thief
+     * simply ends it early; head order is still globally preserved.
      *
      * @param out tasks are appended; not cleared first
      * @param size_after set to the size remaining after the grab
-     *        (racy estimate under Chase-Lev)
+     *        (racy estimate)
      * @return number of tasks appended (0 if empty/contended)
      */
     size_t stealHalf(std::vector<Task> &out, size_t &size_after);
@@ -192,15 +153,8 @@ class WsDeque
 
     size_t capacity() const { return mask_ + 1; }
 
-    /** The protocol this deque runs. */
-    DequeImpl impl() const { return impl_; }
-
-    /**
-     * Failed steal claims: Chase-Lev head-CAS losses (another thief
-     * or the owner won the slot); THE claim-undo events (a racing
-     * pop emptied the claimed slot). The thief-contention signal of
-     * the chaselev-vs-the A/B.
-     */
+    /** Failed steal claims: head-CAS losses to another thief or to
+     * the owner's last-task pop. The thief-contention signal. */
     uint64_t
     stealCasRetries() const
     {
@@ -208,9 +162,7 @@ class WsDeque
     }
 
     /** Owner pops that lost the last-task race to a thief — the
-     * owner's head CAS failed. Chase-Lev only: the THE replay
-     * cannot separate a lost race from plain empty without extra
-     * state and keeps this at 0. */
+     * owner's head CAS failed. */
     uint64_t
     popCasLosses() const
     {
@@ -218,21 +170,24 @@ class WsDeque
     }
 
   private:
-    bool popChaseLev(Task &out, size_t &size_after);
-    bool popThe(Task &out, size_t &size_after);
-    bool stealChaseLev(Task &out, size_t &size_after);
-    bool stealThe(Task &out, size_t &size_after);
-    size_t stealHalfChaseLev(std::vector<Task> &out,
-                             size_t &size_after);
-    size_t stealHalfThe(std::vector<Task> &out, size_t &size_after);
+    /**
+     * The claim step of every steal: read head, then tail (seq_cst),
+     * copy the head slot, claim it with one CAS on `head_`.
+     * @param repr receives the claimed slot; unspecified unless the
+     *        claim wins
+     * @return the size seen before the claim, or 0 when the deque
+     *         looked empty or the CAS lost (counted in
+     *         `stealCasRetries`)
+     */
+    int64_t claimHead(Task::Repr &repr);
 
     /** First of the Task::kSlotWords words of ring slot `index`. */
     uint64_t *slotAt(int64_t index) const;
 
     /** Read the whole of ring slot `index` as relocated bytes
-     * (relaxed per-word atomic loads). Under Chase-Lev the result
-     * may be torn when the owner concurrently wraps onto the slot —
-     * callers must discard it unless their claiming CAS succeeds. */
+     * (relaxed per-word atomic loads). The result may be torn when
+     * the owner concurrently wraps onto the slot — callers must
+     * discard it unless their claiming CAS succeeds. */
     Task::Repr loadSlot(int64_t index) const;
 
     size_t mask_;
@@ -242,7 +197,6 @@ class WsDeque
      * races the owner's wrap-around overwrite. The words sit on zero
      * pages: one no push wrote reads as zero (see the constructor). */
     ZeroedWords slots_;
-    DequeImpl impl_;
     // Index words. All cross-thread accesses that arbitrate
     // ownership (tail publish/retract, head reads in pop/steal, the
     // claiming CASes) are seq_cst: the single total order S is what
@@ -252,8 +206,6 @@ class WsDeque
     // empty fast path) are weaker — each is annotated at its site.
     std::atomic<int64_t> head_{0};
     std::atomic<int64_t> tail_{0};
-    /** THE protocol only; untouched by Chase-Lev. */
-    std::mutex lock_;
     /** Written by every thief: keeps its `fetch_add`. */
     std::atomic<uint64_t> stealCasRetries_{0};
     /** Written only by the owner's pop: `ownedAdd` (stats.hpp). */

@@ -7,13 +7,13 @@
 #define HERMES_RUNTIME_RUNTIME_CONFIG_HPP
 
 #include <cstdint>
+#include <optional>
 #include <thread>
 
 #include "core/policy.hpp"
 #include "platform/system_profile.hpp"
-#include "runtime/deque.hpp"
+#include "platform/topology.hpp"
 #include "runtime/inject_queue.hpp"
-#include "runtime/steal_policy.hpp"
 
 namespace hermes::runtime {
 
@@ -59,9 +59,15 @@ struct RuntimeConfig
     /** Victim-selection RNG seed. */
     uint64_t seed = 0x9e3779b97f4a7c15ULL;
 
-    /** Stealing policy: locality-aware victim ordering and the
-     * worker → domain map override (docs/STEALING.md). */
-    StealPolicy stealPolicy{};
+    /**
+     * Worker → domain override for tests and simulation; the hunt's
+     * same-domain pass follows it (docs/STEALING.md). When unset the
+     * runtime derives the map from the platform topology and the
+     * planned worker → core placement, degrading to one domain on
+     * unknown hardware. Must cover exactly numWorkers workers when
+     * set.
+     */
+    std::optional<platform::DomainMap> domainMap{};
 
     /** External-submission policy: per-shard ring capacity of the
      * lock-free inject queue, one shard per domain
@@ -86,11 +92,6 @@ struct RuntimeConfig
 
     /** Per-worker deque ring capacity (rounded up to 2^k). */
     size_t dequeCapacity = 1 << 13;
-
-    /** Deque protocol: the lock-free Chase-Lev deque (default) or
-     * the legacy mutex-guarded THE deque (`DequeImpl::The`) for A/B
-     * replay (docs/STEALING.md, "The deque"). */
-    DequePolicy deque{};
 
     static unsigned
     defaultWorkers()

@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "platform/affinity.hpp"
+#include "runtime/steal_policy.hpp"
 #include "runtime/sync.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -91,13 +92,13 @@ platform::DomainMap
 resolveDomainMap(const RuntimeConfig &config,
                  const std::vector<platform::CoreId> &planned_cores)
 {
-    if (!config.stealPolicy.domainMap.has_value()) {
+    if (!config.domainMap.has_value()) {
         return platform::DomainMap::fromTopology(config.profile.topology,
                                                  planned_cores);
     }
-    const platform::DomainMap &map = *config.stealPolicy.domainMap;
+    const platform::DomainMap &map = *config.domainMap;
     if (map.numWorkers() != config.numWorkers) {
-        util::fatal("StealPolicy::domainMap covers "
+        util::fatal("RuntimeConfig::domainMap covers "
                     + std::to_string(map.numWorkers())
                     + " workers but the runtime has "
                     + std::to_string(config.numWorkers));
@@ -167,7 +168,7 @@ Runtime::Runtime(RuntimeConfig config)
     workers_.reserve(config_.numWorkers);
     for (unsigned w = 0; w < config_.numWorkers; ++w) {
         workers_.push_back(std::make_unique<WorkerState>(
-            config_.dequeCapacity, config_.deque));
+            config_.dequeCapacity));
     }
     // Threads start only after every member is in place.
     for (unsigned w = 0; w < config_.numWorkers; ++w)
@@ -540,8 +541,8 @@ Runtime::findAndExecute(core::WorkerId id)
     }
 
     // SELECT victims and STEAL from the head of their deques. One
-    // hunt probes same-domain victims first (localityRounds passes),
-    // then every other worker once from a random position
+    // hunt probes same-domain victims first (one pass), then every
+    // other worker once from a random position
     // (steal_policy.hpp) — a hunt that probed a single victim per
     // scheduler iteration could miss the only busy one and drop into
     // backoff, which is how the pool used to serialize on short
@@ -551,9 +552,7 @@ Runtime::findAndExecute(core::WorkerId id)
         // ids, so thieves do not chase the same victims in lockstep.
         thread_local util::Rng rng(util::mix64(config_.seed, id));
         appendVictimOrder(rng, id, config_.numWorkers,
-                          localPeers_[id],
-                          config_.stealPolicy.localityRounds,
-                          ws.huntOrder);
+                          localPeers_[id], ws.huntOrder);
         for (const auto victim : ws.huntOrder) {
             if (tryStealFrom(id, victim))
                 return true;
@@ -877,12 +876,6 @@ Runtime::stallWorker(core::WorkerId w, uint64_t nanos)
     HERMES_ASSERT(w < workers_.size(), "worker out of range");
     workers_[w]->stallNanosRequested.store(
         nanos, std::memory_order_relaxed);
-}
-
-uint64_t
-Runtime::droppedHandleErrors() const
-{
-    return droppedHandleErrors_.load(std::memory_order_relaxed);
 }
 
 unsigned

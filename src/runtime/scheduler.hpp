@@ -223,10 +223,6 @@ class Runtime
      */
     void stallWorker(core::WorkerId w, uint64_t nanos);
 
-    /** Task exceptions swallowed by the submit-handle release drain
-     * (see SubmitHandle) — also in RuntimeStats::droppedHandleErrors. */
-    uint64_t droppedHandleErrors() const;
-
     /** Counters of a single worker (`injected`, `localWakes`,
      * `remoteWakes`, and the inject-path counters are always 0
      * here: injection, wake selection, and inject drains are
@@ -252,7 +248,7 @@ class Runtime
     platform::CoreId coreOf(core::WorkerId w) const;
 
     /** The worker → domain map steering victim and wake selection
-     * (from `StealPolicy::domainMap` or derived from the platform
+     * (from `RuntimeConfig::domainMap` or derived from the platform
      * topology; single-domain on unknown hardware). */
     const platform::DomainMap &domainMap() const { return domainMap_; }
 
@@ -278,8 +274,8 @@ class Runtime
      */
     struct alignas(64) WorkerState
     {
-        WorkerState(size_t deque_capacity, DequePolicy deque_policy)
-            : deque(deque_capacity, deque_policy)
+        explicit WorkerState(size_t deque_capacity)
+            : deque(deque_capacity)
         {}
 
         WsDeque deque;

@@ -65,8 +65,8 @@ struct RuntimeStats
     uint64_t injectSpill = 0;     ///< injects overflowing to the spillover deque
     uint64_t injectShardHits = 0; ///< inject pops served by the consumer's own-domain shard (0 when the queue has a single shard — nothing to measure)
     uint64_t injectDrainBack = 0; ///< spilled tasks moved back into a ring with room (FIFO recovery under sustained overflow)
-    uint64_t stealCasRetries = 0; ///< failed steal claims: Chase-Lev head-CAS losses / THE claim-undos against a racing pop
-    uint64_t popCasLosses = 0;    ///< owner pops that lost the last-task CAS to a thief (Chase-Lev deque only)
+    uint64_t stealCasRetries = 0; ///< failed steal claims: head-CAS losses to another thief or the owner's last-task pop
+    uint64_t popCasLosses = 0;    ///< owner pops that lost the last-task CAS to a thief
     uint64_t droppedHandleErrors = 0; ///< task exceptions swallowed by the submit-handle release drain (the handle was dropped without wait(); see SubmitHandle)
 
     /** Histogram of tasks landed per successful steal (see
@@ -79,9 +79,8 @@ struct RuntimeStats
      * submissions queue up before a worker drains them. */
     std::array<uint64_t, kInjectDrainBuckets> injectDrain{};
 
-    /** Share of injected tasks that took the lock-free fast path
-     * (0 when nothing was injected; always 0 on the legacy mutex
-     * queue, whose entries count in neither bucket). */
+    /** Share of injected tasks that landed in a ring shard rather
+     * than the spillover deque (0 when nothing was injected). */
     double
     injectFastFraction() const
     {

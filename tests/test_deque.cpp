@@ -1,7 +1,5 @@
-/** @file Unit tests for the work-stealing deque, run against both
- * protocols (lock-free Chase-Lev and the legacy THE replay) —
- * `DequePolicy::impl = the` must produce identical results — and
- * for the zero-page memory its ring lives on. */
+/** @file Unit tests for the Chase-Lev work-stealing deque and for
+ * the zero-page memory its ring lives on. */
 
 #include <new>
 
@@ -9,8 +7,6 @@
 
 #include "runtime/deque.hpp"
 
-using hermes::runtime::DequeImpl;
-using hermes::runtime::DequePolicy;
 using hermes::runtime::Task;
 using hermes::runtime::WsDeque;
 
@@ -30,21 +26,19 @@ runTag(Task &t, std::vector<int> &sink)
     return sink.back();
 }
 
-/** Both protocols behind one fixture: every behavioral test below
- * runs twice, which is the `impl = the` replay guarantee. */
-class WsDequeBoth : public testing::TestWithParam<DequeImpl>
+class WsDequeTest : public testing::Test
 {
   protected:
-    WsDeque
-    make(size_t capacity = 1 << 13) const
+    static WsDeque
+    make(size_t capacity = 1 << 13)
     {
-        return WsDeque(capacity, DequePolicy{GetParam()});
+        return WsDeque(capacity);
     }
 };
 
 } // namespace
 
-TEST_P(WsDequeBoth, StartsEmpty)
+TEST_F(WsDequeTest, StartsEmpty)
 {
     WsDeque d = make();
     EXPECT_TRUE(d.empty());
@@ -55,7 +49,7 @@ TEST_P(WsDequeBoth, StartsEmpty)
     EXPECT_FALSE(d.steal(out, sz));
 }
 
-TEST_P(WsDequeBoth, PopIsLifo)
+TEST_F(WsDequeTest, PopIsLifo)
 {
     // The owner pops the most recently pushed (most immediate) task.
     WsDeque d = make();
@@ -73,7 +67,7 @@ TEST_P(WsDequeBoth, PopIsLifo)
     EXPECT_TRUE(d.empty());
 }
 
-TEST_P(WsDequeBoth, StealIsFifo)
+TEST_F(WsDequeTest, StealIsFifo)
 {
     // Thieves take the head: the earliest-pushed, least immediate
     // task (the work-first ordering HERMES relies on).
@@ -91,7 +85,7 @@ TEST_P(WsDequeBoth, StealIsFifo)
     EXPECT_FALSE(d.steal(out, sz));
 }
 
-TEST_P(WsDequeBoth, MixedPopAndSteal)
+TEST_F(WsDequeTest, MixedPopAndSteal)
 {
     WsDeque d = make();
     std::vector<int> sink;
@@ -113,7 +107,7 @@ TEST_P(WsDequeBoth, MixedPopAndSteal)
     EXPECT_TRUE(d.empty());
 }
 
-TEST_P(WsDequeBoth, ReportsSizeAfterEachOperation)
+TEST_F(WsDequeTest, ReportsSizeAfterEachOperation)
 {
     WsDeque d = make();
     std::vector<int> sink;
@@ -129,7 +123,7 @@ TEST_P(WsDequeBoth, ReportsSizeAfterEachOperation)
     EXPECT_EQ(sz, 0u);
 }
 
-TEST_P(WsDequeBoth, FullRingRejectsPush)
+TEST_F(WsDequeTest, FullRingRejectsPush)
 {
     WsDeque d = make(4); // ring of 4: usable capacity is 3 (push())
     std::vector<int> sink;
@@ -143,7 +137,7 @@ TEST_P(WsDequeBoth, FullRingRejectsPush)
     EXPECT_TRUE(d.push(tagged(5, sink), sz));
 }
 
-TEST_P(WsDequeBoth, WrapsAroundTheRing)
+TEST_F(WsDequeTest, WrapsAroundTheRing)
 {
     WsDeque d = make(4);
     std::vector<int> sink;
@@ -161,7 +155,7 @@ TEST_P(WsDequeBoth, WrapsAroundTheRing)
     EXPECT_TRUE(d.empty());
 }
 
-TEST_P(WsDequeBoth, CapacityRoundsToPowerOfTwo)
+TEST_F(WsDequeTest, CapacityRoundsToPowerOfTwo)
 {
     WsDeque d = make(5);
     EXPECT_EQ(d.capacity(), 8u);
@@ -169,7 +163,7 @@ TEST_P(WsDequeBoth, CapacityRoundsToPowerOfTwo)
     EXPECT_EQ(d2.capacity(), 2u);
 }
 
-TEST_P(WsDequeBoth, StealHalfTakesCeilHalfFromTheHead)
+TEST_F(WsDequeTest, StealHalfTakesCeilHalfFromTheHead)
 {
     WsDeque d = make();
     std::vector<int> sink;
@@ -195,7 +189,7 @@ TEST_P(WsDequeBoth, StealHalfTakesCeilHalfFromTheHead)
     EXPECT_TRUE(d.empty());
 }
 
-TEST_P(WsDequeBoth, StealHalfOnEmptyAndSingleton)
+TEST_F(WsDequeTest, StealHalfOnEmptyAndSingleton)
 {
     WsDeque d = make();
     std::vector<int> sink;
@@ -216,7 +210,7 @@ TEST_P(WsDequeBoth, StealHalfOnEmptyAndSingleton)
     EXPECT_TRUE(d.empty());
 }
 
-TEST_P(WsDequeBoth, StealHalfAppendsWithoutClearing)
+TEST_F(WsDequeTest, StealHalfAppendsWithoutClearing)
 {
     WsDeque d = make();
     std::vector<int> sink;
@@ -232,7 +226,7 @@ TEST_P(WsDequeBoth, StealHalfAppendsWithoutClearing)
     EXPECT_EQ(runTag(out[1], sink), 1);
 }
 
-TEST_P(WsDequeBoth, StealHalfInterleavesWithSingleSteal)
+TEST_F(WsDequeTest, StealHalfInterleavesWithSingleSteal)
 {
     // Both steal flavors drain the same head without gaps.
     WsDeque d = make();
@@ -255,10 +249,10 @@ TEST_P(WsDequeBoth, StealHalfInterleavesWithSingleSteal)
     EXPECT_EQ(d.size(), 2u);
 }
 
-TEST_P(WsDequeBoth, QuiescentOpsRecordNoCasRetries)
+TEST_F(WsDequeTest, QuiescentOpsRecordNoCasRetries)
 {
-    // Without contention neither protocol loses a claim, so the
-    // retry counters — the A/B contention signal — stay at zero.
+    // Without contention no claim is lost, so the retry counters —
+    // the contention signal — stay at zero.
     WsDeque d = make();
     std::vector<int> sink;
     size_t sz = 0;
@@ -273,7 +267,7 @@ TEST_P(WsDequeBoth, QuiescentOpsRecordNoCasRetries)
     EXPECT_EQ(d.popCasLosses(), 0u);
 }
 
-TEST_P(WsDequeBoth, DestructorReleasesQueuedClosures)
+TEST_F(WsDequeTest, DestructorReleasesQueuedClosures)
 {
     // Tasks still queued at destruction own their closures; an
     // oversized (boxed) capture must be freed by the deque teardown.
@@ -288,22 +282,6 @@ TEST_P(WsDequeBoth, DestructorReleasesQueuedClosures)
         EXPECT_FALSE(watch.expired()); // the queued task holds it
     }
     EXPECT_TRUE(watch.expired());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Impls, WsDequeBoth,
-    testing::Values(DequeImpl::ChaseLev, DequeImpl::The),
-    [](const testing::TestParamInfo<DequeImpl> &info) {
-        return info.param == DequeImpl::ChaseLev ? "ChaseLev"
-                                                 : "The";
-    });
-
-TEST(DequePolicy, DefaultsToChaseLevAndReplaysThe)
-{
-    WsDeque def;
-    EXPECT_EQ(def.impl(), DequeImpl::ChaseLev);
-    WsDeque legacy(8, DequePolicy{DequeImpl::The});
-    EXPECT_EQ(legacy.impl(), DequeImpl::The);
 }
 
 TEST(ZeroedWords, ReadsZeroUntilWrittenAndThrowsWhenUnmappable)

@@ -1,14 +1,12 @@
 /**
  * @file
- * Concurrency stress for both deque protocols: an owner
+ * Concurrency stress for the Chase-Lev deque: an owner
  * pushing/popping against multiple thieves — single-task steal() and
  * bulk stealHalf() mixed — must hand every task to exactly one
- * consumer, no losses, no duplicates. Runs against the lock-free
- * Chase-Lev deque (where the races are the steal CAS vs the owner's
- * retract/last-task CAS, and the torn-copy-discard rule of the slot
- * words) and the legacy THE replay (the lock-based single-item
- * contention case of Section 2). The wrap-around torture uses a tiny
- * ring so the one-vacant-slot rule and the Chase-Lev
+ * consumer, no losses, no duplicates. The races are the steal CAS
+ * vs the owner's retract/last-task CAS, and the torn-copy-discard
+ * rule of the slot words. The wrap-around torture uses a tiny ring
+ * so the one-vacant-slot rule and the
  * overwrite-implies-CAS-failure argument (docs/STEALING.md) are
  * exercised thousands of laps deep. These suites are part of the
  * TSan/ASan CI matrix and the multicore-stress --repeat job.
@@ -23,8 +21,6 @@
 #include "runtime/deque.hpp"
 #include "util/rng.hpp"
 
-using hermes::runtime::DequeImpl;
-using hermes::runtime::DequePolicy;
 using hermes::runtime::Task;
 using hermes::runtime::WsDeque;
 
@@ -32,7 +28,6 @@ namespace {
 
 struct StressParams
 {
-    DequeImpl impl;
     int thieves;
     int items;
     uint64_t seed;
@@ -41,18 +36,12 @@ struct StressParams
 class DequeStress : public testing::TestWithParam<StressParams>
 {};
 
-std::string
-implName(DequeImpl impl)
-{
-    return impl == DequeImpl::ChaseLev ? "ChaseLev" : "The";
-}
-
 } // namespace
 
 TEST_P(DequeStress, EveryTaskConsumedExactlyOnce)
 {
     const auto p = GetParam();
-    WsDeque deque(1 << 12, DequePolicy{p.impl});
+    WsDeque deque(1 << 12);
     std::vector<std::atomic<int>> consumed(
         static_cast<size_t>(p.items));
     for (auto &c : consumed)
@@ -123,24 +112,18 @@ TEST_P(DequeStress, EveryTaskConsumedExactlyOnce)
 INSTANTIATE_TEST_SUITE_P(
     Mixes, DequeStress,
     testing::Values(
-        StressParams{DequeImpl::ChaseLev, 1, 20000, 1},
-        StressParams{DequeImpl::ChaseLev, 2, 20000, 2},
-        StressParams{DequeImpl::ChaseLev, 4, 40000, 3},
-        StressParams{DequeImpl::ChaseLev, 8, 40000, 4},
-        StressParams{DequeImpl::The, 1, 20000, 1},
-        StressParams{DequeImpl::The, 2, 20000, 2},
-        StressParams{DequeImpl::The, 4, 40000, 3},
-        StressParams{DequeImpl::The, 8, 40000, 4}),
+        StressParams{1, 20000, 1},
+        StressParams{2, 20000, 2},
+        StressParams{4, 40000, 3},
+        StressParams{8, 40000, 4}),
     [](const testing::TestParamInfo<StressParams> &info) {
-        return implName(info.param.impl)
-            + std::to_string(info.param.thieves) + "Thieves";
+        return std::to_string(info.param.thieves) + "Thieves";
     });
 
 namespace {
 
 struct BulkStressParams
 {
-    DequeImpl impl;
     int singleThieves;
     int bulkThieves;
     int items;
@@ -158,11 +141,10 @@ TEST_P(DequeBulkStress, MixedSingleAndBulkThievesLoseNothing)
     // single thieves and the owner's push/pop loop race them. Every
     // task must be consumed exactly once — a lost task shows up as a
     // zero count, a duplicated one as a count above 1 (the
-    // exactly-once claim of docs/STEALING.md; under Chase-Lev this is
-    // precisely what the per-task claim CAS buys over a bulk head
-    // CAS).
+    // exactly-once claim of docs/STEALING.md; this is precisely what
+    // the per-task claim CAS buys over a bulk head CAS).
     const auto p = GetParam();
-    WsDeque deque(1 << 10, DequePolicy{p.impl}); // small: wrap-around
+    WsDeque deque(1 << 10); // small: wrap-around
     std::vector<std::atomic<int>> consumed(
         static_cast<size_t>(p.items));
     for (auto &c : consumed)
@@ -251,41 +233,28 @@ TEST_P(DequeBulkStress, MixedSingleAndBulkThievesLoseNothing)
 INSTANTIATE_TEST_SUITE_P(
     Mixes, DequeBulkStress,
     testing::Values(
-        BulkStressParams{DequeImpl::ChaseLev, 0, 1, 20000},
-        BulkStressParams{DequeImpl::ChaseLev, 0, 4, 40000},
-        BulkStressParams{DequeImpl::ChaseLev, 2, 2, 40000},
-        BulkStressParams{DequeImpl::ChaseLev, 4, 4, 60000},
-        BulkStressParams{DequeImpl::The, 0, 1, 20000},
-        BulkStressParams{DequeImpl::The, 0, 4, 40000},
-        BulkStressParams{DequeImpl::The, 2, 2, 40000},
-        BulkStressParams{DequeImpl::The, 4, 4, 60000}),
+        BulkStressParams{0, 1, 20000},
+        BulkStressParams{0, 4, 40000},
+        BulkStressParams{2, 2, 40000},
+        BulkStressParams{4, 4, 60000}),
     [](const testing::TestParamInfo<BulkStressParams> &info) {
-        return implName(info.param.impl)
-            + std::to_string(info.param.singleThieves) + "Single"
+        return std::to_string(info.param.singleThieves) + "Single"
             + std::to_string(info.param.bulkThieves) + "Bulk";
     });
 
-namespace {
-
-class DequeWrapTorture : public testing::TestWithParam<DequeImpl>
-{};
-
-} // namespace
-
-TEST_P(DequeWrapTorture, TinyRingManyLapsMixedOps)
+TEST(DequeWrapTorture, TinyRingManyLapsMixedOps)
 {
-    // The dedicated Chase-Lev wrap-around torture (run against THE
-    // too, for parity): a 64-slot ring cycled thousands of laps
+    // The dedicated wrap-around torture: a 64-slot ring cycled
+    // thousands of laps
     // while 4 thieves mix single steals and bulk grabs against the
     // owner's push/pop loop. Index wrap-around means every physical
     // slot is reused constantly, so a thief's pre-CAS slot copy
     // regularly races the owner's overwrite — the
     // torn-copy-must-lose-its-CAS rule (docs/STEALING.md) is load-
     // bearing here, and TSan sees the relaxed word traffic directly.
-    const DequeImpl impl = GetParam();
     constexpr int kItems = 60000;
     constexpr int kThieves = 4;
-    WsDeque deque(64, DequePolicy{impl});
+    WsDeque deque(64);
     std::vector<std::atomic<int>> consumed(kItems);
     for (auto &c : consumed)
         c.store(0);
@@ -367,19 +336,7 @@ TEST_P(DequeWrapTorture, TinyRingManyLapsMixedOps)
             << "task " << i << " consumed wrong number of times";
     }
     EXPECT_EQ(popped + stolen.load(), kItems);
-    if (impl == DequeImpl::The) {
-        // The THE replay never runs the lock-free owner pop, so the
-        // Chase-Lev-only counter must stay silent.
-        EXPECT_EQ(deque.popCasLosses(), 0u);
-    }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Impls, DequeWrapTorture,
-    testing::Values(DequeImpl::ChaseLev, DequeImpl::The),
-    [](const testing::TestParamInfo<DequeImpl> &info) {
-        return implName(info.param);
-    });
 
 TEST(DequeContention, SingleItemTugOfWar)
 {

@@ -72,8 +72,9 @@ TEST(Integration, UnifiedBalancesSavingsAgainstLoss)
     // Averaged over benchmarks: unified saves more energy than
     // workpath-only, while workload-only (which lacks the relay and
     // the head guard) over-slows — more raw savings but materially
-    // more time loss than unified. See EXPERIMENTS.md for how this
-    // compares with the paper's Figures 10-13.
+    // more time loss than unified. bench/fig10_11_ablation_a.cpp and
+    // bench/fig12_13_ablation_b.cpp print the same comparison as the
+    // paper's Figures 10-13.
     double unified_e = 0.0, workpath_e = 0.0, workload_e = 0.0;
     double unified_t = 0.0, workload_t = 0.0;
     double unified_edp = 0.0;

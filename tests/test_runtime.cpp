@@ -334,46 +334,6 @@ TEST(Runtime, StealParticipationUnderSustainedLoad)
         << total.executed << " tasks";
 }
 
-TEST(Runtime, TheDequeReplayMatchesChaseLevResults)
-{
-    // `DequePolicy::impl = The` swaps the lock-free Chase-Lev deque
-    // back for the legacy mutex-guarded THE protocol. The scheduler
-    // above it must behave identically: same results, same task
-    // accounting, steals still happening — and the Chase-Lev CAS
-    // counters must stay silent.
-    for (const bool legacy : {false, true}) {
-        auto cfg = config(4);
-        cfg.deque.impl = legacy ? runtime::DequeImpl::The
-                                : runtime::DequeImpl::ChaseLev;
-        Runtime rt(cfg);
-
-        std::atomic<size_t> done{0};
-        for (int rep = 0; rep < 2; ++rep) {
-            rt.run([&] {
-                runtime::parallelFor(rt, 0, 1000, 1, [&](size_t) {
-                    const auto until =
-                        std::chrono::steady_clock::now()
-                        + std::chrono::microseconds(20);
-                    while (std::chrono::steady_clock::now()
-                           < until) {
-                    }
-                    done.fetch_add(1, std::memory_order_relaxed);
-                });
-            });
-        }
-        EXPECT_EQ(done.load(), 2000u);
-
-        const auto s = rt.stats();
-        EXPECT_GT(s.steals, 0u);
-        EXPECT_EQ(s.executed,
-                  s.pops + s.steals + s.injected + s.inlined);
-        if (legacy) {
-            // The lock-free owner pop never runs under THE.
-            EXPECT_EQ(s.popCasLosses, 0u);
-        }
-    }
-}
-
 TEST(Runtime, TinyDequeInlinesInsteadOfDeadlocking)
 {
     auto cfg = config(2);

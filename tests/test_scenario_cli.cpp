@@ -198,7 +198,8 @@ TEST_F(ScenarioCli, ValidateRejectsMalformedWithPointer)
     // appear — a file that still names one must not silently run
     // the default path instead.
     for (const std::string key :
-         {"lock_free_inject", "steal_half", "adaptive_locality"}) {
+         {"lock_free_inject", "steal_half", "adaptive_locality", "deque",
+          "locality_rounds"}) {
         writeFile("retired.json", R"({"name": "r", "kind": "fork_join",
   "runtime": {")" + key + R"(": true}})");
         EXPECT_EQ(run("validate " + path("retired.json"), &output), 3)

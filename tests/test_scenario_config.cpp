@@ -44,8 +44,7 @@ TEST(ScenarioConfig, MinimalDocumentResolvesDefaults)
     EXPECT_EQ(r.config.name, "x");
     EXPECT_EQ(r.config.kind, ScenarioKind::kForkJoin);
     EXPECT_EQ(r.config.runtime.workers, 2u);
-    EXPECT_EQ(r.config.runtime.dequeImpl, "chaselev");
-    EXPECT_EQ(r.config.runtime.localityRounds, 1u);
+    EXPECT_EQ(r.config.runtime.parkThreshold, 4u);
     EXPECT_EQ(r.config.forkJoin.tasks, 256u);
     EXPECT_TRUE(r.config.thresholds.empty());
 }
@@ -134,7 +133,7 @@ TEST(ScenarioConfig, CanonicalEchoIsAFixpoint)
 {
     const ScenarioLoadResult first = parseScenario(
         R"({"name": "x", "kind": "serve", "seed": 9,
-            "runtime": {"workers": 3, "deque": "the"},
+            "runtime": {"workers": 3, "park_threshold": 16},
             "serve": {"rate_per_sec": 500},
             "thresholds": {"shed": {"direction": "lower"}}})");
     ASSERT_TRUE(first.ok) << joined(first);
@@ -157,8 +156,7 @@ seedDocument()
 {
     const ScenarioLoadResult base = parseScenario(
         R"({"name": "fuzz_seed", "kind": "serve",
-            "runtime": {"workers": 2, "deque": "the",
-                        "locality_rounds": 0},
+            "runtime": {"workers": 2, "park_threshold": 16},
             "serve": {"rate_per_sec": 100, "duration_sec": 0.1},
             "thresholds": {
               "completed_eq_accepted": {"direction": "higher"},

@@ -1,9 +1,9 @@
 /**
  * @file
- * The stealing-policy layer: victim probe order (locality passes,
- * legacy-ring reproduction under localityRounds=0), the runtime's
- * domain wiring, bulk-steal accounting, and locality/wake stats under
- * a synthetic 2-domain DomainMap.
+ * The stealing-policy layer: victim probe order (the locality pass,
+ * uniform-ring reproduction when it is skipped), the runtime's domain
+ * wiring, bulk-steal accounting, and locality/wake stats under a
+ * synthetic 2-domain DomainMap.
  */
 
 #include <algorithm>
@@ -24,11 +24,11 @@ using runtime::RuntimeConfig;
 
 namespace {
 
-/** The pre-locality hunt: every other worker once from a random
- * start, one RNG draw — the order the scheduler used before the
- * policy layer existed. */
+/** The uniform hunt: every other worker once from a random start,
+ * one RNG draw — the order a hunt follows when the locality pass is
+ * skipped. */
 std::vector<core::WorkerId>
-legacyRing(util::Rng &rng, core::WorkerId self, unsigned n)
+uniformRing(util::Rng &rng, core::WorkerId self, unsigned n)
 {
     std::vector<core::WorkerId> order;
     const auto start = static_cast<unsigned>(
@@ -49,45 +49,35 @@ twoDomainConfig(unsigned workers_per_domain = 2)
     std::vector<platform::DomainId> map;
     for (unsigned w = 0; w < cfg.numWorkers; ++w)
         map.push_back(w < workers_per_domain ? 0u : 1u);
-    cfg.stealPolicy.domainMap = platform::DomainMap(std::move(map));
+    cfg.domainMap = platform::DomainMap(std::move(map));
     return cfg;
 }
 
 } // namespace
 
-TEST(VictimOrder, LocalityRoundsZeroReplaysTheLegacyRingBitwise)
+TEST(VictimOrder, SkippedPassStaysOnTheUniformStream)
 {
-    // The global start is drawn *after* the (absent) locality pass,
-    // so the RNG stream — and with it every victim order — must be
-    // bitwise-identical to the legacy uniform ring across a long run
-    // of hunts sharing one generator.
-    const uint64_t seed = util::mix64(0x9e3779b97f4a7c15ULL, 2);
-    util::Rng legacy_rng(seed);
-    util::Rng policy_rng(seed);
-    const unsigned n = 8;
-    const std::vector<core::WorkerId> peers{0, 1, 3}; // ignored at 0 rounds
-    std::vector<core::WorkerId> order;
-    for (int hunt = 0; hunt < 1000; ++hunt) {
-        appendVictimOrder(policy_rng, 2, n, peers, 0, order);
-        ASSERT_EQ(order, legacyRing(legacy_rng, 2, n))
-            << "hunt " << hunt << " diverged";
-    }
-}
-
-TEST(VictimOrder, SingleDomainPassIsSkippedAndStaysOnLegacyStream)
-{
-    // When every other worker is a local peer the locality pass adds
-    // nothing; it must be skipped so the default single-domain
-    // configuration keeps the legacy stream even with rounds > 0.
-    const uint64_t seed = 42;
-    util::Rng legacy_rng(seed);
-    util::Rng policy_rng(seed);
-    const unsigned n = 4;
-    const std::vector<core::WorkerId> all_peers{0, 2, 3};
-    std::vector<core::WorkerId> order;
-    for (int hunt = 0; hunt < 100; ++hunt) {
-        appendVictimOrder(policy_rng, 1, n, all_peers, 3, order);
-        ASSERT_EQ(order, legacyRing(legacy_rng, 1, n));
+    // The locality pass is skipped when it would add nothing: every
+    // other worker a local peer (single-domain maps), or none (one
+    // worker per domain, the host profile's placement while
+    // workers <= cores). A skipped pass draws nothing, so every hunt
+    // of a long run shares the uniform ring's stream.
+    struct Case
+    {
+        unsigned n;
+        core::WorkerId self;
+        std::vector<core::WorkerId> peers;
+    };
+    for (const Case &c : {Case{4, 1, {0, 2, 3}}, Case{8, 2, {}}}) {
+        const uint64_t seed = util::mix64(0x9e3779b97f4a7c15ULL, c.self);
+        util::Rng uniform_rng(seed);
+        util::Rng policy_rng(seed);
+        std::vector<core::WorkerId> order;
+        for (int hunt = 0; hunt < 1000; ++hunt) {
+            appendVictimOrder(policy_rng, c.self, c.n, c.peers, order);
+            ASSERT_EQ(order, uniformRing(uniform_rng, c.self, c.n))
+                << c.peers.size() << " peers, hunt " << hunt;
+        }
     }
 }
 
@@ -100,7 +90,7 @@ TEST(VictimOrder, SameDomainVictimsAreProbedBeforeRemoteOnes)
     const std::vector<core::WorkerId> peers{4, 6, 7}; // self = 5
     std::vector<core::WorkerId> order;
     for (int hunt = 0; hunt < 200; ++hunt) {
-        appendVictimOrder(rng, 5, n, peers, 1, order);
+        appendVictimOrder(rng, 5, n, peers, order);
         // One locality pass + the full ring minus self.
         ASSERT_EQ(order.size(), peers.size() + (n - 1));
         // The first |peers| probes are exactly the local peers.
@@ -120,27 +110,15 @@ TEST(VictimOrder, SameDomainVictimsAreProbedBeforeRemoteOnes)
     }
 }
 
-TEST(VictimOrder, ExtraLocalityRoundsRepeatTheDomainPass)
-{
-    util::Rng rng(9);
-    const std::vector<core::WorkerId> peers{1};
-    std::vector<core::WorkerId> order;
-    appendVictimOrder(rng, 0, 4, peers, 3, order);
-    ASSERT_EQ(order.size(), 3u + 3u);
-    EXPECT_EQ(order[0], 1u);
-    EXPECT_EQ(order[1], 1u);
-    EXPECT_EQ(order[2], 1u);
-}
-
 TEST(VictimOrder, SingleWorkerPoolHasNoVictims)
 {
     util::Rng rng(1);
     std::vector<core::WorkerId> order{99};
-    appendVictimOrder(rng, 0, 1, {}, 1, order);
+    appendVictimOrder(rng, 0, 1, {}, order);
     EXPECT_TRUE(order.empty());
 }
 
-TEST(StealPolicy, RuntimeDerivesSingleDomainMapOnThisHost)
+TEST(Stealing, RuntimeDerivesSingleDomainMapOnThisHost)
 {
     // hostSystem() describes single-core domains; however many
     // workers, the derived map must cover them all.
@@ -151,7 +129,7 @@ TEST(StealPolicy, RuntimeDerivesSingleDomainMapOnThisHost)
     EXPECT_GE(rt.domainMap().numDomains(), 1u);
 }
 
-TEST(StealPolicy, DomainOverrideIsWiredThrough)
+TEST(Stealing, DomainOverrideIsWiredThrough)
 {
     Runtime rt(twoDomainConfig());
     EXPECT_EQ(rt.domainMap().numDomains(), 2u);
@@ -159,15 +137,14 @@ TEST(StealPolicy, DomainOverrideIsWiredThrough)
     EXPECT_FALSE(rt.domainMap().sameDomain(1, 2));
 }
 
-TEST(StealPolicyDeath, MismatchedOverrideIsFatal)
+TEST(StealingDeath, MismatchedOverrideIsFatal)
 {
     testing::GTEST_FLAG(death_test_style) = "threadsafe";
     EXPECT_EXIT(
         {
             RuntimeConfig cfg;
             cfg.numWorkers = 4;
-            cfg.stealPolicy.domainMap =
-                platform::DomainMap::uniform(2);
+            cfg.domainMap = platform::DomainMap::uniform(2);
             Runtime rt(cfg);
         },
         testing::ExitedWithCode(1), "domainMap covers");
@@ -192,7 +169,7 @@ spinLoad(Runtime &rt, size_t tasks, unsigned spin_us)
 
 } // namespace
 
-TEST(StealPolicy, BulkStealsLandMoreThanOneTaskPerSteal)
+TEST(Stealing, BulkStealsLandMoreThanOneTaskPerSteal)
 {
     // Fork-join burst: recursive parallelFor splitting stocks every
     // deque with several tasks, so steal-half grabs land batches.
@@ -217,7 +194,7 @@ TEST(StealPolicy, BulkStealsLandMoreThanOneTaskPerSteal)
     EXPECT_EQ(s.executed, s.pops + s.steals + s.injected + s.inlined);
 }
 
-TEST(StealPolicy, LocalHitsDominateUnderBalancedLoad)
+TEST(Stealing, LocalHitsDominateUnderBalancedLoad)
 {
     // Two synthetic domains of two workers: with every deque stocked
     // by the recursive split, the same-domain pass (probed first)
@@ -226,7 +203,6 @@ TEST(StealPolicy, LocalHitsDominateUnderBalancedLoad)
     // seen under ASan), so the claim is checked on the totals of
     // several independent runs.
     auto cfg = twoDomainConfig();
-    ASSERT_EQ(cfg.stealPolicy.localityRounds, 1u);
     constexpr int kRuns = 5;
     uint64_t steals = 0, local = 0, remote = 0;
     for (int run = 0; run < kRuns; ++run) {
@@ -245,7 +221,7 @@ TEST(StealPolicy, LocalHitsDominateUnderBalancedLoad)
         << " remote hits";
 }
 
-TEST(StealPolicy, WakeSelectionCountsDomainOutcomes)
+TEST(Stealing, WakeSelectionCountsDomainOutcomes)
 {
     // Churn the pool through park/wake cycles; every targeted wake
     // must be classified as local or remote, and the two counters

@@ -42,7 +42,7 @@ quietConfig(unsigned workers)
     // depend on scheduling; a hunting worker issues none.
     cfg.enableParking = false;
     // One inject shard, so no pop counts as a shard hit.
-    cfg.stealPolicy.domainMap = platform::DomainMap::uniform(workers);
+    cfg.domainMap = platform::DomainMap::uniform(workers);
     return cfg;
 }
 
