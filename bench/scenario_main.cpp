@@ -4,33 +4,28 @@
  *
  *   hermes-scenario validate <scenario.json>
  *   hermes-scenario run      <scenario.json> [--out DIR]
- *   hermes-scenario baseline <scenario.json> [--baselines DIR]
- *   hermes-scenario compare  <scenario.json> [--baselines DIR] [--out DIR]
  *   hermes-scenario soak     <scenario.json> [--out DIR] [--duration SEC]
  *   hermes-scenario sweep    <scenario.json> [--out DIR] [--reduce-only]
  *
  * Exit codes are a stable contract (tests/test_scenario_cli.cpp
  * subprocesses this binary and asserts them):
  *
- *   0  success / compare passed / soak healthy / sweep gates passed
+ *   0  success / gates passed / soak healthy / sweep gates passed
  *   1  internal or I/O error
  *   2  usage error (bad subcommand, missing argument, unknown flag)
  *   3  invalid scenario (validation diagnostics on stderr)
- *   4  compare: no baseline stored for this CPU key
- *   5  compare: regression beyond a metric's threshold
  *   6  soak: monotone-counter regression or latency drift
  *   7  sweep: a variant gate failed (curves.md has the verdicts)
- *   8  run: a faults.gates{} outcome gate failed (docs/RESILIENCE.md)
+ *   8  run: a counter gate failed (one stderr line per failed bound)
+ *
+ * Codes 4 and 5 are retired and must not be reused.
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "harness/scenario/baseline.hpp"
 #include "harness/scenario/scenario_config.hpp"
 #include "harness/scenario/scenario_runner.hpp"
 #include "harness/scenario/soak.hpp"
@@ -44,42 +39,35 @@ constexpr int kExitOk = 0;
 constexpr int kExitInternal = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitInvalidScenario = 3;
-constexpr int kExitMissingBaseline = 4;
-constexpr int kExitRegression = 5;
 constexpr int kExitSoakFailure = 6;
 constexpr int kExitSweepGate = 7;
-constexpr int kExitOutcomeGate = 8;
+constexpr int kExitGate = 8;
 
 const char *const kUsage =
     "usage: hermes-scenario <subcommand> <scenario.json> [flags]\n"
     "\n"
     "subcommands:\n"
     "  validate   parse + validate only; diagnostics on stderr\n"
-    "  run        execute and write the evidence bundle\n"
-    "  baseline   execute and store run.json under the CPU key\n"
-    "  compare    execute and gate against the stored baseline\n"
+    "  run        execute, write the evidence bundle, check gates\n"
     "  soak       loop the workload, checkpointing scheduler stats\n"
     "  sweep      run the rates x variants grid, reduce to curves\n"
     "\n"
     "flags:\n"
-    "  --out DIR        evidence/diff/soak/sweep output directory\n"
+    "  --out DIR        evidence/soak/sweep output directory\n"
     "                   (default scenario-out/<name>)\n"
-    "  --baselines DIR  baseline root (default baselines)\n"
     "  --duration SEC   soak duration override (default: scenario's)\n"
     "  --reduce-only    sweep: re-reduce stored point bundles\n"
     "                   without running anything\n"
     "\n"
     "exit codes: 0 ok/pass, 1 internal error, 2 usage,\n"
-    "  3 invalid scenario, 4 missing baseline, 5 regression,\n"
-    "  6 soak failure, 7 sweep gate failure,\n"
-    "  8 outcome gate failure\n";
+    "  3 invalid scenario, 6 soak failure, 7 sweep gate failure,\n"
+    "  8 gate failure\n";
 
 struct Options
 {
     std::string subcommand;
     std::string scenarioPath;
     std::string outDir;              // empty = scenario-out/<name>
-    std::string baselineDir = "baselines";
     double durationSec = 0.0;        // <= 0 = scenario's own
     bool reduceOnly = false;         // sweep: reload, don't run
 };
@@ -111,11 +99,6 @@ parseArgs(int argc, char **argv, Options &opts)
             if (v == nullptr)
                 return false;
             opts.outDir = v;
-        } else if (arg == "--baselines") {
-            const char *v = value("--baselines");
-            if (v == nullptr)
-                return false;
-            opts.baselineDir = v;
         } else if (arg == "--duration") {
             const char *v = value("--duration");
             if (v == nullptr)
@@ -190,77 +173,14 @@ cmdRun(const Options &opts)
     const scenario::ScenarioResult result =
         scenario::runScenario(config);
     scenario::writeScenarioBundle(outDirFor(opts, config), result);
-    // Outcome gates are checked after the bundle lands, so a failed
-    // run still leaves its full evidence on disk.
+    // Gates are checked after the bundle lands, so a failed run
+    // still leaves its full evidence on disk.
     const std::vector<std::string> gate_failures =
-        scenario::checkOutcomeGates(result);
+        scenario::checkGates(result);
     for (const std::string &failure : gate_failures)
         std::fprintf(stderr, "hermes-scenario: %s\n",
                      failure.c_str());
-    return gate_failures.empty() ? kExitOk : kExitOutcomeGate;
-}
-
-int
-cmdBaseline(const Options &opts)
-{
-    scenario::ScenarioConfig config;
-    if (!loadOrDiagnose(opts.scenarioPath, config))
-        return kExitInvalidScenario;
-    const scenario::ScenarioResult result =
-        scenario::runScenario(config);
-    scenario::captureBaseline(opts.baselineDir, result);
-    return kExitOk;
-}
-
-int
-cmdCompare(const Options &opts)
-{
-    scenario::ScenarioConfig config;
-    if (!loadOrDiagnose(opts.scenarioPath, config))
-        return kExitInvalidScenario;
-
-    // Check for the baseline before burning a run: a missing
-    // baseline is an answer, not a reason to measure.
-    const std::string expected = scenario::baselinePath(
-        opts.baselineDir,
-        scenario::cpuKey(config.runtime.workers), config.name);
-    if (!std::filesystem::exists(expected)) {
-        std::fprintf(stderr,
-                     "hermes-scenario: no baseline at %s — run "
-                     "`hermes-scenario baseline` first\n",
-                     expected.c_str());
-        return kExitMissingBaseline;
-    }
-
-    const scenario::ScenarioResult result =
-        scenario::runScenario(config);
-    const scenario::CompareReport report =
-        scenario::compareAgainstBaseline(opts.baselineDir, result);
-
-    const std::string markdown = report.markdown(config);
-    const std::string dir = outDirFor(opts, config);
-    std::filesystem::create_directories(dir);
-    std::ofstream diff(dir + "/diff.md");
-    if (!diff) {
-        std::fprintf(stderr,
-                     "hermes-scenario: cannot write %s/diff.md\n",
-                     dir.c_str());
-        return kExitInternal;
-    }
-    diff << markdown;
-    std::fputs(markdown.c_str(), stdout);
-
-    switch (report.status) {
-    case scenario::CompareStatus::kPass:
-        return kExitOk;
-    case scenario::CompareStatus::kRegression:
-        return kExitRegression;
-    case scenario::CompareStatus::kMissingBaseline:
-        return kExitMissingBaseline;
-    case scenario::CompareStatus::kError:
-        return kExitInternal;
-    }
-    return kExitInternal;
+    return gate_failures.empty() ? kExitOk : kExitGate;
 }
 
 int
@@ -341,10 +261,6 @@ main(int argc, char **argv)
         return cmdValidate(opts);
     if (opts.subcommand == "run")
         return cmdRun(opts);
-    if (opts.subcommand == "baseline")
-        return cmdBaseline(opts);
-    if (opts.subcommand == "compare")
-        return cmdCompare(opts);
     if (opts.subcommand == "soak")
         return cmdSoak(opts);
     if (opts.subcommand == "sweep")

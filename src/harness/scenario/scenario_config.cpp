@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -301,37 +302,88 @@ readServe(const JsonValue &v, const std::string &pointer,
                  + std::to_string(out.admitHigh) + ")"});
 }
 
+/**
+ * Walk a gates object (counter name -> spec object), calling
+ * `readSpec(name, spec, pointer)` once per well-formed entry.
+ * Duplicate names and non-object specs are diagnosed here.
+ */
+template <typename ReadSpec>
 void
-readThresholds(const JsonValue &v, const std::string &pointer,
-               std::vector<ThresholdSpec> &out,
-               std::vector<ScenarioDiag> &diags)
+forEachGate(const JsonValue &v, const std::string &pointer,
+            std::vector<ScenarioDiag> &diags, ReadSpec readSpec)
 {
-    // thresholds is an object: metric name -> spec object.
     std::set<std::string> seen;
-    for (const auto &[metric, spec] : v.members()) {
-        const std::string metric_ptr =
-            pointer + "/" + util::jsonPointerEscape(metric);
-        if (!seen.insert(metric).second) {
-            diags.push_back({metric_ptr, "duplicate key"});
+    for (const auto &[name, spec] : v.members()) {
+        const std::string spec_ptr =
+            pointer + "/" + util::jsonPointerEscape(name);
+        if (!seen.insert(name).second) {
+            diags.push_back({spec_ptr, "duplicate key"});
             continue;
         }
         if (!spec.isObject()) {
             diags.push_back(
-                {metric_ptr,
-                 std::string("expected object, got ")
-                     + JsonValue::kindName(spec.kind())});
+                {spec_ptr, std::string("expected object, got ")
+                               + JsonValue::kindName(spec.kind())});
             continue;
         }
-        ThresholdSpec t;
-        t.metric = metric;
-        ObjectReader r(spec, metric_ptr, diags);
-        std::string direction = "higher";
-        r.getEnum("direction", direction, {"higher", "lower"});
-        t.lowerBetter = direction == "lower";
-        r.getDouble("max_regression", t.maxRegression, 0.0, 10.0);
-        r.finish();
-        out.push_back(std::move(t));
+        readSpec(name, spec, spec_ptr);
     }
+}
+
+/** Top-level gates: `{"<counter>": {"min": x, "max": y}}`, at least
+ * one bound per counter, min not above max. */
+void
+readCounterGates(const JsonValue &v, const std::string &pointer,
+                 std::vector<CounterGate> &out,
+                 std::vector<ScenarioDiag> &diags)
+{
+    constexpr double kAny = std::numeric_limits<double>::max();
+    forEachGate(v, pointer, diags,
+                [&](const std::string &counter, const JsonValue &spec,
+                    const std::string &spec_ptr) {
+                    CounterGate g;
+                    g.counter = counter;
+                    ObjectReader r(spec, spec_ptr, diags);
+                    double bound = 0.0;
+                    if (r.getDouble("min", bound, -kAny, kAny))
+                        g.min = bound;
+                    if (r.getDouble("max", bound, -kAny, kAny))
+                        g.max = bound;
+                    r.finish();
+                    if (spec.find("min") == nullptr
+                        && spec.find("max") == nullptr)
+                        r.diag(spec_ptr, "needs \"min\", \"max\" or both");
+                    else if (g.min && g.max && *g.min > *g.max)
+                        r.diag(spec_ptr,
+                               "min " + util::jsonNumber(*g.min)
+                                   + " is above max "
+                                   + util::jsonNumber(*g.max));
+                    out.push_back(std::move(g));
+                });
+}
+
+/** Sweep gates: `{"<metric>": {"direction": ..., "max_regression":
+ * ...}}`, each a variant-vs-variants[0] relative bound. */
+void
+readVariantGates(const JsonValue &v, const std::string &pointer,
+                 std::vector<VariantGate> &out,
+                 std::vector<ScenarioDiag> &diags)
+{
+    forEachGate(v, pointer, diags,
+                [&](const std::string &metric, const JsonValue &spec,
+                    const std::string &spec_ptr) {
+                    VariantGate g;
+                    g.metric = metric;
+                    ObjectReader r(spec, spec_ptr, diags);
+                    std::string direction = "higher";
+                    r.getEnum("direction", direction,
+                              {"higher", "lower"});
+                    g.lowerBetter = direction == "lower";
+                    r.getDouble("max_regression", g.maxRegression, 0.0,
+                                10.0);
+                    r.finish();
+                    out.push_back(std::move(g));
+                });
 }
 
 /** True iff `name` is non-empty [A-Za-z0-9_-]+ (file-system safe). */
@@ -449,7 +501,7 @@ readSweep(const JsonValue &v, const std::string &pointer,
     }
 
     if (const JsonValue *g = r.getObject("gates"))
-        readThresholds(*g, r.keyPointer("gates"), out.gates, diags);
+        readVariantGates(*g, r.keyPointer("gates"), out.gates, diags);
     if (!out.gates.empty() && out.variants.size() < 2)
         r.diag(r.keyPointer("gates"),
                "gates compare variants against variants[0]; need at "
@@ -477,15 +529,6 @@ readFaults(const JsonValue &v, const std::string &pointer,
     r.getDouble("deadline_ms", out.deadlineMs, 0.0, 60000.0);
     r.getInt("max_retries", out.maxRetries, 0, 16);
     r.getDouble("retry_backoff_ms", out.retryBackoffMs, 0.0, 1e4);
-    if (const JsonValue *g = r.getObject("gates")) {
-        ObjectReader gr(*g, r.keyPointer("gates"), diags);
-        gr.getDouble("max_failed_frac", out.maxFailedFrac, 0.0, 1.0);
-        gr.getDouble("max_deadline_expired_frac",
-                     out.maxDeadlineExpiredFrac, 0.0, 1.0);
-        gr.getDouble("min_goodput_frac", out.minGoodputFrac, 0.0,
-                     1.0);
-        gr.finish();
-    }
     r.finish();
     if (out.stallWorker >= 0
         && static_cast<unsigned>(out.stallWorker)
@@ -540,7 +583,7 @@ parseScenario(const std::string &text)
                 && c != '_' && c != '-') {
                 r.diag("/name",
                        "must match [A-Za-z0-9_-]+ (it names "
-                       "baseline and bundle files)");
+                       "bundle directories)");
                 break;
             }
         }
@@ -567,8 +610,8 @@ parseScenario(const std::string &text)
         readRuntime(*v, "/runtime", config.runtime, diags);
     if (const JsonValue *v = r.getObject("dvfs"))
         readDvfs(*v, "/dvfs", config.dvfs, diags);
-    if (const JsonValue *v = r.getObject("thresholds"))
-        readThresholds(*v, "/thresholds", config.thresholds, diags);
+    if (const JsonValue *v = r.getObject("gates"))
+        readCounterGates(*v, "/gates", config.gates, diags);
     if (const JsonValue *v = r.getObject("soak"))
         readSoak(*v, "/soak", config.soak, diags);
 
@@ -677,24 +720,42 @@ dvfsBodyJson(const DvfsPolicy &d, const std::string &ind)
     return out.str();
 }
 
-/** Threshold map as a JSON object body (see runtimeBodyJson).
- * Shared by the thresholds echo and the sweep gates echo. */
+/** A gates object body (see runtimeBodyJson): one member per
+ * gate, each rendered by `member`. */
+template <typename Gate, typename Member>
 std::string
-thresholdBodyJson(const std::vector<ThresholdSpec> &list,
-                  const std::string &ind)
+gatesBodyJson(const std::vector<Gate> &list, const std::string &ind,
+              Member member)
 {
     std::ostringstream out;
     out << "{";
-    for (size_t i = 0; i < list.size(); ++i) {
-        const ThresholdSpec &t = list[i];
-        out << (i ? "," : "") << "\n" << ind << "  "
-            << util::jsonQuote(t.metric) << ": {\"direction\": \""
-            << (t.lowerBetter ? "lower" : "higher")
-            << "\", \"max_regression\": "
-            << util::jsonNumber(t.maxRegression) << "}";
-    }
+    for (size_t i = 0; i < list.size(); ++i)
+        out << (i ? "," : "") << "\n" << ind << "  " << member(list[i]);
     out << (list.empty() ? "" : "\n" + ind) << "}";
     return out.str();
+}
+
+/** `"<counter>": {"min": x, "max": y}`, each bound only when set. */
+std::string
+counterGateJson(const CounterGate &g)
+{
+    std::string out = util::jsonQuote(g.counter) + ": {";
+    if (g.min)
+        out += "\"min\": " + util::jsonNumber(*g.min);
+    if (g.max)
+        out += std::string(g.min ? ", " : "") + "\"max\": "
+            + util::jsonNumber(*g.max);
+    return out + "}";
+}
+
+/** `"<metric>": {"direction": ..., "max_regression": ...}` */
+std::string
+variantGateJson(const VariantGate &g)
+{
+    return util::jsonQuote(g.metric) + ": {\"direction\": \""
+        + (g.lowerBetter ? "lower" : "higher")
+        + "\", \"max_regression\": " + util::jsonNumber(g.maxRegression)
+        + "}";
 }
 
 } // namespace
@@ -780,23 +841,7 @@ writeConfigJson(const ScenarioConfig &c)
             << "    \"max_retries\": " << c.faults.maxRetries
             << ",\n"
             << "    \"retry_backoff_ms\": "
-            << util::jsonNumber(c.faults.retryBackoffMs) << ",\n"
-            << "    \"gates\": {";
-        // Only gates that are set are echoed (negative = disabled
-        // sentinel, which the [0, 1] parse range would reject).
-        bool first = true;
-        const auto gate = [&](const char *key, double value) {
-            if (value < 0.0)
-                return;
-            out << (first ? "" : ",") << "\n      \"" << key
-                << "\": " << util::jsonNumber(value);
-            first = false;
-        };
-        gate("max_failed_frac", c.faults.maxFailedFrac);
-        gate("max_deadline_expired_frac",
-             c.faults.maxDeadlineExpiredFrac);
-        gate("min_goodput_frac", c.faults.minGoodputFrac);
-        out << (first ? "" : "\n    ") << "}\n"
+            << util::jsonNumber(c.faults.retryBackoffMs) << "\n"
             << "  },\n";
     }
 
@@ -825,12 +870,13 @@ writeConfigJson(const ScenarioConfig &c)
         }
         out << "    ],\n"
             << "    \"gates\": "
-            << thresholdBodyJson(c.sweep.gates, "    ") << "\n"
+            << gatesBodyJson(c.sweep.gates, "    ", variantGateJson)
+            << "\n"
             << "  },\n";
     }
 
-    out << "  \"thresholds\": "
-        << thresholdBodyJson(c.thresholds, "  ") << ",\n"
+    out << "  \"gates\": " << gatesBodyJson(c.gates, "  ", counterGateJson)
+        << ",\n"
         << "  \"soak\": {\n"
         << "    \"duration_sec\": "
         << util::jsonNumber(c.soak.durationSec) << ",\n"

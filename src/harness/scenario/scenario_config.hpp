@@ -4,12 +4,11 @@
  * defaults-resolved echo.
  *
  * A scenario is a JSON file naming a workload kind (fork_join, dag,
- * serve), the runtime/DVFS policy surface,
- * a duration, and per-metric regression thresholds. One scenario
- * file *is* the experiment: the same file drives `hermes-scenario
- * run`, `baseline`, `compare`, and `soak`, replacing the ad-hoc
- * bench flag combinations the earlier PRs gated claims with
- * (docs/SCENARIOS.md).
+ * serve), the runtime/DVFS policy surface, a duration, and absolute
+ * bounds on the run's counters (`gates`). One scenario file *is* the
+ * experiment: the same file drives `hermes-scenario run`, `soak` and
+ * `sweep`, replacing the ad-hoc bench flag combinations the earlier
+ * PRs gated claims with (docs/SCENARIOS.md).
  *
  * Parsing is two-layered: util::parseJson turns bytes into a value
  * tree (never crashes — fuzzed in tests/test_scenario_config.cpp),
@@ -25,6 +24,7 @@
 #define HERMES_HARNESS_SCENARIO_SCENARIO_CONFIG_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -99,10 +99,8 @@ struct ServeParams
 /**
  * faults{} block (hermes-chaos, docs/RESILIENCE.md): deterministic
  * fault injection and request-lifecycle knobs forwarded to
- * harness::faults::FaultConfig, plus absolute outcome gates
- * evaluated after a run (exit code 8). Only valid for serve
- * scenarios; when absent the run and its bundle are byte-identical
- * to a faults-unaware build.
+ * harness::faults::FaultConfig. Only valid for serve scenarios; when
+ * absent the run emits no fault plan and no outcome counters.
  */
 struct FaultParams
 {
@@ -117,15 +115,20 @@ struct FaultParams
     double deadlineMs = 0.0;      ///< per-request deadline; 0 = none
     uint32_t maxRetries = 0;      ///< bounded retries per request
     double retryBackoffMs = 0.1;  ///< backoff base (doubles per attempt)
-    /** Absolute outcome gates (gates{} sub-object); negative =
-     * disabled. Fractions are of accepted requests. */
-    double maxFailedFrac = -1.0;
-    double maxDeadlineExpiredFrac = -1.0;
-    double minGoodputFrac = -1.0; ///< (ok + retried_ok) / accepted
 };
 
-/** Direction-aware per-metric regression gate for `compare`. */
-struct ThresholdSpec
+/** Absolute bound on one run.json counter, checked by `run` after
+ * the bundle lands (exit code 8). At least one bound is set. */
+struct CounterGate
+{
+    std::string counter;       ///< counter name in run.json
+    std::optional<double> min; ///< fail when the value is below
+    std::optional<double> max; ///< fail when the value is above
+};
+
+/** Direction-aware per-metric gate of a sweep: a variant against
+ * variants[0] at the same rate. */
+struct VariantGate
 {
     std::string metric;        ///< counter name in run.json
     bool lowerBetter = false;  ///< smaller values are healthier
@@ -147,8 +150,8 @@ struct SweepVariant
  * sweep block: a grid of offered rates x policy variants run by
  * `hermes-scenario sweep`, reduced into curves.json/curves.md.
  * Only valid for serve scenarios. Gates compare every non-first
- * variant against variants[0] at each rate point with the same
- * direction-aware relative-regression rule `compare` uses.
+ * variant against variants[0] at each rate point by the
+ * direction-aware relative regression of each gated metric.
  */
 struct SweepParams
 {
@@ -160,7 +163,7 @@ struct SweepParams
      * p99 exceeds this many nanoseconds. 0 disables detection. */
     double kneeP99Ns = 0.0;
     /** Per-metric variant-vs-variants[0] gates (exit code 7). */
-    std::vector<ThresholdSpec> gates;
+    std::vector<VariantGate> gates;
 };
 
 /** Soak-mode pacing and failure gates. */
@@ -187,7 +190,7 @@ struct ScenarioConfig
     DagParams dag;
     ServeParams serve;
     FaultParams faults;
-    std::vector<ThresholdSpec> thresholds;
+    std::vector<CounterGate> gates;
     SoakParams soak;
     SweepParams sweep;
 };

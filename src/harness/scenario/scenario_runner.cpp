@@ -378,11 +378,28 @@ runServeScenario(const ScenarioConfig &config)
             serve_result.sojourn.quantileNanos(0.50));
         result.metrics["success_p99_ns"] = static_cast<double>(
             serve_result.sojourn.quantileNanos(0.99));
-        result.metrics["watchdog_stalls"] =
-            static_cast<double>(serve_result.watchdogStalls);
-        result.metrics["compensating_wakes"] =
-            static_cast<double>(serve_result.compensatingWakes);
+        // Outcome fractions of accepted requests, for gates. A run
+        // that accepted nothing reads 0 failed and 0 expired and a
+        // goodput of 1, so no outcome bound fails on it.
+        const double accepted =
+            static_cast<double>(serve_result.accepted);
+        const auto frac = [accepted](uint64_t count, double none) {
+            return accepted > 0.0 ? static_cast<double>(count) / accepted
+                                  : none;
+        };
+        result.metrics["outcome_failed_frac"] =
+            frac(serve_result.failed, 0.0);
+        result.metrics["outcome_deadline_expired_frac"] =
+            frac(serve_result.deadlineExpired, 0.0);
+        result.metrics["outcome_goodput_frac"] =
+            frac(serve_result.ok + serve_result.retriedOk, 1.0);
     }
+    // The watchdog runs on every serve run; on a faults-off run any
+    // compensating wake is a scheduler bug signal.
+    result.metrics["watchdog_stalls"] =
+        static_cast<double>(serve_result.watchdogStalls);
+    result.metrics["compensating_wakes"] =
+        static_cast<double>(serve_result.compensatingWakes);
     result.metrics["sojourn_p50_ns"] = static_cast<double>(
         serve_result.sojourn.quantileNanos(0.50));
     result.metrics["sojourn_p99_ns"] = static_cast<double>(
@@ -500,9 +517,9 @@ writeScenarioBundle(const std::string &dir,
                     const ScenarioResult &result)
 {
     std::filesystem::create_directories(dir);
-    // Atomic writes (satellite of the chaos PR): a crash or kill
-    // mid-write must never leave a truncated artifact that a later
-    // compare/baseline run would trust.
+    // Atomic writes: a crash or kill mid-write must never leave a
+    // truncated artifact that a later reader (`sweep --reduce-only`,
+    // a CI `cmp`) would trust.
     auto write = [&dir](const std::string &file,
                         const std::string &content) {
         util::writeFileAtomic(dir + "/" + file, content);
@@ -558,9 +575,7 @@ writeScenarioBundle(const std::string &dir,
             out << "| " << name << " | " << util::jsonNumber(value)
                 << " |\n";
         out << "\n(events.jsonl has the "
-            << result.events.size()
-            << "-sample time series; run.json is "
-            << "bench_compare.py-compatible.)\n";
+            << result.events.size() << "-sample time series.)\n";
         write("summary.md", out.str());
     }
 
@@ -568,45 +583,29 @@ writeScenarioBundle(const std::string &dir,
 }
 
 std::vector<std::string>
-checkOutcomeGates(const ScenarioResult &result)
+checkGates(const ScenarioResult &result)
 {
     std::vector<std::string> failures;
-    const FaultParams &f = result.config.faults;
-    if (!f.enabled)
-        return failures;
-    const auto metric = [&result](const char *name) {
-        const auto it = result.metrics.find(name);
-        return it != result.metrics.end() ? it->second : 0.0;
-    };
-    const double accepted = metric("accepted");
-    if (accepted <= 0.0)
-        return failures; // nothing ran; fractions are undefined
-    const auto frac = [&](const char *name) {
-        return metric(name) / accepted;
-    };
-    if (f.maxFailedFrac >= 0.0
-        && frac("outcome_failed") > f.maxFailedFrac)
-        failures.push_back(
-            "outcome gate: failed fraction "
-            + util::jsonNumber(frac("outcome_failed"))
-            + " exceeds max_failed_frac "
-            + util::jsonNumber(f.maxFailedFrac));
-    if (f.maxDeadlineExpiredFrac >= 0.0
-        && frac("outcome_deadline_expired")
-               > f.maxDeadlineExpiredFrac)
-        failures.push_back(
-            "outcome gate: deadline-expired fraction "
-            + util::jsonNumber(frac("outcome_deadline_expired"))
-            + " exceeds max_deadline_expired_frac "
-            + util::jsonNumber(f.maxDeadlineExpiredFrac));
-    const double goodput_frac = (metric("outcome_ok")
-                                 + metric("outcome_retried_ok"))
-        / accepted;
-    if (f.minGoodputFrac >= 0.0 && goodput_frac < f.minGoodputFrac)
-        failures.push_back("outcome gate: goodput fraction "
-                           + util::jsonNumber(goodput_frac)
-                           + " below min_goodput_frac "
-                           + util::jsonNumber(f.minGoodputFrac));
+    for (const CounterGate &gate : result.config.gates) {
+        const auto it = result.metrics.find(gate.counter);
+        if (it == result.metrics.end()) {
+            failures.push_back("gate " + gate.counter
+                               + ": counter missing from run.json");
+            continue;
+        }
+        // Negated compares, so a NaN value fails its gate.
+        const double value = it->second;
+        if (gate.min && !(value >= *gate.min))
+            failures.push_back("gate " + gate.counter + ": "
+                               + util::jsonNumber(value)
+                               + " is below min "
+                               + util::jsonNumber(*gate.min));
+        if (gate.max && !(value <= *gate.max))
+            failures.push_back("gate " + gate.counter + ": "
+                               + util::jsonNumber(value)
+                               + " is above max "
+                               + util::jsonNumber(*gate.max));
+    }
     return failures;
 }
 

@@ -15,10 +15,9 @@
  * The evidence bundle (writeScenarioBundle) is four artifacts:
  *
  *   config.json  - defaults-resolved echo (writeConfigJson)
- *   run.json     - Google Benchmark schema, so tools/bench_compare.py
- *                  gates it unchanged; plus the top-level
- *                  "deterministic" object (GBench consumers ignore
- *                  unknown top-level keys)
+ *   run.json     - Google Benchmark schema (one benchmark whose
+ *                  `counters` the scenario's gates bound), plus the
+ *                  top-level "deterministic" object
  *   events.jsonl - one JSON object per sample: executed/parked/
  *                  inject-backlog/package-watts over time
  *   summary.md   - the run at a glance, for humans and PR reviews
@@ -62,9 +61,7 @@ struct ScenarioResult
     /** Scheduler counter deltas over the run. */
     runtime::RuntimeStats stats;
 
-    /** Gateable metrics, emitted into run.json counters. Includes
-     * the deterministic counters (as doubles) so thresholds can
-     * pin them too. */
+    /** Gateable metrics, emitted into run.json counters. */
     std::map<std::string, double> metrics;
 
     /** The determinism contract: ordered (name, value) pairs two
@@ -112,12 +109,11 @@ std::string writeDeterministicJson(const ScenarioResult &result);
 void writeScenarioBundle(const std::string &dir,
                          const ScenarioResult &result);
 
-/** Evaluate the faults.gates{} outcome gates against the run's
- * outcome metrics. Returns one human-readable failure message per
- * violated gate (empty = all gates pass or faults disabled); the
- * CLI maps a non-empty result to exit code 8. */
-std::vector<std::string> checkOutcomeGates(
-    const ScenarioResult &result);
+/** Check the scenario's gates against the run's counters. Returns
+ * one message per failed bound, naming the counter, its value and
+ * the bound; a gated counter the run did not emit fails. Empty =
+ * every gate passes. The CLI maps a non-empty result to exit 8. */
+std::vector<std::string> checkGates(const ScenarioResult &result);
 
 } // namespace hermes::harness::scenario
 

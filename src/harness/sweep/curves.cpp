@@ -3,14 +3,32 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
-#include "harness/scenario/baseline.hpp"
 #include "util/json.hpp"
 
 namespace hermes::harness::sweep {
 
 namespace {
+
+/**
+ * Direction-aware relative worsening of `current` against `base`
+ * (> 0 means worse). A base pinned at zero fails absolutely: any
+ * worsening beyond a 1e-9 epsilon reads +infinity.
+ */
+double
+relativeRegression(double base, double current, bool lowerBetter)
+{
+    constexpr double kEpsilon = 1e-9;
+    if (std::fabs(base) < kEpsilon) {
+        const bool worse = lowerBetter ? current > kEpsilon
+                                       : current < -kEpsilon;
+        return worse ? std::numeric_limits<double>::infinity() : 0.0;
+    }
+    const double delta = (current - base) / std::fabs(base);
+    return lowerBetter ? delta : -delta;
+}
 
 /** Deterministic short float formatting shared by tables and SVG
  * coordinates ("%.6g": locale-independent, no trailing zeros). */
@@ -281,14 +299,14 @@ reduceSweep(const scenario::ScenarioConfig &config,
     }
 
     // Gates: each non-first variant vs variants[0], per metric, per
-    // rate index — same relative-regression rule as `compare`.
+    // rate index, by relativeRegression().
     if (!sweep.gates.empty() && curves.variants.size() >= 2) {
         const VariantCurve &base = curves.variants[0];
         for (size_t vi = 1; vi < curves.variants.size(); ++vi) {
             const VariantCurve &cur = curves.variants[vi];
             const size_t n =
                 std::min(base.points.size(), cur.points.size());
-            for (const scenario::ThresholdSpec &gate : sweep.gates) {
+            for (const scenario::VariantGate &gate : sweep.gates) {
                 for (size_t pi = 0; pi < n; ++pi) {
                     GateFinding g;
                     g.metric = gate.metric;
@@ -303,7 +321,7 @@ reduceSweep(const scenario::ScenarioConfig &config,
                     };
                     g.baseline = value(by_variant[0][pi]);
                     g.current = value(by_variant[vi][pi]);
-                    g.regression = scenario::relativeRegression(
+                    g.regression = relativeRegression(
                         g.baseline, g.current, g.lowerBetter);
                     g.failed = g.regression > g.maxRegression;
                     if (g.failed)

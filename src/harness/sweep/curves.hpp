@@ -16,9 +16,9 @@
  * "deterministic" object (offered counts and schedule hashes, pure
  * functions of seed and rate) must still match exactly.
  *
- * Gates reuse scenario::relativeRegression(): every non-first
- * variant is compared against variants[0] at each rate point,
- * direction-aware, same pinned-zero semantics as `compare`.
+ * Gates compare every non-first variant against variants[0] at each
+ * rate point by direction-aware relative regression; a metric that
+ * variants[0] pins at zero fails on any worsening.
  */
 
 #ifndef HERMES_HARNESS_SWEEP_CURVES_HPP

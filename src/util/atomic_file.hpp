@@ -3,7 +3,7 @@
  * Atomic whole-file writes for evidence artifacts.
  *
  * Run bundles are consumed by tools that re-read them later —
- * `hermes-scenario compare`, `sweep --reduce-only`, CI `cmp` gates —
+ * `hermes-scenario sweep --reduce-only`, CI `cmp` gates —
  * and a run interrupted mid-write must never leave a torn
  * config.json/run.json/summary.md/curves.json for those readers to
  * trip over. The classic fix: write the full content to a sibling

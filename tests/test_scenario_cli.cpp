@@ -7,16 +7,17 @@
  *   validate rejects malformed scenarios with pointer-bearing
  *   diagnostics (exit 3); run produces all four bundle artifacts
  *   (exit 0); two same-seed runs agree byte-for-byte on config.json
- *   and the deterministic counter section; compare distinguishes
- *   pass (0), regression (5), and missing baseline (4); usage
+ *   and the deterministic counter section; run checks the gates
+ *   after the bundle lands and exits 8 with one stderr line per
+ *   failed bound, a missing counter included; usage
  *   errors are 2; soak is 0 when healthy and its checkpoint
  *   sequence continues across invocations; sweep produces the
  *   curves pair plus per-point bundles (exit 0), refuses scenarios
  *   without a sweep block (3), re-reduces stored bundles to
  *   byte-identical curves.json under --reduce-only, and reports a
- *   doctored gate metric as exit 7; a serve bundle carries outcome
- *   counters, watchdog fields and faults.csv only when faults are
- *   on.
+ *   doctored gate metric as exit 7; a serve bundle carries the
+ *   watchdog fields always, and outcome counters and faults.csv
+ *   only when faults are on.
  */
 
 #include <cstdio>
@@ -26,6 +27,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 #include <sys/wait.h>
 
 #include <gtest/gtest.h>
@@ -98,10 +101,13 @@ class ScenarioCli : public testing::Test
         out << content;
     }
 
-    /** A small, fast, valid fork-join scenario with one pinned
-     * threshold. */
+    /** A small, fast, valid fork-join scenario whose `gates` body
+     * defaults to bounds every healthy run passes. */
     void
-    writeGoodScenario(const std::string &name = "s.json")
+    writeGoodScenario(const std::string &name = "s.json",
+                      const std::string &gates =
+                          R"("executed_matches_expected": {"min": 1},
+                             "executed": {"min": 65, "max": 65})")
     {
         writeFile(name, R"({
   "name": "cli_test",
@@ -109,10 +115,7 @@ class ScenarioCli : public testing::Test
   "seed": 11,
   "runtime": {"workers": 2},
   "fork_join": {"tasks": 32, "spin_nanos": 1000, "repeats": 2},
-  "thresholds": {
-    "executed_matches_expected":
-      {"direction": "higher", "max_regression": 0.0}
-  },
+  "gates": {)" + gates + R"(},
   "soak": {"duration_sec": 1, "checkpoint_sec": 0.2}
 })");
     }
@@ -169,6 +172,18 @@ deterministicSection(const std::string &run_json)
     return out;
 }
 
+/** The stderr lines of `output` that report a failed gate. */
+std::vector<std::string>
+gateLines(const std::string &output)
+{
+    std::vector<std::string> lines;
+    std::istringstream in(output);
+    for (std::string line; std::getline(in, line);)
+        if (line.rfind("hermes-scenario: gate ", 0) == 0)
+            lines.push_back(line);
+    return lines;
+}
+
 } // namespace
 
 TEST_F(ScenarioCli, UsageErrorsExitTwo)
@@ -194,9 +209,9 @@ TEST_F(ScenarioCli, ValidateRejectsMalformedWithPointer)
               std::string::npos)
         << output;
 
-    // Retired runtime keys fail loudly wherever a runtime block may
-    // appear — a file that still names one must not silently run
-    // the default path instead.
+    // Retired keys fail loudly wherever their block may appear — a
+    // file that still names one must not silently run the default
+    // path, or run ungated, instead.
     for (const std::string key :
          {"lock_free_inject", "steal_half", "adaptive_locality", "deque",
           "locality_rounds"}) {
@@ -222,6 +237,38 @@ TEST_F(ScenarioCli, ValidateRejectsMalformedWithPointer)
                   std::string::npos)
             << output;
     }
+    for (const auto &[pointer, doc] :
+         {std::pair<std::string, std::string>{
+              "/thresholds",
+              R"({"name": "r", "kind": "fork_join", "thresholds":
+  {"executed": {"direction": "higher", "max_regression": 0}}})"},
+          {"/faults/gates",
+           R"({"name": "r", "kind": "serve",
+  "faults": {"gates": {"max_failed_frac": 0}}})"}}) {
+        writeFile("retired.json", doc);
+        EXPECT_EQ(run("validate " + path("retired.json"), &output), 3)
+            << pointer;
+        EXPECT_NE(output.find(pointer + ": unknown key"),
+                  std::string::npos)
+            << output;
+    }
+
+    // Malformed gate specs: no bound, a non-number, min above max,
+    // and the retired relative-gate key.
+    for (const auto &[pointer, spec] :
+         {std::pair<std::string, std::string>{"/gates/executed", "{}"},
+          {"/gates/executed/min", R"({"min": "1"})"},
+          {"/gates/executed", R"({"min": 2, "max": 1})"},
+          {"/gates/executed/direction",
+           R"({"min": 1, "direction": "higher"})"}}) {
+        writeFile("bad_gate.json",
+                  R"({"name": "g", "kind": "fork_join",
+  "gates": {"executed": )" + spec + "}}");
+        EXPECT_EQ(run("validate " + path("bad_gate.json"), &output), 3)
+            << spec;
+        EXPECT_NE(output.find(pointer + ": "), std::string::npos)
+            << spec << "\n" << output;
+    }
 }
 
 TEST_F(ScenarioCli, ValidateRejectsUnparsableJson)
@@ -244,16 +291,21 @@ TEST_F(ScenarioCli, ValidateAcceptsAndEchoesCanonicalForm)
 
 TEST_F(ScenarioCli, RunProducesAllFourArtifacts)
 {
+    // The default gates pass, so the run exits 0 and prints no gate
+    // line.
     writeGoodScenario();
-    EXPECT_EQ(
-        run("run " + path("s.json") + " --out " + path("out")), 0);
+    std::string output;
+    EXPECT_EQ(run("run " + path("s.json") + " --out " + path("out"),
+                  &output),
+              0);
+    EXPECT_TRUE(gateLines(output).empty()) << output;
     EXPECT_TRUE(fs::exists(path("out/config.json")));
     EXPECT_TRUE(fs::exists(path("out/run.json")));
     EXPECT_TRUE(fs::exists(path("out/events.jsonl")));
     EXPECT_TRUE(fs::exists(path("out/summary.md")));
 
-    // run.json parses and carries the GBench shape bench_compare.py
-    // consumes plus the deterministic section.
+    // run.json parses and carries the GBench shape plus the
+    // deterministic section.
     const JsonParseResult parsed =
         parseJson(slurp(path("out/run.json")));
     ASSERT_TRUE(parsed.ok);
@@ -278,61 +330,41 @@ TEST_F(ScenarioCli, SameSeedRunsAreDeterministic)
     EXPECT_NE(det_a.find("checksum="), std::string::npos) << det_a;
 }
 
-TEST_F(ScenarioCli, CompareWithoutBaselineExitsFour)
+TEST_F(ScenarioCli, FailedGatesWriteTheBundleThenExitEight)
 {
-    writeGoodScenario();
-    EXPECT_EQ(run("compare " + path("s.json") + " --baselines "
-                  + path("baselines")),
-              4);
-}
-
-TEST_F(ScenarioCli, BaselineThenCompareExitsZeroAndWritesDiff)
-{
-    writeGoodScenario();
-    ASSERT_EQ(run("baseline " + path("s.json") + " --baselines "
-                  + path("baselines")),
-              0);
-    EXPECT_EQ(run("compare " + path("s.json") + " --baselines "
-                  + path("baselines") + " --out " + path("cmp")),
-              0);
-    const std::string diff = slurp(path("cmp/diff.md"));
-    EXPECT_NE(diff.find("PASS"), std::string::npos) << diff;
-    EXPECT_NE(diff.find("executed_matches_expected"),
-              std::string::npos)
-        << diff;
-}
-
-TEST_F(ScenarioCli, TamperedBaselineExitsFive)
-{
-    writeGoodScenario();
-    ASSERT_EQ(run("baseline " + path("s.json") + " --baselines "
-                  + path("baselines")),
-              0);
-
-    // Tamper: claim the pinned metric used to be better, a
-    // synthetic regression compare must catch (exit 5).
-    for (const auto &entry :
-         fs::recursive_directory_iterator(path("baselines"))) {
-        if (!entry.is_regular_file())
-            continue;
-        std::string text = slurp(entry.path().string());
-        const std::string needle =
-            "\"executed_matches_expected\": 1";
-        const size_t pos = text.find(needle);
-        ASSERT_NE(pos, std::string::npos) << text;
-        text.replace(pos, needle.size(),
-                     "\"executed_matches_expected\": 2");
-        std::ofstream out(entry.path());
-        out << text;
-    }
-
+    // A fork-join run of 1 + 2 x 32 tasks fails both bounds, and the
+    // passing third gate prints nothing.
+    writeGoodScenario("s.json",
+                      R"("executed_matches_expected": {"min": 2},
+                         "executed": {"max": 64},
+                         "steals": {"min": 0})");
     std::string output;
-    EXPECT_EQ(run("compare " + path("s.json") + " --baselines "
-                      + path("baselines") + " --out " + path("cmp"),
+    EXPECT_EQ(run("run " + path("s.json") + " --out " + path("out"),
                   &output),
-              5);
-    EXPECT_NE(output.find("REGRESSION"), std::string::npos)
-        << output;
+              8);
+    for (const std::string artifact :
+         {"config.json", "run.json", "events.jsonl", "summary.md"})
+        EXPECT_TRUE(fs::exists(path("out/" + artifact))) << artifact;
+    const std::vector<std::string> lines = gateLines(output);
+    ASSERT_EQ(lines.size(), 2u) << output;
+    EXPECT_EQ(lines[0], "hermes-scenario: gate "
+                        "executed_matches_expected: 1 is below min 2");
+    EXPECT_EQ(lines[1],
+              "hermes-scenario: gate executed: 65 is above max 64");
+}
+
+TEST_F(ScenarioCli, GateOnAMissingCounterExitsEight)
+{
+    writeGoodScenario("s.json", R"("no_such_counter": {"min": 0})");
+    std::string output;
+    EXPECT_EQ(run("run " + path("s.json") + " --out " + path("out"),
+                  &output),
+              8);
+    EXPECT_TRUE(fs::exists(path("out/run.json")));
+    const std::vector<std::string> lines = gateLines(output);
+    ASSERT_EQ(lines.size(), 1u) << output;
+    EXPECT_EQ(lines[0], "hermes-scenario: gate no_such_counter: "
+                        "counter missing from run.json");
 }
 
 TEST_F(ScenarioCli, SoakIsHealthyAndResumesItsSequence)
@@ -455,8 +487,9 @@ TEST_F(ScenarioCli, DoctoredGateMetricExitsSevenUnderReduceOnly)
 TEST_F(ScenarioCli, ServeBundleCarriesChaosFieldsOnlyWithFaults)
 {
     // A serve scenario with faults and its faults-off twin: both
-    // bundles carry the serving counters, and only the chaos run
-    // carries outcome counters, watchdog fields and faults.csv.
+    // bundles carry the serving counters and the watchdog fields,
+    // and only the chaos run carries outcome counters and
+    // faults.csv.
     const std::string serve = R"("name": "cli_serve",
   "kind": "serve",
   "seed": 11,
@@ -497,14 +530,16 @@ TEST_F(ScenarioCli, ServeBundleCarriesChaosFieldsOnlyWithFaults)
          {"shed_frac", "inject_fast_frac", "completed_eq_accepted",
           "admission_transitions", "sojourn_p50_ns", "sojourn_p99_ns",
           "sojourn_p999_ns", "sojourn_mean_ns", "service_p50_ns",
-          "joules_per_request"}) {
+          "joules_per_request", "watchdog_stalls",
+          "compensating_wakes"}) {
         EXPECT_TRUE(chaos.count(key)) << key;
         EXPECT_TRUE(plain.count(key)) << key;
     }
     for (const char *key :
          {"outcome_ok", "outcome_retried_ok", "outcome_failed",
           "outcome_deadline_expired", "goodput_per_sec",
-          "success_p99_ns", "watchdog_stalls"}) {
+          "success_p99_ns", "outcome_failed_frac",
+          "outcome_deadline_expired_frac", "outcome_goodput_frac"}) {
         EXPECT_TRUE(chaos.count(key)) << key;
         EXPECT_FALSE(plain.count(key)) << key;
     }
@@ -526,8 +561,9 @@ TEST_F(ScenarioCli, OutcomeGateFailureExitsEight)
     // Every attempt of every request fails with no retry budget and
     // a zero-tolerance failure gate: the run must land its full
     // evidence bundle (faults.csv included) and then report the
-    // outcome-gate verdict as exit 8.
-    writeFile("chaos.json", R"({
+    // gate verdict as exit 8.
+    const auto chaos = [](const std::string &max_failed) {
+        return R"({
   "name": "cli_chaos",
   "kind": "serve",
   "seed": 11,
@@ -536,46 +572,34 @@ TEST_F(ScenarioCli, OutcomeGateFailureExitsEight)
     "rate_per_sec": 500, "duration_sec": 0.05,
     "producers": 1, "spin_nanos": 1000
   },
-  "faults": {
-    "fail_prob": 1, "max_retries": 0,
-    "gates": {"max_failed_frac": 0}
-  }
-})");
+  "faults": {"fail_prob": 1, "max_retries": 0},
+  "gates": {"outcome_failed_frac": {"max": )"
+            + max_failed + "}}\n}";
+    };
+    writeFile("chaos.json", chaos("0"));
     std::string output;
     EXPECT_EQ(run("run " + path("chaos.json") + " --out "
                       + path("out"),
                   &output),
               8);
-    EXPECT_NE(output.find("outcome gate"), std::string::npos)
-        << output;
+    const std::vector<std::string> lines = gateLines(output);
+    ASSERT_EQ(lines.size(), 1u) << output;
+    EXPECT_EQ(lines[0], "hermes-scenario: gate outcome_failed_frac: "
+                        "1 is above max 0");
     EXPECT_TRUE(fs::exists(path("out/faults.csv")));
     EXPECT_TRUE(fs::exists(path("out/run.json")));
 
     // Loosening the gate makes the same run pass.
-    writeFile("ok.json", R"({
-  "name": "cli_chaos",
-  "kind": "serve",
-  "seed": 11,
-  "runtime": {"workers": 2},
-  "serve": {
-    "rate_per_sec": 500, "duration_sec": 0.05,
-    "producers": 1, "spin_nanos": 1000
-  },
-  "faults": {
-    "fail_prob": 1, "max_retries": 0,
-    "gates": {"max_failed_frac": 1}
-  }
-})");
+    writeFile("ok.json", chaos("1"));
     EXPECT_EQ(run("run " + path("ok.json") + " --out "
                   + path("out2")),
               0);
 }
 
-TEST_F(ScenarioCli, HelpDocumentsTheOutcomeGateExitCode)
+TEST_F(ScenarioCli, HelpDocumentsTheGateExitCode)
 {
     std::string output;
     EXPECT_EQ(run("--help", &output), 0);
-    EXPECT_NE(output.find("8 outcome gate failure"),
-              std::string::npos)
+    EXPECT_NE(output.find("8 gate failure"), std::string::npos)
         << output;
 }

@@ -1,14 +1,17 @@
 /**
  * @file
  * Scenario schema validation: every rejection carries an RFC 6901
- * JSON pointer, the canonical echo is a fixpoint, and — mirroring
+ * JSON pointer, the canonical echo is a fixpoint (for every
+ * committed scenario too), and — mirroring
  * tests/test_simulator_fuzz.cpp — a thousand seeded mutations of a
  * valid document (truncation, key deletion, type swaps, byte noise)
  * never crash the parser and always yield a diagnostic or a valid
  * config, never silence.
  */
 
+#include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -46,7 +49,7 @@ TEST(ScenarioConfig, MinimalDocumentResolvesDefaults)
     EXPECT_EQ(r.config.runtime.workers, 2u);
     EXPECT_EQ(r.config.runtime.parkThreshold, 4u);
     EXPECT_EQ(r.config.forkJoin.tasks, 256u);
-    EXPECT_TRUE(r.config.thresholds.empty());
+    EXPECT_TRUE(r.config.gates.empty());
 }
 
 TEST(ScenarioConfig, UnknownKeyIsRejectedWithPointer)
@@ -108,17 +111,23 @@ TEST(ScenarioConfig, AdmissionWatermarksMustBeOrdered)
         << joined(r);
 }
 
-TEST(ScenarioConfig, ThresholdsParseDirectionAndBudget)
+TEST(ScenarioConfig, GatesParseAbsoluteBounds)
 {
     const ScenarioLoadResult r = parseScenario(
-        R"({"name": "x", "kind": "fork_join", "thresholds": {
-            "steals": {"direction": "lower",
-                       "max_regression": 0.25}}})");
+        R"({"name": "x", "kind": "fork_join", "gates": {
+            "steals": {"max": 10},
+            "executed_matches_expected": {"min": 1},
+            "inject_fast_frac": {"min": 0.75, "max": 1}}})");
     ASSERT_TRUE(r.ok) << joined(r);
-    ASSERT_EQ(r.config.thresholds.size(), 1u);
-    EXPECT_EQ(r.config.thresholds[0].metric, "steals");
-    EXPECT_TRUE(r.config.thresholds[0].lowerBetter);
-    EXPECT_DOUBLE_EQ(r.config.thresholds[0].maxRegression, 0.25);
+    ASSERT_EQ(r.config.gates.size(), 3u);
+    EXPECT_EQ(r.config.gates[0].counter, "steals");
+    EXPECT_FALSE(r.config.gates[0].min);
+    EXPECT_EQ(r.config.gates[0].max, 10.0);
+    EXPECT_EQ(r.config.gates[1].counter, "executed_matches_expected");
+    EXPECT_EQ(r.config.gates[1].min, 1.0);
+    EXPECT_FALSE(r.config.gates[1].max);
+    EXPECT_EQ(r.config.gates[2].min, 0.75);
+    EXPECT_EQ(r.config.gates[2].max, 1.0);
 }
 
 TEST(ScenarioConfig, UnreadableFileDiagnosesInsteadOfCrashing)
@@ -131,16 +140,32 @@ TEST(ScenarioConfig, UnreadableFileDiagnosesInsteadOfCrashing)
 
 TEST(ScenarioConfig, CanonicalEchoIsAFixpoint)
 {
-    const ScenarioLoadResult first = parseScenario(
-        R"({"name": "x", "kind": "serve", "seed": 9,
-            "runtime": {"workers": 3, "park_threshold": 16},
-            "serve": {"rate_per_sec": 500},
-            "thresholds": {"shed": {"direction": "lower"}}})");
-    ASSERT_TRUE(first.ok) << joined(first);
-    const std::string echo = writeConfigJson(first.config);
-    const ScenarioLoadResult second = parseScenario(echo);
-    ASSERT_TRUE(second.ok) << joined(second) << "\n" << echo;
-    EXPECT_EQ(writeConfigJson(second.config), echo);
+    // One inline document, then every committed scenario: each must
+    // validate, and its echo must re-parse to the same echo.
+    std::vector<std::pair<std::string, ScenarioLoadResult>> docs;
+    docs.emplace_back(
+        "inline",
+        parseScenario(
+            R"({"name": "x", "kind": "serve", "seed": 9,
+                "runtime": {"workers": 3, "park_threshold": 16},
+                "serve": {"rate_per_sec": 500},
+                "gates": {"shed": {"max": 0},
+                          "inject_fast_frac": {"min": 0.5, "max": 1}}})"));
+    for (const auto &entry :
+         std::filesystem::directory_iterator(HERMES_SCENARIOS_DIR))
+        if (entry.path().extension() == ".json")
+            docs.emplace_back(entry.path().filename().string(),
+                              loadScenarioFile(entry.path().string()));
+    ASSERT_GT(docs.size(), 1u) << HERMES_SCENARIOS_DIR;
+
+    for (const auto &[name, first] : docs) {
+        ASSERT_TRUE(first.ok) << name << "\n" << joined(first);
+        const std::string echo = writeConfigJson(first.config);
+        const ScenarioLoadResult second = parseScenario(echo);
+        ASSERT_TRUE(second.ok)
+            << name << "\n" << joined(second) << "\n" << echo;
+        EXPECT_EQ(writeConfigJson(second.config), echo) << name;
+    }
 }
 
 // ------------------------------------------------------------------
@@ -158,10 +183,10 @@ seedDocument()
         R"({"name": "fuzz_seed", "kind": "serve",
             "runtime": {"workers": 2, "park_threshold": 16},
             "serve": {"rate_per_sec": 100, "duration_sec": 0.1},
-            "thresholds": {
-              "completed_eq_accepted": {"direction": "higher"},
-              "sojourn_p99_ns": {"direction": "lower",
-                                 "max_regression": 0.5}}})");
+            "gates": {
+              "completed_eq_accepted": {"min": 1},
+              "sojourn_p99_ns": {"max": 5e6},
+              "shed_frac": {"min": 0, "max": 0.5}}})");
     EXPECT_TRUE(base.ok);
     return writeConfigJson(base.config);
 }
@@ -264,10 +289,6 @@ TEST(ScenarioConfig, FaultsBlockParsesWithDefaults)
     EXPECT_EQ(r.config.faults.stallWorker, -1);
     EXPECT_FALSE(r.config.faults.forceSpill);
     EXPECT_DOUBLE_EQ(r.config.faults.deadlineMs, 0.0);
-    // Gate sentinels: negative = disabled.
-    EXPECT_LT(r.config.faults.maxFailedFrac, 0.0);
-    EXPECT_LT(r.config.faults.maxDeadlineExpiredFrac, 0.0);
-    EXPECT_LT(r.config.faults.minGoodputFrac, 0.0);
 }
 
 TEST(ScenarioConfig, FaultsBlockRequiresServeKind)
@@ -286,12 +307,14 @@ TEST(ScenarioConfig, FaultsBlockRequiresServeKind)
 
 TEST(ScenarioConfig, FaultsRangeAndGateDiagnosticsCarryPointers)
 {
+    // The faults block has no gates key: outcome bounds are
+    // top-level gates.
     const ScenarioLoadResult r = parseScenario(R"({
         "name": "x", "kind": "serve",
         "faults": {
             "fail_prob": 1.5,
             "max_retries": 99,
-            "gates": {"min_goodput_frac": 2, "bogus": 1}
+            "gates": {"min_goodput_frac": 0.9}
         }
     })");
     ASSERT_FALSE(r.ok);
@@ -300,10 +323,8 @@ TEST(ScenarioConfig, FaultsRangeAndGateDiagnosticsCarryPointers)
         << all;
     EXPECT_NE(all.find("/faults/max_retries"), std::string::npos)
         << all;
-    EXPECT_NE(all.find("/faults/gates/min_goodput_frac"),
+    EXPECT_NE(all.find("/faults/gates: unknown key"),
               std::string::npos)
-        << all;
-    EXPECT_NE(all.find("/faults/gates/bogus"), std::string::npos)
         << all;
 }
 
@@ -323,16 +344,16 @@ TEST(ScenarioConfig, StallWorkerMustNameARealWorker)
 TEST(ScenarioConfig, FaultsEchoIsAFixpointAndGatedOnEnable)
 {
     // Enabled: the echo carries the block and reparses to the same
-    // config (including the only-set-gates "gates" object).
+    // config, outcome gate included.
     const ScenarioLoadResult r = parseScenario(R"({
         "name": "x", "kind": "serve",
         "faults": {
             "fail_prob": 0.2, "straggler_prob": 0.1,
             "stall_worker": 1, "stall_at_sec": 0.05,
             "stall_ms": 20, "force_spill": true,
-            "deadline_ms": 50, "max_retries": 2,
-            "gates": {"max_failed_frac": 0.01}
-        }
+            "deadline_ms": 50, "max_retries": 2
+        },
+        "gates": {"outcome_failed_frac": {"max": 0.01}}
     })");
     ASSERT_TRUE(r.ok) << joined(r);
     const std::string echo = writeConfigJson(r.config);
@@ -340,8 +361,8 @@ TEST(ScenarioConfig, FaultsEchoIsAFixpointAndGatedOnEnable)
     const ScenarioLoadResult again = parseScenario(echo);
     ASSERT_TRUE(again.ok) << joined(again);
     EXPECT_EQ(writeConfigJson(again.config), echo);
-    EXPECT_DOUBLE_EQ(again.config.faults.maxFailedFrac, 0.01);
-    EXPECT_LT(again.config.faults.minGoodputFrac, 0.0);
+    ASSERT_EQ(again.config.gates.size(), 1u);
+    EXPECT_EQ(again.config.gates[0].max, 0.01);
 
     // Disabled (no block): the echo must not mention faults at all,
     // preserving byte-identity with pre-chaos bundles.
