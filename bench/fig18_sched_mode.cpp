@@ -28,11 +28,11 @@ main()
     for (const auto &bench_name : sim::benchmarkNames()) {
         for (unsigned w : workers) {
             auto stat = ctx.make(bench_name, w);
-            stat.scheduling = runtime::SchedulingMode::Static;
+            stat.scheduling = sim::SchedulingMode::Static;
             const auto cs = ctx.compare(stat);
 
             auto dyn = stat;
-            dyn.scheduling = runtime::SchedulingMode::Dynamic;
+            dyn.scheduling = sim::SchedulingMode::Dynamic;
             const auto cd = ctx.compare(dyn);
 
             report.row(bench_name + "/" + std::to_string(w),

@@ -33,9 +33,9 @@ trace(const std::string &figure_id, const std::string &bench_name,
                         + ".csv");
     csv.row({"sample", "t_sec", "watts_static", "watts_dynamic"});
 
-    cfg.scheduling = runtime::SchedulingMode::Static;
+    cfg.scheduling = sim::SchedulingMode::Static;
     const auto rs = harness::runOnce(cfg, 0, true);
-    cfg.scheduling = runtime::SchedulingMode::Dynamic;
+    cfg.scheduling = sim::SchedulingMode::Dynamic;
     const auto rd = harness::runOnce(cfg, 1, true);
 
     std::printf("\n=== %s: %s, %u workers, System A ===\n",

@@ -1,10 +1,12 @@
 /**
  * @file
- * Micro-benchmarks of the Chase-Lev work-stealing deque
- * (Algorithms 2.2-2.4): owner push/pop throughput, steal and bulk
- * steal throughput, the mixed owner-vs-thief contention case, and
- * many-thief drains. `benchContended` reports the stolen count and
- * the CAS-retry counters.
+ * Micro-benchmarks of the split work-stealing deque
+ * (Algorithms 2.2-2.4): owner push/pop throughput (the private part),
+ * steal and bulk steal throughput (of a shared part stocked with
+ * shareAll()), the mixed owner-vs-thief contention case, where the
+ * share rule feeds the thieves, and many-thief drains.
+ * `benchContended` reports the stolen count and the CAS-retry
+ * counters.
  */
 
 #include <atomic>
@@ -30,14 +32,12 @@ void
 benchPushPop(benchmark::State &state)
 {
     WsDeque deque(1 << 12);
-    size_t size_after = 0;
     Task out;
     for (auto _ : state) {
         for (int i = 0; i < 64; ++i)
-            benchmark::DoNotOptimize(
-                deque.push(noopTask(), size_after));
+            benchmark::DoNotOptimize(deque.push(noopTask()).done);
         for (int i = 0; i < 64; ++i)
-            benchmark::DoNotOptimize(deque.pop(out, size_after));
+            benchmark::DoNotOptimize(deque.pop(out).done);
     }
     state.SetItemsProcessed(state.iterations() * 128);
 }
@@ -52,7 +52,8 @@ benchStealOnly(benchmark::State &state)
     for (auto _ : state) {
         state.PauseTiming();
         for (int i = 0; i < 64; ++i)
-            deque.push(noopTask(), size_after);
+            deque.push(noopTask());
+        deque.shareAll();
         state.ResumeTiming();
         for (int i = 0; i < 64; ++i)
             benchmark::DoNotOptimize(deque.steal(out, size_after));
@@ -72,7 +73,8 @@ benchStealHalf(benchmark::State &state)
     for (auto _ : state) {
         state.PauseTiming();
         for (int i = 0; i < 64; ++i)
-            deque.push(noopTask(), size_after);
+            deque.push(noopTask());
+        deque.shareAll();
         batch.clear();
         state.ResumeTiming();
         while (deque.stealHalf(batch, size_after) > 0) {
@@ -83,8 +85,9 @@ benchStealHalf(benchmark::State &state)
 }
 
 /**
- * Owner pops while `thieves` (arg 0) steal concurrently: thieves
- * collide only on the head CAS, and the owner only on the last task.
+ * Owner pushes and pops while `thieves` (arg 0) steal concurrently
+ * what the share rule publishes: thieves collide only on the head
+ * CAS, and the owner only on a reclaim's last task.
  * items_per_second counts tasks consumed by either side; `stolen`
  * isolates thief throughput, `steal_retries`/`pop_losses` show the
  * contention the CAS absorbed.
@@ -111,14 +114,13 @@ benchContended(benchmark::State &state)
         });
     }
 
-    size_t size_after = 0;
     Task out;
     uint64_t popped = 0;
     for (auto _ : state) {
         for (int i = 0; i < 64; ++i)
-            deque.push(noopTask(), size_after);
+            deque.push(noopTask());
         for (int i = 0; i < 64; ++i) {
-            if (deque.pop(out, size_after))
+            if (deque.pop(out))
                 ++popped;
         }
     }
@@ -148,9 +150,9 @@ benchMultiThiefDrain(benchmark::State &state)
     uint64_t total = 0;
     for (auto _ : state) {
         state.PauseTiming();
-        size_t sz = 0;
         for (int i = 0; i < kBatch; ++i)
-            deque.push(noopTask(), sz);
+            deque.push(noopTask());
+        deque.shareAll();
         std::atomic<uint64_t> drained{0};
         state.ResumeTiming();
 

@@ -16,7 +16,9 @@
  *   3  invalid scenario (validation diagnostics on stderr)
  *   6  soak: monotone-counter regression or latency drift
  *   7  sweep: a variant gate failed (curves.md has the verdicts)
- *   8  run: a counter gate failed (one stderr line per failed bound)
+ *   8  run, or any point of a sweep: a counter gate failed (one
+ *      stderr line per failed bound; a sweep's names the variant
+ *      and the rate, and takes precedence over 7)
  *
  * Codes 4 and 5 are retired and must not be reused.
  */
@@ -231,14 +233,19 @@ cmdSweep(const Options &opts)
             std::printf("sweep: %s knee at %g req/s\n",
                         vc.variant.c_str(), vc.kneeRatePerSec);
     }
-    if (outcome.gateFailure) {
+    // Like run's, a sweep's gates are checked once curves.json and
+    // curves.md have landed.
+    for (const std::string &failure : outcome.curves.pointGateFailures)
+        std::fprintf(stderr, "hermes-scenario: sweep: %s\n",
+                     failure.c_str());
+    if (outcome.gateFailure)
         std::fprintf(stderr,
                      "hermes-scenario: sweep: gate failure — see "
                      "%s/curves.md\n",
                      dir.c_str());
-        return kExitSweepGate;
-    }
-    return kExitOk;
+    if (!outcome.curves.pointGateFailures.empty())
+        return kExitGate;
+    return outcome.gateFailure ? kExitSweepGate : kExitOk;
 }
 
 } // namespace

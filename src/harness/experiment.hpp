@@ -21,7 +21,6 @@
 
 #include "core/policy.hpp"
 #include "platform/system_profile.hpp"
-#include "runtime/runtime_config.hpp"
 #include "sim/sim_config.hpp"
 
 namespace hermes::harness {
@@ -39,8 +38,7 @@ struct ExperimentConfig
     std::optional<platform::FrequencyLadder> ladder;
 
     unsigned numThresholds = 2;
-    runtime::SchedulingMode scheduling =
-        runtime::SchedulingMode::Static;
+    sim::SchedulingMode scheduling = sim::SchedulingMode::Static;
 
     /** Trial protocol (paper: 20 trials, discard first 2). */
     unsigned trials = defaultTrials();

@@ -583,12 +583,13 @@ writeScenarioBundle(const std::string &dir,
 }
 
 std::vector<std::string>
-checkGates(const ScenarioResult &result)
+checkGates(const std::vector<CounterGate> &gates,
+           const std::map<std::string, double> &metrics)
 {
     std::vector<std::string> failures;
-    for (const CounterGate &gate : result.config.gates) {
-        const auto it = result.metrics.find(gate.counter);
-        if (it == result.metrics.end()) {
+    for (const CounterGate &gate : gates) {
+        const auto it = metrics.find(gate.counter);
+        if (it == metrics.end()) {
             failures.push_back("gate " + gate.counter
                                + ": counter missing from run.json");
             continue;
@@ -607,6 +608,12 @@ checkGates(const ScenarioResult &result)
                                + util::jsonNumber(*gate.max));
     }
     return failures;
+}
+
+std::vector<std::string>
+checkGates(const ScenarioResult &result)
+{
+    return checkGates(result.config.gates, result.metrics);
 }
 
 } // namespace hermes::harness::scenario

@@ -109,10 +109,16 @@ std::string writeDeterministicJson(const ScenarioResult &result);
 void writeScenarioBundle(const std::string &dir,
                          const ScenarioResult &result);
 
-/** Check the scenario's gates against the run's counters. Returns
- * one message per failed bound, naming the counter, its value and
- * the bound; a gated counter the run did not emit fails. Empty =
- * every gate passes. The CLI maps a non-empty result to exit 8. */
+/** Check `gates` against a run's counters. Returns one message per
+ * failed bound, naming the counter, its value and the bound; a gated
+ * counter the run did not emit fails. Empty = every gate passes. The
+ * CLI maps a non-empty result to exit 8, for a run and for any point
+ * of a sweep. */
+std::vector<std::string>
+checkGates(const std::vector<CounterGate> &gates,
+           const std::map<std::string, double> &metrics);
+
+/** checkGates() of the scenario's own gates on its run. */
 std::vector<std::string> checkGates(const ScenarioResult &result);
 
 } // namespace hermes::harness::scenario

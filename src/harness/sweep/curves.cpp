@@ -6,6 +6,7 @@
 #include <limits>
 #include <sstream>
 
+#include "harness/scenario/scenario_runner.hpp"
 #include "util/json.hpp"
 
 namespace hermes::harness::sweep {
@@ -279,6 +280,11 @@ reduceSweep(const scenario::ScenarioConfig &config,
                     + util::jsonNumber(rate) + ")");
                 continue;
             }
+            for (const std::string &failure :
+                 scenario::checkGates(config.gates, found->metrics))
+                curves.pointGateFailures.push_back(
+                    variant.name + " at " + util::jsonNumber(rate)
+                    + " req/s: " + failure);
             curves.points.push_back(*found);
             mine.push_back(*found);
             vc.points.push_back(toCurvePoint(*found, curves.notes));
@@ -523,8 +529,18 @@ writeCurvesMd(const scenario::ScenarioConfig &config,
         << "\n\n";
 
     out << "## Gates\n\n";
+    if (!config.gates.empty()) {
+        out << (curves.pointGateFailures.empty() ? "**PASS**"
+                                                 : "**FAIL**")
+            << " — the top-level gates on every point.\n\n";
+        for (const std::string &failure : curves.pointGateFailures)
+            out << "- " << failure << "\n";
+        if (!curves.pointGateFailures.empty())
+            out << "\n";
+    }
     if (curves.gates.empty()) {
-        out << "No gates declared.\n";
+        if (config.gates.empty())
+            out << "No gates declared.\n";
     } else {
         out << (curves.gateFailure ? "**FAIL**" : "**PASS**")
             << " — every non-first variant vs `"

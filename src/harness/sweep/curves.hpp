@@ -16,9 +16,12 @@
  * "deterministic" object (offered counts and schedule hashes, pure
  * functions of seed and rate) must still match exactly.
  *
- * Gates compare every non-first variant against variants[0] at each
- * rate point by direction-aware relative regression; a metric that
- * variants[0] pins at zero fails on any worsening.
+ * Two kinds of gate are checked. The scenario's top-level `gates`
+ * bound every point absolutely, with the rule `hermes-scenario run`
+ * applies to a single run. The sweep block's `gates` compare every
+ * non-first variant against variants[0] at each rate point by
+ * direction-aware relative regression; a metric that variants[0]
+ * pins at zero fails on any worsening.
  */
 
 #ifndef HERMES_HARNESS_SWEEP_CURVES_HPP
@@ -89,7 +92,10 @@ struct SweepCurves
 {
     std::vector<VariantCurve> variants; ///< sweep-block order
     std::vector<GateFinding> gates;     ///< every evaluated cell
-    bool gateFailure = false;           ///< any gate failed
+    bool gateFailure = false;           ///< any variant gate failed
+    /** Top-level gates that failed on a point: one message per
+     * failed bound, naming the variant and the rate. */
+    std::vector<std::string> pointGateFailures;
     /** Reduction problems (missing points/metrics) — non-fatal for
      * curve output, but reported in curves.md. */
     std::vector<std::string> notes;

@@ -215,7 +215,8 @@ runSweep(const scenario::ScenarioConfig &config,
     writeFile(outDir + "/curves.md",
               writeCurvesMd(config, outcome.curves), outcome.errors);
 
-    outcome.ok = outcome.errors.empty() && !outcome.gateFailure;
+    outcome.ok = outcome.errors.empty() && !outcome.gateFailure
+        && outcome.curves.pointGateFailures.empty();
     return outcome;
 }
 

@@ -33,6 +33,8 @@ struct SweepOutcome
 {
     bool ok = false;          ///< ran, reduced, and gates passed
     bool gateFailure = false; ///< a variant gate failed (exit 7)
+    // A top-level gate that failed on a point (exit 8) is listed in
+    // curves.pointGateFailures.
     /** I/O or bundle-load failures (exit 1). */
     std::vector<std::string> errors;
     SweepCurves curves;

@@ -35,20 +35,4 @@ pinSelfToCore(CoreId core)
 #endif
 }
 
-bool
-unpinSelf(unsigned num_cores)
-{
-#if HERMES_HAVE_AFFINITY
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    for (unsigned c = 0; c < num_cores; ++c)
-        CPU_SET(c, &set);
-    return pthread_setaffinity_np(pthread_self(), sizeof(set), &set)
-        == 0;
-#else
-    (void)num_cores;
-    return false;
-#endif
-}
-
 } // namespace hermes::platform

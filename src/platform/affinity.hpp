@@ -2,10 +2,9 @@
  * @file
  * Thread-to-core affinity (Section 3.4, "Worker-Core Mapping").
  *
- * Static scheduling pins each worker to one core for the whole run;
- * dynamic scheduling re-pins around each WORK invocation. Both reduce
- * to setting the calling thread's affinity mask. On platforms without
- * affinity support the calls degrade to no-ops that report failure,
+ * Static scheduling pins each worker to one core for the whole run,
+ * by setting the calling thread's affinity mask. On platforms without
+ * affinity support the call degrades to a no-op that reports failure,
  * which the runtime records but tolerates.
  */
 
@@ -21,10 +20,6 @@ bool affinitySupported();
 
 /** Pin the calling thread to `core`. @return success. */
 bool pinSelfToCore(CoreId core);
-
-/** Remove any pinning from the calling thread (all-cores mask).
- *  @return success. */
-bool unpinSelf(unsigned num_cores);
 
 } // namespace hermes::platform
 

@@ -76,9 +76,7 @@ class Topology
  * Workers are dense 0-based ids, domains dense 0-based ids; two
  * workers in the same domain share a cache/NUMA/clock neighbourhood
  * and are cheap to steal between. The map is immutable after
- * construction — under dynamic scheduling workers re-pin to their
- * *planned* core around every task, so the planned placement stays
- * the right locality signal.
+ * construction: it follows the *planned* worker placement.
  */
 class DomainMap
 {

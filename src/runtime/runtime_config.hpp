@@ -22,11 +22,13 @@ namespace hermes::runtime {
  *
  * - None: no pinning; suitable for containers that forbid affinity.
  * - Static: each worker is pinned to its planned core once at start.
- * - Dynamic: each worker re-pins around every WORK invocation (the
- *   paper's migration-tolerant mode; the extra affinity syscalls are
- *   its measured overhead).
+ *
+ * The paper's dynamic mode, which re-pins around every WORK
+ * invocation, lives only in the simulator (sim::SimConfig): on a host
+ * that cannot change frequency no regime shows it winning, and its
+ * two affinity syscalls per task would sit on the owner's task path.
  */
-enum class SchedulingMode { None, Static, Dynamic };
+enum class SchedulingMode { None, Static };
 
 /**
  * How frequency-dependent slowdown manifests on hardware that cannot

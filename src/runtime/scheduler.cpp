@@ -13,9 +13,6 @@ namespace hermes::runtime {
 
 namespace {
 
-thread_local Runtime *tls_runtime = nullptr;
-thread_local core::WorkerId tls_worker = core::invalidWorker;
-
 uint64_t
 steadyNowNanos()
 {
@@ -108,20 +105,11 @@ resolveDomainMap(const RuntimeConfig &config,
 
 } // namespace
 
-Runtime *
-Runtime::current()
-{
-    return tls_runtime;
-}
-
-core::WorkerId
-Runtime::currentWorker()
-{
-    return tls_worker;
-}
-
 Runtime::Runtime(RuntimeConfig config)
-    : config_(std::move(config)), plannedCores_(planCores(config_)),
+    : config_(std::move(config)),
+      throttled_(config_.throttle == ThrottleMode::PostTaskSpin
+                 && config_.enableTempo),
+      plannedCores_(planCores(config_)),
       domainMap_(resolveDomainMap(config_, plannedCores_)),
       injectQueue_(config_.inject, domainMap_.numDomains()),
       lot_(config_.numWorkers)
@@ -261,44 +249,29 @@ SubmitHandle::wait()
 }
 
 void
-Runtime::spawn(TaskGroup &group, TaskFn &&fn)
+Runtime::injectSpawn(TaskGroup &group, TaskFn &&fn)
 {
-    Runtime *rt = tls_runtime;
-    const core::WorkerId id = tls_worker;
-    if (rt != this || id == core::invalidWorker) {
-        group.beginShared();
-        inject(Task(std::move(fn), &group));
-        return;
-    }
-    // The group counts the spawn before it becomes runnable: in its
-    // owner's count if this worker owns it, else in P.
-    const bool owner_counted = group.beginTask(id);
-    auto &ws = *workers_[id];
-    size_t size_after = 0;
-    // push() leaves `fn` intact on failure (full ring), which the
-    // inline-execution fallback below relies on.
-    if (ws.deque.push(std::move(fn), &group, owner_counted,
-                      size_after)) {
-        ownedAdd(ws.pushes);
-        // Wake only on the empty→non-empty transition: a deque that
-        // was already non-empty is visible to any thief's pre-park
-        // re-check, so deeper pushes cannot strand a parked worker
-        // and stay free of shared wake state. The producer's own
-        // domain is the preferred wake target — the new work sits
-        // in its deque.
-        if (size_after == 1)
-            notifyIfParked(domainMap_.domainOf(id));
-        // Coarse timestamp: spawns are the hottest event the
-        // controller sees, and it only needs ms-scale time.
-        if (tempo_)
-            tempo_->onPush(id, size_after, coarseNow(ws));
-    } else {
-        // Ring full: execute inline. With child-stealing this is
-        // just a depth-first serialization of the subtree.
-        ownedAdd(ws.inlined);
-        Task task(std::move(fn), &group, owner_counted);
-        execute(id, task);
-    }
+    group.beginShared();
+    inject(Task(std::move(fn), &group));
+}
+
+void
+Runtime::runInline(core::WorkerId id, Task task)
+{
+    ownedAdd(workers_[id]->inlined);
+    execute(id, task);
+}
+
+void
+Runtime::wakeForShare(core::WorkerId id)
+{
+    // Only a share that found the shared part empty wakes anyone: a
+    // deque whose shared part was already non-empty is visible to
+    // any thief's pre-park re-check, so deeper pushes cannot strand
+    // a parked worker and stay free of shared wake state; a private
+    // task strands one only until its owner's next push or pop,
+    // whose share lands here.
+    notifyIfParked(domainMap_.domainOf(id));
 }
 
 bool
@@ -356,16 +329,6 @@ Runtime::notifyIfParked(platform::DomainId preferred)
         }
     }
     return false;
-}
-
-void
-Runtime::notifyManyIfParked(uint64_t count,
-                            platform::DomainId preferred)
-{
-    for (uint64_t i = 0; i < count; ++i) {
-        if (!notifyIfParked(preferred))
-            return;
-    }
 }
 
 void
@@ -444,88 +407,29 @@ Runtime::popInjected(core::WorkerId id, Task &out)
 }
 
 void
-Runtime::execute(core::WorkerId id, Task &task)
+Runtime::runThrottled(core::WorkerId id, Task &task)
 {
-    auto &ws = *workers_[id];
-    ownedAdd(ws.activeDepth);
-
-    // Dynamic scheduling: bind the worker to its core for the span of
-    // this WORK invocation so a preemption cannot migrate it away
-    // from the core whose frequency was set for it (Section 3.4).
-    const bool dynamic =
-        config_.scheduling == SchedulingMode::Dynamic;
-    if (dynamic) {
-        platform::pinSelfToCore(plannedCores_[id]);
-        ownedAdd(ws.affinitySets);
-    }
-
-    const bool throttled =
-        config_.throttle == ThrottleMode::PostTaskSpin && tempo_;
-    const double start = throttled ? util::nowSeconds() : 0.0;
-
-    try {
-        task.body();
-    } catch (...) {
-        if (task.group)
-            task.group->recordException(std::current_exception());
-    }
-
-    if (throttled) {
-        // Stretch the task to the duration it would have had at the
-        // worker's current tempo: total = measured * f_max / f.
-        const double f = tempo_->frequencyOf(id);
-        const double fmax = tempo_->ladder().fastest();
-        if (f < fmax) {
-            const double end = util::nowSeconds();
-            const double target = start + (end - start) * (fmax / f);
-            while (util::nowSeconds() < target) {
-                // busy-wait: this burns cycles exactly like running
-                // the task longer would
-            }
+    const double start = util::nowSeconds();
+    runBody(task);
+    // Stretch the task to the duration it would have had at the
+    // worker's current tempo: total = measured * f_max / f.
+    const double f = tempo_->frequencyOf(id);
+    const double fmax = tempo_->ladder().fastest();
+    if (f < fmax) {
+        const double end = util::nowSeconds();
+        const double target = start + (end - start) * (fmax / f);
+        while (util::nowSeconds() < target) {
+            // busy-wait: this burns cycles exactly like running the
+            // task longer would
         }
     }
-
-    if (dynamic) {
-        platform::unpinSelf(config_.profile.topology.numCores());
-        ownedAdd(ws.affinitySets);
-    }
-
-    ownedAdd(ws.executed);
-    if (task.group) {
-        if (task.ownerCounted)
-            task.group->finishOwned(id);
-        else
-            task.group->finish();
-    }
-    ownedAdd(ws.activeDepth, -1);
-    // Task bodies are the only unbounded-duration stretches between
-    // deque events; invalidating the coarse clock here bounds its
-    // staleness to one task body (or 32 back-to-back spawns) instead
-    // of 32 arbitrary-length tasks. The next tempo hook re-reads the
-    // wall clock.
-    ws.clockEvents = 0;
 }
 
 bool
-Runtime::findAndExecute(core::WorkerId id)
+Runtime::hunt(core::WorkerId id)
 {
     auto &ws = *workers_[id];
-    // Progress heartbeat for the stall watchdog: one relaxed bump
-    // per scheduler iteration, same cost class as the counters
-    // below. Covers workerMain and the help-while-waiting loop in
-    // TaskGroup::wait — everywhere a live worker spins.
-    ownedAdd(ws.heartbeat);
     Task task;
-    size_t size_after = 0;
-
-    // Algorithm 2.1: POP own deque first (most immediate task).
-    if (ws.deque.pop(task, size_after)) {
-        ownedAdd(ws.pops);
-        if (tempo_)
-            tempo_->onPopSuccess(id, size_after, coarseNow(ws));
-        execute(id, task);
-        return true;
-    }
 
     // Deque empty: the immediacy relay fires before victim hunting
     // (Figure 5 lines 6-14). Idempotent across retries. Fresh
@@ -582,9 +486,9 @@ Runtime::tryStealFrom(core::WorkerId id, core::WorkerId victim)
     ownedAdd(domainMap_.sameDomain(id, victim) ? ws.localHits
                                                : ws.remoteHits);
 
-    // Wake chaining: the victim still has surplus tasks, so another
-    // parked thief has something to take — preferably one near the
-    // victim's deque.
+    // Wake chaining: the victim's shared part still holds tasks, so
+    // another parked thief has something to take — preferably one
+    // near the victim's deque.
     if (size_after > 0)
         notifyIfParked(domainMap_.domainOf(victim));
 
@@ -595,7 +499,8 @@ Runtime::tryStealFrom(core::WorkerId id, core::WorkerId victim)
         // Algorithm 3.5's victim-side workload check, then line 20's
         // thief procrastination + list splice. A bulk grab is still
         // one steal event; the surplus re-enters through onPush.
-        tempo_->onVictimStolen(victim, size_after, now);
+        tempo_->onVictimStolen(victim,
+                               workers_[victim]->deque.size(), now);
         tempo_->onStealSuccess(id, victim, now);
     }
 
@@ -610,17 +515,20 @@ Runtime::tryStealFrom(core::WorkerId id, core::WorkerId victim)
         // Stock our own deque with the surplus, preserving the
         // victim's head order: our pops take the most immediate of
         // the batch, thieves take the least — the work-first
-        // ordering survives the transfer. Then chain wakes for the
-        // surplus: a steal landing k tasks can employ up to k-1 more
-        // workers (docs/STEALING.md).
+        // ordering survives the transfer. The share rule exposes the
+        // surplus to other thieves and wakes one for it
+        // (docs/STEALING.md).
         for (size_t i = 1; i < got; ++i) {
-            size_t my_size = 0;
-            if (ws.deque.push(std::move(buf[i]), my_size)) {
+            const WsDeque::OwnerResult pushed =
+                ws.deque.push(std::move(buf[i]));
+            if (pushed) {
                 ownedAdd(ws.pushes);
+                if (pushed.published)
+                    wakeForShare(id);
                 // The whole surplus transfer is one instant to the
                 // controller — the steal's fresh timestamp covers it.
                 if (tempo_)
-                    tempo_->onPush(id, my_size, now);
+                    tempo_->onPush(id, pushed.size, now);
             } else {
                 // Ring full (cannot happen while every deque shares
                 // config_.dequeCapacity — a ceil-half grab always
@@ -630,7 +538,6 @@ Runtime::tryStealFrom(core::WorkerId id, core::WorkerId victim)
                 overflow.push_back(std::move(buf[i]));
             }
         }
-        notifyManyIfParked(got - 1, domainMap_.domainOf(id));
     }
 
     Task first = std::move(buf[0]);
@@ -645,8 +552,8 @@ Runtime::tryStealFrom(core::WorkerId id, core::WorkerId victim)
 void
 Runtime::workerMain(core::WorkerId id)
 {
-    tls_runtime = this;
-    tls_worker = id;
+    tlsRuntime_ = this;
+    tlsWorker_ = id;
 
     if (config_.scheduling == SchedulingMode::Static) {
         platform::pinSelfToCore(plannedCores_[id]);
@@ -678,9 +585,14 @@ Runtime::workerMain(core::WorkerId id)
             != 0) {
             const uint64_t nap = sync::exchange(
                 ws.stallNanosRequested, 0, std::memory_order_acq_rel);
-            if (nap != 0)
+            if (nap != 0) {
+                // A private task would be out of every thief's sight
+                // for the whole nap.
+                if (ws.deque.shareAll())
+                    wakeForShare(id);
                 std::this_thread::sleep_for(
                     std::chrono::nanoseconds(nap));
+            }
         }
         if (findAndExecute(id)) {
             empty_hunts = 0;
@@ -704,8 +616,8 @@ Runtime::workerMain(core::WorkerId id)
         just_woke = parkUntilWork(id);
     }
 
-    tls_runtime = nullptr;
-    tls_worker = core::invalidWorker;
+    tlsRuntime_ = nullptr;
+    tlsWorker_ = core::invalidWorker;
 }
 
 bool
@@ -716,10 +628,12 @@ Runtime::workPossiblyAvailable() const
     if (injectPending_.load(std::memory_order_seq_cst) != 0)
         return true;
     for (const auto &ws : workers_) {
-        // Deque indices are seq_cst, so this load is ordered after
-        // the parked-publish in parkUntilWork() — the read half of
-        // the Dekker handshake with a producer's tail store.
-        if (!ws->deque.empty())
+        // The shared part's indices are read seq_cst, so this is
+        // ordered after the parked-publish in parkUntilWork() — the
+        // read half of the Dekker handshake with an owner's share
+        // store. A private part is out of sight: its owner shares
+        // and wakes at its next push or pop.
+        if (ws->deque.stealable())
             return true;
     }
     return false;

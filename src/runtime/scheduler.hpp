@@ -11,12 +11,23 @@
  * `RuntimeConfig::parkThreshold` consecutive hunts come up empty,
  * parks: it publishes itself on the runtime's ParkingLot, re-checks
  * every work source, and blocks in the kernel until a producer wakes
- * it. A successful steal takes ceil(n/2) of the victim's tasks; the
- * thief runs one, stocks its own deque with the rest, and chains
- * wakes for the surplus. Producers notify the lot only on an
- * empty→non-empty deque transition or an external inject, preferring
- * a same-domain parked worker, so the spawn hot path touches no
- * shared wake state while the pool is busy.
+ * it. A successful steal takes ceil(n/2) of the tasks the victim
+ * shares; the thief runs one and stocks its own deque with the rest,
+ * whose shares wake peers for them. Producers notify the lot only
+ * when a deque share makes a shared part non-empty (deque.hpp) or on
+ * an external inject, preferring a same-domain parked worker, so the
+ * spawn hot path touches no shared wake state while the pool is
+ * busy.
+ *
+ * The owner's path is inline, below the class: a spawn on a worker
+ * (TaskGroup::run → spawn()) and one pop-and-run step (popAndRun(),
+ * which findAndExecute() and TaskGroup::wait()'s help loop share)
+ * compile into the caller, so a task spawned and popped on its own
+ * worker runs through no out-of-line runtime call and, with the
+ * deque's private part, no locked instruction. A spawned task may
+ * stay private until its owner's next push, pop or sync: a task body
+ * that spawns and then spins on a child, without calling wait() or
+ * returning, can starve that child.
  * External threads enter through Runtime::submit (or run): tasks
  * land on the lock-free sharded inject queue (inject_queue.hpp) and
  * workers drain their own domain's shard first, so sustained outside
@@ -253,14 +264,20 @@ class Runtime
     const platform::DomainMap &domainMap() const { return domainMap_; }
 
     /** The Runtime owning the calling worker thread (else nullptr). */
-    static Runtime *current();
+    static Runtime *current() { return tlsRuntime_; }
 
     /** Worker id of the calling thread within current() (else
      * invalidWorker). */
-    static core::WorkerId currentWorker();
+    static core::WorkerId currentWorker() { return tlsWorker_; }
 
   private:
     friend class TaskGroup;
+
+    /** The calling thread's runtime and worker id: set by
+     * workerMain() for its whole life, null/invalid elsewhere. */
+    static inline thread_local Runtime *tlsRuntime_ = nullptr;
+    static inline thread_local core::WorkerId tlsWorker_ =
+        core::invalidWorker;
 
     /**
      * Per-worker state. Single-writer rule: every counter here is
@@ -292,6 +309,8 @@ class Runtime
         std::atomic<uint64_t> failedSteals{0};
         std::atomic<uint64_t> executed{0};
         std::atomic<uint64_t> inlined{0};
+        /** Pinning syscalls (SchedulingMode::Static, one per
+         * worker). */
         std::atomic<uint64_t> affinitySets{0};
         std::atomic<uint64_t> parks{0};
         std::atomic<uint64_t> wakes{0};
@@ -358,17 +377,42 @@ class Runtime
      * coarse cache so per-worker timestamps never run backwards. */
     static double freshNow(WorkerState &ws);
 
-    /** Spawn into the group (worker push or external inject). */
+    /** Spawn into the group: a push onto the calling worker's
+     * deque (inline), else an inject. */
     void spawn(TaskGroup &group, TaskFn &&fn);
 
-    /** One scheduler iteration; true if a task was executed. */
+    /** spawn() from a thread that is not one of this runtime's
+     * workers: count the task in P and inject it. */
+    void injectSpawn(TaskGroup &group, TaskFn &&fn);
+
+    /** spawn() onto a full ring: run the task inline on worker
+     * `id`. */
+    void runInline(core::WorkerId id, Task task);
+
+    /** One scheduler iteration (Algorithm 2.1); true if a task was
+     * executed: popAndRun(), else hunt(). */
     bool findAndExecute(core::WorkerId id);
+
+    /** The owner's pop-and-run step: bump the heartbeat, pop the
+     * most immediate task of worker `id`'s own deque and run it.
+     * @return false if the deque had nothing for its owner */
+    bool popAndRun(core::WorkerId id);
+
+    /** The rest of a scheduler iteration, once the own deque is
+     * empty: the out-of-work event, the inject queue, then one hunt
+     * over the victims. @return true if a task was executed */
+    bool hunt(core::WorkerId id);
 
     /** Attempt one bulk steal (ceil(n/2) tasks) from `victim` for
      * thief `id`; on success runs one stolen task, stocks the
      * thief's deque with the rest, and fires the steal
      * stats/tempo/wake bookkeeping. @return true if a task ran. */
     bool tryStealFrom(core::WorkerId id, core::WorkerId victim);
+
+    /** A deque share of worker `id` made its shared part non-empty:
+     * wake a parked worker, preferring `id`'s domain, where the
+     * work sits. */
+    void wakeForShare(core::WorkerId id);
 
     /**
      * Wake one parked worker, preferring one whose domain is
@@ -380,12 +424,6 @@ class Runtime
      */
     bool notifyIfParked(platform::DomainId preferred);
 
-    /** Up to `count` notifyIfParked(preferred) calls, stopping when
-     * no parked worker is left — wake chaining for the surplus of a
-     * bulk steal. */
-    void notifyManyIfParked(uint64_t count,
-                            platform::DomainId preferred);
-
     /**
      * Park worker `id`: publish it parked, re-check every work
      * source, and block on the lot unless the re-check found work.
@@ -395,17 +433,29 @@ class Runtime
     bool parkUntilWork(core::WorkerId id);
 
     /** Seq_cst scan of every work source a parked worker could miss:
-     * stop flag, inject queue, and all deques. */
+     * stop flag, inject queue, and the shared part of every deque. */
     bool workPossiblyAvailable() const;
 
-    /** Run one task with affinity/throttle/tempo bookkeeping. */
+    /** Run one task on worker `id` with the depth, throttle and
+     * completion bookkeeping. */
     void execute(core::WorkerId id, Task &task);
+
+    /** Run the body of `task`, recording what it throws in its
+     * group. */
+    static void runBody(Task &task);
+
+    /** runBody() under ThrottleMode::PostTaskSpin: stretch the task
+     * to the length it would have at worker `id`'s tempo. */
+    void runThrottled(core::WorkerId id, Task &task);
 
     void workerMain(core::WorkerId id);
     bool popInjected(core::WorkerId id, Task &out);
     void inject(Task task);
 
     RuntimeConfig config_;
+    /** ThrottleMode::PostTaskSpin with tempo on: execute() stretches
+     * every task. */
+    bool throttled_ = false;
     std::vector<platform::CoreId> plannedCores_;
     /** Worker → domain map steering victim and wake selection. */
     platform::DomainMap domainMap_;
@@ -466,6 +516,138 @@ class Runtime
 
     std::atomic<bool> stop_{false};
 };
+
+// The owner's path: defined here so that it compiles into its
+// callers (a TaskGroup::run() or wait() in a task body). spawn(),
+// execute() and popAndRun() are past GCC's size limit for inlining
+// on its own, and a call each costs about a tenth of a spawned
+// task, so they are always inlined.
+
+[[gnu::always_inline]] inline void
+Runtime::spawn(TaskGroup &group, TaskFn &&fn)
+{
+    const core::WorkerId id = tlsWorker_;
+    if (tlsRuntime_ != this || id == core::invalidWorker) {
+        injectSpawn(group, std::move(fn));
+        return;
+    }
+    // The group counts the spawn before it becomes runnable: in its
+    // owner's count if this worker owns it, else in P.
+    const bool owner_counted = group.beginTask(id);
+    WorkerState &ws = *workers_[id];
+    // push() leaves `fn` intact on a full ring, which the inline
+    // fallback relies on.
+    const WsDeque::OwnerResult pushed =
+        ws.deque.push(std::move(fn), &group, owner_counted);
+    if (!pushed) {
+        // Ring full: execute inline. With child-stealing this is
+        // just a depth-first serialization of the subtree.
+        runInline(id, Task(std::move(fn), &group, owner_counted));
+        return;
+    }
+    ownedAdd(ws.pushes);
+    if (pushed.published)
+        wakeForShare(id);
+    // Coarse timestamp: spawns are the hottest event the controller
+    // sees, and it only needs ms-scale time.
+    if (tempo_)
+        tempo_->onPush(id, pushed.size, coarseNow(ws));
+}
+
+inline void
+Runtime::runBody(Task &task)
+{
+    try {
+        task.body();
+    } catch (...) {
+        if (task.group)
+            task.group->recordException(std::current_exception());
+    }
+}
+
+[[gnu::always_inline]] inline void
+Runtime::execute(core::WorkerId id, Task &task)
+{
+    WorkerState &ws = *workers_[id];
+    ownedAdd(ws.activeDepth);
+    if (throttled_)
+        runThrottled(id, task);
+    else
+        runBody(task);
+    ownedAdd(ws.executed);
+    if (task.group) {
+        if (task.ownerCounted)
+            task.group->finishOwned(id);
+        else
+            task.group->finish();
+    }
+    ownedAdd(ws.activeDepth, -1);
+    // Task bodies are the only unbounded-duration stretches between
+    // deque events; invalidating the coarse clock here bounds its
+    // staleness to one task body (or 32 back-to-back spawns) instead
+    // of 32 arbitrary-length tasks. The next tempo hook re-reads the
+    // wall clock.
+    ws.clockEvents = 0;
+}
+
+[[gnu::always_inline]] inline bool
+Runtime::popAndRun(core::WorkerId id)
+{
+    WorkerState &ws = *workers_[id];
+    // Progress heartbeat for the stall watchdog: one relaxed bump
+    // per scheduler iteration, same cost class as the counters
+    // below. Covers workerMain and the help-while-waiting loop in
+    // TaskGroup::wait — everywhere a live worker spins.
+    ownedAdd(ws.heartbeat);
+    // Algorithm 2.1: POP own deque first (most immediate task).
+    Task task;
+    const WsDeque::OwnerResult popped = ws.deque.pop(task);
+    if (!popped)
+        return false;
+    ownedAdd(ws.pops);
+    if (popped.published)
+        wakeForShare(id);
+    if (tempo_)
+        tempo_->onPopSuccess(id, popped.size, coarseNow(ws));
+    execute(id, task);
+    return true;
+}
+
+inline bool
+Runtime::findAndExecute(core::WorkerId id)
+{
+    return popAndRun(id) || hunt(id);
+}
+
+inline TaskGroup::TaskGroup(Runtime &rt)
+    : rt_(rt),
+      owner_(Runtime::current() == &rt ? Runtime::currentWorker()
+                                       : kNoOwner)
+{}
+
+inline void
+TaskGroup::run(TaskFn &&fn)
+{
+    rt_.spawn(*this, std::move(fn));
+}
+
+inline void
+TaskGroup::wait()
+{
+    const core::WorkerId id = Runtime::currentWorker();
+    if (Runtime::current() != &rt_ || id == core::invalidWorker) {
+        waitBlocking();
+        return;
+    }
+    // A worker at a sync point keeps scheduling: its own deque first
+    // (our children sit there), then stealing — the same loop as
+    // Algorithm 2.1.
+    while (pending() != 0) {
+        if (!rt_.findAndExecute(id))
+            std::this_thread::yield();
+    }
+    rethrowIfError();
+}
 
 } // namespace hermes::runtime
 

@@ -16,29 +16,15 @@ constexpr auto kAwaitOwnedSleep = std::chrono::microseconds(20);
 
 } // namespace
 
-TaskGroup::TaskGroup(Runtime &rt)
-    : rt_(rt),
-      owner_(Runtime::current() == &rt ? Runtime::currentWorker()
-                                       : kNoOwner)
-{}
-
 TaskGroup::TaskGroup(Runtime &rt, NeverOwned)
     : rt_(rt), owner_(kNeverOwned)
 {}
 
-TaskGroup::~TaskGroup()
-{
-    // P's raw word, not pending(): a waiter bit still set here would
-    // mean a finisher is yet to release a waiter of this group.
-    HERMES_ASSERT(quiescent(),
-                  "TaskGroup destroyed with tasks still pending; "
-                  "call wait() first");
-}
-
 void
-TaskGroup::run(TaskFn &&fn)
+TaskGroup::destroyedPending() const
 {
-    rt_.spawn(*this, std::move(fn));
+    HERMES_PANIC("TaskGroup destroyed with tasks still pending; "
+                 "call wait() first");
 }
 
 bool
@@ -55,37 +41,16 @@ TaskGroup::claim(core::WorkerId id)
                            std::memory_order_relaxed);
 }
 
-bool
-TaskGroup::quiescent() const
-{
-    const long r = remoteDone_.load(std::memory_order_acquire);
-    const long p = pending_.load(std::memory_order_acquire);
-    return p == 0 && owned_.load(std::memory_order_acquire) == r;
-}
-
 void
-TaskGroup::wait()
+TaskGroup::waitBlocking()
 {
-    Runtime *rt = Runtime::current();
-    const core::WorkerId id = Runtime::currentWorker();
-
-    if (rt == &rt_ && id != core::invalidWorker) {
-        // A worker at a sync point keeps scheduling: its own deque
-        // first (our children sit there), then stealing — the same
-        // loop as Algorithm 2.1.
-        while (pending() != 0) {
-            if (!rt_.findAndExecute(id))
-                std::this_thread::yield();
-        }
-    } else {
-        // A running task may still spawn into either count (a P task
-        // on the owner spawns into O, an O task elsewhere into P), so
-        // repeat until one read of R, P and O shows nothing left.
-        do {
-            awaitOwned();
-            waitShared();
-        } while (!quiescent());
-    }
+    // A running task may still spawn into either count (a P task on
+    // the owner spawns into O, an O task elsewhere into P), so repeat
+    // until one read of R, P and O shows nothing left.
+    do {
+        awaitOwned();
+        waitShared();
+    } while (!quiescent());
     rethrowIfError();
 }
 
@@ -156,12 +121,8 @@ TaskGroup::recordException(std::exception_ptr error)
 }
 
 void
-TaskGroup::rethrowIfError()
+TaskGroup::rethrowRecorded()
 {
-    // The flag is set before the failing task's finish(), whose
-    // release the waiter acquired, so a clean group is never locked.
-    if (!hasError_.load(std::memory_order_acquire))
-        return;
     std::exception_ptr error;
     {
         sync::Guard lock(mutex_);

@@ -26,6 +26,13 @@
  * are never owned. docs/ARCHITECTURE.md, "TaskGroup completion", has
  * the whole protocol and why a waiter that reads R, then P, then O
  * never sees a false zero.
+ *
+ * run() and a worker's wait() are inline, defined in scheduler.hpp
+ * next to the deque fast path they compile into (this header
+ * includes it at the end). A spawned child may sit in its worker's
+ * private deque part, invisible to thieves, until that worker's next
+ * spawn, pop or wait(): a body that spawns and then spins on the
+ * child without waiting can starve it.
  */
 
 #ifndef HERMES_RUNTIME_TASK_GROUP_HPP
@@ -50,10 +57,17 @@ class TaskGroup
   public:
     /** Bind to the runtime that will execute the tasks. Built on
      * one of its workers, the group is owned by that worker. */
-    explicit TaskGroup(Runtime &rt);
+    inline explicit TaskGroup(Runtime &rt);
 
     /** All tasks must be awaited before destruction. */
-    ~TaskGroup();
+    ~TaskGroup()
+    {
+        // P's raw word, not pending(): a waiter bit still set here
+        // would mean a finisher is yet to release a waiter of this
+        // group.
+        if (!quiescent())
+            destroyedPending();
+    }
 
     TaskGroup(const TaskGroup &) = delete;
     TaskGroup &operator=(const TaskGroup &) = delete;
@@ -66,7 +80,7 @@ class TaskGroup
      * lambdas — every spawn site in parallel.hpp — spawn without
      * allocating (task_fn.hpp).
      */
-    void run(TaskFn &&fn);
+    inline void run(TaskFn &&fn);
 
     /**
      * Wait until every spawned task has completed. Worker threads
@@ -74,7 +88,7 @@ class TaskGroup
      * block. Rethrows the first exception thrown by any task in this
      * group.
      */
-    void wait();
+    inline void wait();
 
     /** Tasks spawned but not yet completed: P + O - R. */
     long
@@ -158,7 +172,20 @@ class TaskGroup
 
     /** Whether nothing is outstanding: P's whole word is zero (no
      * count, no waiter bit) and O equals R. Reads R, P, O. */
-    bool quiescent() const;
+    bool
+    quiescent() const
+    {
+        const long r = remoteDone_.load(std::memory_order_acquire);
+        const long p = pending_.load(std::memory_order_acquire);
+        return p == 0 && owned_.load(std::memory_order_acquire) == r;
+    }
+
+    /** The destructor's panic: the group still has tasks. */
+    [[noreturn]] void destroyedPending() const;
+
+    /** wait() on a thread that is not one of the runtime's workers:
+     * block until quiescent, then rethrow. */
+    void waitBlocking();
 
     /** Blocking wait, step 1: poll with backoff until every
      * owner-counted task has completed (O - R, reading R first). */
@@ -171,8 +198,18 @@ class TaskGroup
     void recordException(std::exception_ptr error);
 
     /** Rethrow a recorded exception, if any; locks only when one is
-     * recorded. */
-    void rethrowIfError();
+     * recorded. The flag is set before the failing task's
+     * completion, which the waiter acquired, so a clean group is
+     * never locked. */
+    void
+    rethrowIfError()
+    {
+        if (hasError_.load(std::memory_order_acquire))
+            rethrowRecorded();
+    }
+
+    /** rethrowIfError() once the flag is seen set. */
+    void rethrowRecorded();
 
     Runtime &rt_;
     /** P: task count, plus kWaiterBit while a blocking waiter waits. */
@@ -199,3 +236,7 @@ class TaskGroup
 } // namespace hermes::runtime
 
 #endif // HERMES_RUNTIME_TASK_GROUP_HPP
+
+// run() and wait() are defined with the scheduler they inline into.
+#include "runtime/scheduler.hpp"
+

@@ -12,9 +12,17 @@
 #include "core/policy.hpp"
 #include "core/tempo_controller.hpp"
 #include "platform/system_profile.hpp"
-#include "runtime/runtime_config.hpp"
 
 namespace hermes::sim {
+
+/**
+ * Worker-core mapping the simulator models (paper Section 3.4):
+ * Static pins each worker to its core once; Dynamic re-pins around
+ * every WORK invocation and pays two affinity syscalls for it. The
+ * threaded runtime keeps only the static mapping
+ * (runtime::SchedulingMode).
+ */
+enum class SchedulingMode { Static, Dynamic };
 
 /** Options for one simulated execution. */
 struct SimConfig
@@ -35,8 +43,7 @@ struct SimConfig
 
     /** Static vs dynamic worker-core scheduling (Section 3.4);
      * dynamic pays affinity costs around every WORK invocation. */
-    runtime::SchedulingMode scheduling =
-        runtime::SchedulingMode::Static;
+    SchedulingMode scheduling = SchedulingMode::Static;
 
     /** Victim-selection / wake-choice RNG seed. */
     uint64_t seed = 1;

@@ -341,7 +341,7 @@ Simulator::startAcquired(unsigned w, const Continuation &c, double t,
     // Dynamic scheduling: affinity set before WORK and reset after —
     // modelled as a fixed toll on each acquisition (Section 3.4).
     const double cost = extra_cost
-        + (config_.scheduling == runtime::SchedulingMode::Dynamic
+        + (config_.scheduling == SchedulingMode::Dynamic
                ? 2.0 * config_.affinityCostSec
                : 0.0);
     ws.current = c;

@@ -1,19 +1,26 @@
 /**
  * @file
- * Concurrency stress for the Chase-Lev deque: an owner
- * pushing/popping against multiple thieves — single-task steal() and
- * bulk stealHalf() mixed — must hand every task to exactly one
- * consumer, no losses, no duplicates. The races are the steal CAS
- * vs the owner's retract/last-task CAS, and the torn-copy-discard
- * rule of the slot words. The wrap-around torture uses a tiny ring
- * so the one-vacant-slot rule and the
- * overwrite-implies-CAS-failure argument (docs/STEALING.md) are
- * exercised thousands of laps deep. These suites are part of the
- * TSan/ASan CI matrix and the multicore-stress --repeat job.
+ * Concurrency stress for the split deque: an owner pushing/popping
+ * against multiple thieves — single-task steal() and bulk
+ * stealHalf() mixed — must hand every task to exactly one consumer,
+ * no losses, no duplicates. The owner's loop drives both moves
+ * between the parts: the share rule publishes private tasks whenever
+ * the thieves empty the shared part, a periodic shareAll() publishes
+ * everything, and the pops right after it reclaim shared tasks. The races
+ * are the steal CAS vs the owner's retract/last-task CAS, and the
+ * torn-copy-discard rule of the slot words. Each suite also checks
+ * that the thieves claimed tasks and that the owner shared: an
+ * exactly-once check over tasks no thief could see would pass
+ * vacuously. The wrap-around torture uses a tiny ring so the
+ * one-vacant-slot rule and the overwrite-implies-CAS-failure argument
+ * (docs/STEALING.md) are exercised thousands of laps deep. These
+ * suites are part of the TSan/ASan CI matrix and the
+ * multicore-stress --repeat job.
  */
 
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -36,6 +43,68 @@ struct StressParams
 class DequeStress : public testing::TestWithParam<StressParams>
 {};
 
+/**
+ * The owner's side of every stress test: push items 0..items-1 (each
+ * body counts its own consumption), popping every `pop_every`-th
+ * iteration and on a full ring; every 64 items publish everything
+ * and pop twice, which reclaims from the shared part; finally
+ * publish everything and drain by reclaims. Waits for `thieves` to
+ * report ready first, and for them to drain the first 64 items'
+ * shared part.
+ * @return {tasks popped, owner operations that published}
+ */
+std::pair<long, long>
+runOwner(WsDeque &deque, std::vector<std::atomic<int>> &consumed,
+         int items, int pop_every, std::atomic<int> &ready,
+         int thieves)
+{
+    while (ready.load(std::memory_order_acquire) < thieves)
+        std::this_thread::yield();
+    long popped = 0;
+    long shares = 0;
+    Task out;
+    const auto pop = [&] {
+        const auto r = deque.pop(out);
+        if (!r)
+            return false;
+        shares += r.published;
+        out.body();
+        ++popped;
+        return true;
+    };
+    for (int i = 0; i < items; ++i) {
+        auto body = [i, &consumed] {
+            consumed[static_cast<size_t>(i)].fetch_add(1);
+        };
+        for (;;) {
+            const auto r = deque.push(Task(body, nullptr));
+            if (r) {
+                shares += r.published;
+                break;
+            }
+            pop();
+        }
+        if ((i % pop_every) == 0)
+            pop();
+        if ((i % 64) == 63) {
+            shares += deque.shareAll();
+            // Once, let the thieves empty the shared part, so they
+            // claim tasks however the host schedules them.
+            while (i == 63 && deque.stealable())
+                std::this_thread::yield();
+            // The private part is empty now, so these pops are
+            // reclaims, racing the thieves for the newest shared
+            // tasks.
+            pop();
+            pop();
+        }
+    }
+    shares += deque.shareAll();
+    while (pop()) {
+    }
+    return {popped, shares};
+}
+
 } // namespace
 
 TEST_P(DequeStress, EveryTaskConsumedExactlyOnce)
@@ -49,6 +118,7 @@ TEST_P(DequeStress, EveryTaskConsumedExactlyOnce)
 
     std::atomic<bool> done{false};
     std::atomic<long> stolen{0};
+    std::atomic<int> ready{0};
 
     std::vector<std::thread> thieves;
     thieves.reserve(p.thieves);
@@ -56,6 +126,7 @@ TEST_P(DequeStress, EveryTaskConsumedExactlyOnce)
         thieves.emplace_back([&] {
             Task out;
             size_t sz = 0;
+            ready.fetch_add(1, std::memory_order_release);
             while (!done.load(std::memory_order_acquire)) {
                 if (deque.steal(out, sz)) {
                     out.body();
@@ -73,31 +144,9 @@ TEST_P(DequeStress, EveryTaskConsumedExactlyOnce)
 
     // Owner: pushes every item, popping intermittently — including
     // long stretches where the deque holds one item, the contended
-    // last-task case both protocols exist for.
-    long popped = 0;
-    {
-        Task out;
-        size_t sz = 0;
-        for (int i = 0; i < p.items; ++i) {
-            auto body = [i, &consumed] {
-                consumed[static_cast<size_t>(i)].fetch_add(1);
-            };
-            while (!deque.push(Task(body, nullptr), sz)) {
-                if (deque.pop(out, sz)) {
-                    out.body();
-                    ++popped;
-                }
-            }
-            if ((i % 3) == 0 && deque.pop(out, sz)) {
-                out.body();
-                ++popped;
-            }
-        }
-        while (deque.pop(out, sz)) {
-            out.body();
-            ++popped;
-        }
-    }
+    // last-task case the reclaim's CAS exists for.
+    const auto [popped, shares] =
+        runOwner(deque, consumed, p.items, 3, ready, p.thieves);
     done.store(true, std::memory_order_release);
     for (auto &t : thieves)
         t.join();
@@ -107,6 +156,8 @@ TEST_P(DequeStress, EveryTaskConsumedExactlyOnce)
             << "task " << i << " consumed wrong number of times";
     }
     EXPECT_EQ(popped + stolen.load(), p.items);
+    EXPECT_GT(stolen.load(), 0) << "no thief ever saw a task";
+    EXPECT_GT(shares, 0) << "the owner never shared";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -152,6 +203,7 @@ TEST_P(DequeBulkStress, MixedSingleAndBulkThievesLoseNothing)
 
     std::atomic<bool> done{false};
     std::atomic<long> stolen{0};
+    std::atomic<int> ready{0};
 
     std::vector<std::thread> thieves;
     thieves.reserve(
@@ -160,6 +212,7 @@ TEST_P(DequeBulkStress, MixedSingleAndBulkThievesLoseNothing)
         thieves.emplace_back([&] {
             Task out;
             size_t sz = 0;
+            ready.fetch_add(1, std::memory_order_release);
             while (!done.load(std::memory_order_acquire)) {
                 if (deque.steal(out, sz)) {
                     out.body();
@@ -184,6 +237,7 @@ TEST_P(DequeBulkStress, MixedSingleAndBulkThievesLoseNothing)
                                  std::memory_order_relaxed);
                 batch.clear();
             };
+            ready.fetch_add(1, std::memory_order_release);
             while (!done.load(std::memory_order_acquire)) {
                 if (deque.stealHalf(batch, sz) > 0)
                     drain();
@@ -194,31 +248,11 @@ TEST_P(DequeBulkStress, MixedSingleAndBulkThievesLoseNothing)
     }
 
     // Owner: pushes every item, popping intermittently so the
-    // tail-side race stays hot against the bulk grabs.
-    long popped = 0;
-    {
-        Task out;
-        size_t sz = 0;
-        for (int i = 0; i < p.items; ++i) {
-            auto body = [i, &consumed] {
-                consumed[static_cast<size_t>(i)].fetch_add(1);
-            };
-            while (!deque.push(Task(body, nullptr), sz)) {
-                if (deque.pop(out, sz)) {
-                    out.body();
-                    ++popped;
-                }
-            }
-            if ((i % 5) == 0 && deque.pop(out, sz)) {
-                out.body();
-                ++popped;
-            }
-        }
-        while (deque.pop(out, sz)) {
-            out.body();
-            ++popped;
-        }
-    }
+    // split-side race (reclaims after each shareAll) stays hot
+    // against the bulk grabs.
+    const auto [popped, shares] = runOwner(
+        deque, consumed, p.items, 5, ready,
+        p.singleThieves + p.bulkThieves);
     done.store(true, std::memory_order_release);
     for (auto &t : thieves)
         t.join();
@@ -228,6 +262,8 @@ TEST_P(DequeBulkStress, MixedSingleAndBulkThievesLoseNothing)
             << "task " << i << " consumed wrong number of times";
     }
     EXPECT_EQ(popped + stolen.load(), p.items);
+    EXPECT_GT(stolen.load(), 0) << "no thief ever saw a task";
+    EXPECT_GT(shares, 0) << "the owner never shared";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -261,6 +297,7 @@ TEST(DequeWrapTorture, TinyRingManyLapsMixedOps)
 
     std::atomic<bool> done{false};
     std::atomic<long> stolen{0};
+    std::atomic<int> ready{0};
 
     std::vector<std::thread> thieves;
     thieves.reserve(kThieves);
@@ -268,6 +305,7 @@ TEST(DequeWrapTorture, TinyRingManyLapsMixedOps)
         thieves.emplace_back([&, t] {
             hermes::util::Rng rng(
                 hermes::util::mix64(0x7edbeef5u, t));
+            ready.fetch_add(1, std::memory_order_release);
             Task out;
             std::vector<Task> batch;
             size_t sz = 0;
@@ -300,33 +338,11 @@ TEST(DequeWrapTorture, TinyRingManyLapsMixedOps)
         });
     }
 
-    long popped = 0;
-    {
-        Task out;
-        size_t sz = 0;
-        for (int i = 0; i < kItems; ++i) {
-            auto body = [i, &consumed] {
-                consumed[static_cast<size_t>(i)].fetch_add(1);
-            };
-            // The 64-slot ring fills after a few pushes, so the
-            // owner alternates hard between push, inline pop, and
-            // the thieves' drain — thousands of full index laps.
-            while (!deque.push(Task(body, nullptr), sz)) {
-                if (deque.pop(out, sz)) {
-                    out.body();
-                    ++popped;
-                }
-            }
-            if ((i & 7) == 0 && deque.pop(out, sz)) {
-                out.body();
-                ++popped;
-            }
-        }
-        while (deque.pop(out, sz)) {
-            out.body();
-            ++popped;
-        }
-    }
+    // The 64-slot ring fills after a few pushes, so the owner
+    // alternates hard between push, inline pop, shareAll and the
+    // thieves' drain — thousands of full index laps.
+    const auto [popped, shares] =
+        runOwner(deque, consumed, kItems, 8, ready, kThieves);
     done.store(true, std::memory_order_release);
     for (auto &t : thieves)
         t.join();
@@ -336,11 +352,14 @@ TEST(DequeWrapTorture, TinyRingManyLapsMixedOps)
             << "task " << i << " consumed wrong number of times";
     }
     EXPECT_EQ(popped + stolen.load(), kItems);
+    EXPECT_GT(stolen.load(), 0) << "no thief ever saw a task";
+    EXPECT_GT(shares, 0) << "the owner never shared";
 }
 
 TEST(DequeContention, SingleItemTugOfWar)
 {
-    // One item at a time, owner and thief racing for it — the
+    // One item at a time, owner and thief racing for it — the push
+    // into an empty deque shares it, so the pop is a reclaim: the
     // last-task CAS arbitration (Chase-Lev) on its hottest path.
     WsDeque deque(8);
     std::atomic<long> total{0};
@@ -357,17 +376,17 @@ TEST(DequeContention, SingleItemTugOfWar)
 
     constexpr int rounds = 50000;
     Task out;
-    size_t sz = 0;
     for (int i = 0; i < rounds; ++i) {
         while (!deque.push(
-            Task([&total] { total.fetch_add(1); }, nullptr), sz)) {
+            Task([&total] { total.fetch_add(1); }, nullptr))) {
         }
-        if (deque.pop(out, sz))
+        if (deque.pop(out))
             out.body();
     }
     done.store(true, std::memory_order_release);
     thief.join();
     Task leftover;
+    size_t sz = 0;
     while (deque.steal(leftover, sz))
         leftover.body();
 

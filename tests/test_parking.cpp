@@ -2,8 +2,9 @@
  * @file
  * Park/wake correctness of the event-driven idle protocol: a
  * quiesced pool parks every worker, a single inject wakes one, churn
- * cycles (empty→busy→empty) never lose a wakeup, and packagePower
- * reflects parkedPower once the pool quiesces.
+ * cycles (empty→busy→empty) never lose a wakeup, a share of private
+ * deque tasks wakes a parked peer, and packagePower reflects
+ * parkedPower once the pool quiesces.
  */
 
 #include <atomic>
@@ -239,6 +240,65 @@ TEST(Parking, EagerThresholdStillCorrect)
     for (int rep = 0; rep < 3; ++rep)
         rt.run([&] { result = fib(rt, 22); });
     EXPECT_EQ(result, 17711);
+}
+
+TEST(Parking, PrivateTasksWakeAParkedPeerAtTheNextPush)
+{
+    // A worker's private deque part is out of every thief's sight, so
+    // a peer that finds only private tasks parks; the owner's next
+    // push finds the shared part empty, shares, and wakes it. Two
+    // workers: the owner spawns `hold` (shared at once; the peer takes
+    // it), then, while `hold` keeps the peer busy, `stock` (shared)
+    // and two children behind it (private). Released, the peer takes
+    // `stock`, finds only private tasks and parks. The owner's next
+    // spawn shares ceil(3/2) = 2 of its three private tasks, and one
+    // of them must then run on the peer.
+    Runtime rt(config(2));
+    bool peer_parked = false;
+    bool woken_peer_ran_a_child = false;
+    rt.run([&] {
+        const auto self = Runtime::currentWorker();
+        TaskGroup g(rt);
+        std::atomic<bool> hold_taken{false};
+        std::atomic<bool> released{false};
+        std::atomic<int> ran_elsewhere{0};
+        const auto child = [&ran_elsewhere, self] {
+            if (Runtime::currentWorker() != self)
+                ran_elsewhere.fetch_add(1, std::memory_order_release);
+        };
+        const auto await = [](auto done) {
+            const auto deadline = std::chrono::steady_clock::now()
+                + std::chrono::seconds(10);
+            while (!done()) {
+                if (std::chrono::steady_clock::now() > deadline)
+                    return false;
+                std::this_thread::yield();
+            }
+            return true;
+        };
+        g.run([&hold_taken, &released] {
+            hold_taken.store(true, std::memory_order_release);
+            while (!released.load(std::memory_order_acquire))
+                std::this_thread::yield();
+        });
+        await([&] { return hold_taken.load(std::memory_order_acquire); });
+        g.run(child); // stock: the shared part was empty again
+        g.run(child); // private
+        g.run(child); // private
+        released.store(true, std::memory_order_release);
+        await([&] {
+            return ran_elsewhere.load(std::memory_order_acquire) == 1;
+        });
+        peer_parked = await([&] { return rt.parkedWorkers() == 1; });
+        g.run(child); // shares two private tasks and wakes the peer
+        woken_peer_ran_a_child = await([&] {
+            return ran_elsewhere.load(std::memory_order_acquire) >= 2;
+        });
+        g.wait();
+    });
+    EXPECT_TRUE(peer_parked) << "the peer saw the private tasks";
+    EXPECT_TRUE(woken_peer_ran_a_child)
+        << "the share did not wake the parked peer";
 }
 
 TEST(Parking, ConcurrentProducersNeverLoseAWakeOnLoneWorker)

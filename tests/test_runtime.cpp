@@ -361,17 +361,6 @@ TEST(Runtime, TempoEnabledRunIsCorrectAndActive)
     EXPECT_EQ(rt.tempo()->ladder().size(), 2u);
 }
 
-TEST(Runtime, DynamicSchedulingRuns)
-{
-    auto cfg = config(4, true);
-    cfg.scheduling = runtime::SchedulingMode::Dynamic;
-    Runtime rt(cfg);
-    long result = 0;
-    rt.run([&] { result = fib(rt, 22); });
-    EXPECT_EQ(result, 17711);
-    EXPECT_GT(rt.stats().affinitySets, 0u);
-}
-
 TEST(Runtime, ThrottleModeStretchesSlowWorkers)
 {
     auto cfg = config(4, true);

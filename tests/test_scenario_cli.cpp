@@ -15,7 +15,9 @@
  *   curves pair plus per-point bundles (exit 0), refuses scenarios
  *   without a sweep block (3), re-reduces stored bundles to
  *   byte-identical curves.json under --reduce-only, and reports a
- *   doctored gate metric as exit 7; a serve bundle carries the
+ *   doctored gate metric as exit 7 (a variant gate) or 8 (a
+ *   top-level gate, checked on every point); a serve bundle carries
+ *   the
  *   watchdog fields always, and outcome counters and faults.csv
  *   only when faults are on.
  */
@@ -120,10 +122,12 @@ class ScenarioCli : public testing::Test
 })");
     }
 
-    /** A small serve scenario with a 2-rate x 2-variant sweep grid
-     * and one pinned gate. */
+    /** A small serve scenario with a 2-rate x 2-variant sweep grid,
+     * one pinned variant gate, and the top-level `gates` body
+     * `gates`. */
     void
-    writeSweepScenario(const std::string &name = "sweep.json")
+    writeSweepScenario(const std::string &name = "sweep.json",
+                       const std::string &gates = "")
     {
         writeFile(name, R"({
   "name": "cli_sweep",
@@ -146,7 +150,8 @@ class ScenarioCli : public testing::Test
       "completed_eq_accepted":
         {"direction": "higher", "max_regression": 0.0}
     }
-  }
+  },
+  "gates": {)" + gates + R"(}
 })");
     }
 
@@ -482,6 +487,57 @@ TEST_F(ScenarioCli, DoctoredGateMetricExitsSevenUnderReduceOnly)
         << output;
     const std::string md = slurp(path("out/curves.md"));
     EXPECT_NE(md.find("**FAIL**"), std::string::npos);
+}
+
+TEST_F(ScenarioCli, DoctoredPointFailsTopLevelGateExitsEight)
+{
+    // The baseline variant loses accepted requests at one rate. The
+    // variant gate compares `b` against it and passes; the top-level
+    // gate, checked on every point with run's rule, fails once, after
+    // curves.json has been written.
+    writeSweepScenario("sweep.json",
+                       R"("completed_eq_accepted": {"min": 1})");
+    ASSERT_EQ(run("sweep " + path("sweep.json") + " --out "
+                  + path("out")),
+              0);
+    const std::string victim =
+        path("out/points/a/rate_1000/run.json");
+    std::string text = slurp(victim);
+    const std::string needle = "\"completed_eq_accepted\": 1";
+    const size_t pos = text.find(needle);
+    ASSERT_NE(pos, std::string::npos) << text;
+    text.replace(pos, needle.size(),
+                 "\"completed_eq_accepted\": 0");
+    std::ofstream(victim) << text;
+    fs::remove(path("out/curves.json"));
+
+    std::string output;
+    EXPECT_EQ(run("sweep " + path("sweep.json") + " --out "
+                      + path("out") + " --reduce-only",
+                  &output),
+              8);
+    const std::string line =
+        "hermes-scenario: sweep: a at 1000 req/s: gate "
+        "completed_eq_accepted: 0 is below min 1\n";
+    const size_t at = output.find(line);
+    EXPECT_NE(at, std::string::npos) << output;
+    EXPECT_EQ(output.find("gate completed_eq_accepted",
+                          at + line.size()),
+              std::string::npos)
+        << "one line per failed bound: " << output;
+    EXPECT_EQ(output.find("gate failure"), std::string::npos)
+        << "the variant gate passed: " << output;
+
+    const JsonParseResult parsed =
+        parseJson(slurp(path("out/curves.json")));
+    ASSERT_TRUE(parsed.ok) << "curves.json is written before exit 8";
+    const auto *passed = parsed.value.find("gates_passed");
+    ASSERT_NE(passed, nullptr);
+    EXPECT_TRUE(passed->boolean());
+    const std::string md = slurp(path("out/curves.md"));
+    EXPECT_NE(md.find("**FAIL** — the top-level gates on every point"),
+              std::string::npos)
+        << md;
 }
 
 TEST_F(ScenarioCli, ServeBundleCarriesChaosFieldsOnlyWithFaults)

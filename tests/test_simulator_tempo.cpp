@@ -136,7 +136,7 @@ TEST(SimulatorTempo, DynamicSchedulingCostsAffinityTime)
     const Dag dag = benchDag("ray");
     auto stat = config(8, core::TempoPolicy::Unified);
     auto dyn = stat;
-    dyn.scheduling = runtime::SchedulingMode::Dynamic;
+    dyn.scheduling = SchedulingMode::Dynamic;
     const auto rs = simulate(dag, stat);
     const auto rd = simulate(dag, dyn);
     // Same schedule seed: dynamic pays two affinity tolls per

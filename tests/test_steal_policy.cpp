@@ -7,6 +7,7 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -171,10 +172,57 @@ spinLoad(Runtime &rt, size_t tasks, unsigned spin_us)
 
 TEST(Stealing, BulkStealsLandMoreThanOneTaskPerSteal)
 {
-    // Fork-join burst: recursive parallelFor splitting stocks every
-    // deque with several tasks, so steal-half grabs land batches.
-    Runtime rt(twoDomainConfig());
-    spinLoad(rt, 2000, 20);
+    // A grab takes ceil(n/2) of the n tasks a victim shares, so it
+    // lands more than one once the victim shares three or more. Two
+    // workers, so the one thief's grab is deterministic: the gate
+    // task holds the thief while the owner stocks its shared part
+    // with `stock` and keeps 15 children private behind it; the thief
+    // then takes `stock`, which holds it until the owner's 16th spawn
+    // has shared ceil(16/2) = 8 children, and the thief's next grab
+    // lands 4 of them.
+    RuntimeConfig cfg;
+    cfg.numWorkers = 2;
+    cfg.domainMap = platform::DomainMap::uniform(2);
+    Runtime rt(cfg);
+    constexpr int kChildren = 16;
+    rt.run([&] {
+        const auto self = Runtime::currentWorker();
+        runtime::TaskGroup gate(rt);
+        runtime::TaskGroup group(rt);
+        std::atomic<bool> gate_held{false};
+        std::atomic<bool> spawned{false};
+        std::atomic<bool> stock_taken{false};
+        std::atomic<bool> shared{false};
+        std::atomic<bool> ran_elsewhere{false};
+        gate.run([&] {
+            gate_held.store(true, std::memory_order_release);
+            while (!spawned.load(std::memory_order_acquire))
+                std::this_thread::yield();
+        });
+        while (!gate_held.load(std::memory_order_acquire))
+            std::this_thread::yield();
+        gate.run([&] {
+            stock_taken.store(true, std::memory_order_release);
+            while (!shared.load(std::memory_order_acquire))
+                std::this_thread::yield();
+        });
+        for (int c = 0; c < kChildren; ++c) {
+            if (c == kChildren - 1) {
+                spawned.store(true, std::memory_order_release);
+                while (!stock_taken.load(std::memory_order_acquire))
+                    std::this_thread::yield();
+            }
+            group.run([&ran_elsewhere, self] {
+                if (Runtime::currentWorker() != self)
+                    ran_elsewhere.store(true, std::memory_order_release);
+            });
+        }
+        shared.store(true, std::memory_order_release);
+        while (!ran_elsewhere.load(std::memory_order_acquire))
+            std::this_thread::yield();
+        group.wait();
+        gate.wait();
+    });
 
     const auto s = rt.stats();
     ASSERT_GT(s.steals, 0u);
@@ -182,13 +230,13 @@ TEST(Stealing, BulkStealsLandMoreThanOneTaskPerSteal)
     EXPECT_GT(s.tasksPerSteal(), 1.0);
     EXPECT_EQ(s.localHits + s.remoteHits, s.steals);
     // The histogram accounts for every steal, with mass above the
-    // singleton bucket.
+    // singleton bucket: the grab of 4 lands in the 3-4 bucket.
     uint64_t hist_total = 0;
     for (unsigned b = 0; b < runtime::RuntimeStats::kStealSizeBuckets;
          ++b)
         hist_total += s.stealSize[b];
     EXPECT_EQ(hist_total, s.steals);
-    EXPECT_GT(s.steals - s.stealSize[0], 0u);
+    EXPECT_GT(s.stealSize[2], 0u);
     // Identity from test_runtime still holds: each steal op executes
     // exactly one task directly; the surplus re-enters via pushes.
     EXPECT_EQ(s.executed, s.pops + s.steals + s.injected + s.inlined);

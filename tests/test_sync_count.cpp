@@ -65,13 +65,13 @@ onWorker(Runtime &rt, Body body)
 
 } // namespace
 
-TEST(SyncCount, SpawnedAndPoppedTaskCostsTwoLockedInstructions)
+TEST(SyncCount, SpawnedAndPoppedTaskCostsNoLockedInstruction)
 {
     // One worker, so nothing is stolen: each child is pushed, popped
-    // back by wait()'s help loop and completed by its owner. Only the
-    // tail publish and the tail retract are locked. A task spawned
-    // first stays below them, so no pop empties the deque (that pop's
-    // CAS is counted below).
+    // back by wait()'s help loop and completed by its owner. A task
+    // spawned first is shared and stays below them, so every child
+    // lands in the private part and no pop empties it into a reclaim
+    // (counted below): plain loads and stores only.
     Runtime rt(quietConfig(1));
     constexpr int kTasks = 64;
     Counts used;
@@ -88,17 +88,19 @@ TEST(SyncCount, SpawnedAndPoppedTaskCostsTwoLockedInstructions)
         below.wait();
     });
     EXPECT_EQ(ran, kTasks);
-    EXPECT_EQ(used.seqCstStores, 2u * kTasks);
+    EXPECT_EQ(used.seqCstStores, 0u);
     EXPECT_EQ(used.rmw, 0u);
     EXPECT_EQ(used.cas, 0u);
     EXPECT_EQ(used.locks, 0u);
-    EXPECT_EQ(used.lockedInstructions(), 2u * kTasks);
+    EXPECT_EQ(used.lockedInstructions(), 0u);
 }
 
-TEST(SyncCount, PoppingTheLastTaskAddsOneCas)
+TEST(SyncCount, LoneTaskPushAndPopCostsThreeLockedInstructions)
 {
-    // A pop that empties the deque races the thieves for the last
-    // task with one CAS on the head.
+    // A push into an empty deque shares its task (one seq_cst store
+    // of the split), and the pop that takes it back is a reclaim: the
+    // split's seq_cst retract and one CAS on the head against the
+    // thieves for the last task.
     Runtime rt(quietConfig(1));
     Counts used;
     onWorker(rt, [&] {
@@ -110,6 +112,8 @@ TEST(SyncCount, PoppingTheLastTaskAddsOneCas)
     });
     EXPECT_EQ(used.seqCstStores, 2u);
     EXPECT_EQ(used.cas, 1u);
+    EXPECT_EQ(used.rmw, 0u);
+    EXPECT_EQ(used.locks, 0u);
     EXPECT_EQ(used.lockedInstructions(), 3u);
 }
 
@@ -137,17 +141,18 @@ TEST(SyncCount, ClaimingAGroupBuiltElsewhereCostsOneCas)
     });
     EXPECT_EQ(ran, kTasks);
     EXPECT_EQ(used.cas, 1u);
-    EXPECT_EQ(used.seqCstStores, 2u * kTasks);
+    EXPECT_EQ(used.seqCstStores, 0u);
     EXPECT_EQ(used.rmw, 0u);
     EXPECT_EQ(used.locks, 0u);
 }
 
 TEST(SyncCount, StolenTaskCostsThreeLockedInstructions)
 {
-    // The spawner publishes the tail, the thief claims the head with
-    // one CAS, and the thief's completion is one RMW on the group's
-    // remote count. The spawner waits for the theft before helping,
-    // so it never pops the child back.
+    // The spawn into an empty deque shares the child (the split
+    // store), the thief claims the head with one CAS, and the thief's
+    // completion is one RMW on the group's remote count. The spawner
+    // waits for the theft before helping, so it never pops the child
+    // back.
     Runtime rt(quietConfig(2));
     Counts used;
     core::WorkerId spawner = core::invalidWorker;

@@ -393,13 +393,18 @@ TEST(TaskGroupRace, ExternalWaitOnWorkerOwnedGroupThenDelete)
 
 TEST(TaskGroupRace, OwnerCountedChildrenStolenBackByTheOwner)
 {
-    // Two workers, so every steal is deterministic. A gate task keeps
-    // the other worker busy while the owner spawns three children;
-    // once the gate opens, the thief sees all three and its grab of
-    // ceil(3/2) runs the first and stocks its own deque with the
-    // second. The first holds the thief until both others finished,
-    // so the owner, in wait(), pops the third and must steal the
-    // second back and complete it as its owner.
+    // Two workers, so every steal is deterministic. The owner spawns
+    // `first` and c0..c4 while the other worker, the thief, is held
+    // by the gate task, and while `stock`, spawned after the thief
+    // took the gate, keeps the owner's shared part non-empty: the
+    // six children stay private. Once the gate opens the thief takes
+    // `stock`, which holds it until the owner's next spawn, c5, has
+    // shared ceil(7/2) = 4 of the private tasks: first, c0, c1, c2.
+    // The thief's grab of ceil(4/2) runs `first` and stocks its own
+    // deque with c0. `first` holds the thief until every other child
+    // has finished, so the owner, in wait(), pops c5..c3, reclaims c2
+    // and c1, and must steal c0 back and complete it as its owner.
+    constexpr int kOthers = 6; // c0..c5
     Runtime rt(workers(2));
     int stolen_back = 0;
     rt.run([&] {
@@ -410,8 +415,13 @@ TEST(TaskGroupRace, OwnerCountedChildrenStolenBackByTheOwner)
             auto *group = new TaskGroup(rt);
             std::atomic<bool> gate_held{false};
             std::atomic<bool> spawned{false};
+            std::atomic<bool> stock_taken{false};
+            std::atomic<bool> shared{false};
             std::atomic<bool> first_started{false};
             std::atomic<int> others_done{0};
+            const auto other = [&others_done] {
+                others_done.fetch_add(1, std::memory_order_release);
+            };
             // The spins yield so that a runner with fewer CPUs than
             // workers still lets the other side in.
             gate.run([&] {
@@ -421,16 +431,24 @@ TEST(TaskGroupRace, OwnerCountedChildrenStolenBackByTheOwner)
             });
             while (!gate_held.load(std::memory_order_acquire))
                 std::this_thread::yield();
-            group->run([&] {
-                first_started.store(true, std::memory_order_release);
-                while (others_done.load(std::memory_order_acquire) < 2)
+            gate.run([&] {
+                stock_taken.store(true, std::memory_order_release);
+                while (!shared.load(std::memory_order_acquire))
                     std::this_thread::yield();
             });
-            for (int c = 0; c < 2; ++c)
-                group->run([&others_done] {
-                    others_done.fetch_add(1, std::memory_order_release);
-                });
+            group->run([&] {
+                first_started.store(true, std::memory_order_release);
+                while (others_done.load(std::memory_order_acquire)
+                       < kOthers)
+                    std::this_thread::yield();
+            });
+            for (int c = 0; c < kOthers - 1; ++c)
+                group->run(other);
             spawned.store(true, std::memory_order_release);
+            while (!stock_taken.load(std::memory_order_acquire))
+                std::this_thread::yield();
+            group->run(other);
+            shared.store(true, std::memory_order_release);
             while (!first_started.load(std::memory_order_acquire))
                 std::this_thread::yield();
             group->wait();
