@@ -13,7 +13,9 @@
  *   0  success / gates passed / soak healthy / sweep gates passed
  *   1  internal or I/O error
  *   2  usage error (bad subcommand, missing argument, unknown flag)
- *   3  invalid scenario (validation diagnostics on stderr)
+ *   3  invalid scenario (validation diagnostics on stderr), or one
+ *      the subcommand cannot run: `sweep` without a sweep block,
+ *      `soak` on the sim substrate
  *   6  soak: monotone-counter regression or latency drift
  *   7  sweep: a variant gate failed (curves.md has the verdicts)
  *   8  run, or any point of a sweep: a counter gate failed (one
@@ -52,7 +54,7 @@ const char *const kUsage =
     "  validate   parse + validate only; diagnostics on stderr\n"
     "  run        execute, write the evidence bundle, check gates\n"
     "  soak       loop the workload, checkpointing scheduler stats\n"
-    "  sweep      run the rates x variants grid, reduce to curves\n"
+    "  sweep      run the points x variants grid, reduce to curves\n"
     "\n"
     "flags:\n"
     "  --out DIR        evidence/soak/sweep output directory\n"
@@ -191,6 +193,14 @@ cmdSoak(const Options &opts)
     scenario::ScenarioConfig config;
     if (!loadOrDiagnose(opts.scenarioPath, config))
         return kExitInvalidScenario;
+    if (config.onSim()) {
+        std::fprintf(stderr,
+                     "hermes-scenario: %s runs on the simulator — "
+                     "`soak` needs the runtime substrate "
+                     "(docs/SCENARIOS.md)\n",
+                     opts.scenarioPath.c_str());
+        return kExitInvalidScenario;
+    }
     const scenario::SoakOutcome outcome = scenario::runSoak(
         config, outDirFor(opts, config), opts.durationSec);
     for (const std::string &failure : outcome.failures)
@@ -224,10 +234,13 @@ cmdSweep(const Options &opts)
     if (!outcome.errors.empty())
         return kExitInternal;
 
-    std::printf("sweep: %zu variant(s) x %zu rate(s) -> %s/curves."
+    std::printf("sweep: %zu variant(s) x %zu %s -> %s/curves."
                 "json, curves.md\n",
                 config.sweep.variants.size(),
-                config.sweep.ratesPerSec.size(), dir.c_str());
+                sweep::gridPoints(config).size(),
+                config.kind == scenario::ScenarioKind::kDag ? "point(s)"
+                                                            : "rate(s)",
+                dir.c_str());
     for (const auto &vc : outcome.curves.variants) {
         if (vc.kneeFound)
             std::printf("sweep: %s knee at %g req/s\n",

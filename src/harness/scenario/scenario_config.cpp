@@ -1,5 +1,6 @@
 #include "harness/scenario/scenario_config.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <fstream>
@@ -7,6 +8,7 @@
 #include <set>
 #include <sstream>
 
+#include "platform/system_profile.hpp"
 #include "sim/dag_generators.hpp"
 #include "util/json.hpp"
 #include "workloads/registry.hpp"
@@ -27,6 +29,34 @@ toString(ScenarioKind kind)
 namespace {
 
 using util::JsonValue;
+
+/** `v` as a number in [min, max], integral when `integer`; otherwise
+ * a diagnostic at `pointer` and nullopt. */
+std::optional<double>
+checkNumber(const JsonValue &v, const std::string &pointer, double min,
+            double max, bool integer, std::vector<ScenarioDiag> &diags)
+{
+    if (!v.isNumber()) {
+        diags.push_back({pointer, std::string("expected ")
+                                      + (integer ? "integer" : "number")
+                                      + ", got "
+                                      + JsonValue::kindName(v.kind())});
+        return std::nullopt;
+    }
+    const double n = v.number();
+    if (integer && n != std::floor(n)) {
+        diags.push_back({pointer, "expected integer, got fractional number "
+                                      + util::jsonNumber(n)});
+        return std::nullopt;
+    }
+    if (n < min || n > max) {
+        diags.push_back({pointer, "value " + util::jsonNumber(n)
+                                      + " outside [" + util::jsonNumber(min)
+                                      + ", " + util::jsonNumber(max) + "]"});
+        return std::nullopt;
+    }
+    return n;
+}
 
 /**
  * Schema walker over one object: typed getters mark keys consumed,
@@ -92,52 +122,14 @@ class ObjectReader
     getDouble(const std::string &key, double &out, double min,
               double max)
     {
-        const JsonValue *v = take(key);
-        if (!v)
-            return false;
-        if (!v->isNumber()) {
-            typeError(key, "number", *v);
-            return false;
-        }
-        const double n = v->number();
-        if (n < min || n > max) {
-            diag(keyPointer(key),
-                 "value " + util::jsonNumber(n) + " outside ["
-                     + util::jsonNumber(min) + ", "
-                     + util::jsonNumber(max) + "]");
-            return false;
-        }
-        out = n;
-        return true;
+        return getNumber(key, out, min, max, false);
     }
 
     template <typename Int>
     bool
     getInt(const std::string &key, Int &out, double min, double max)
     {
-        const JsonValue *v = take(key);
-        if (!v)
-            return false;
-        if (!v->isNumber()) {
-            typeError(key, "integer", *v);
-            return false;
-        }
-        const double n = v->number();
-        if (n != std::floor(n)) {
-            diag(keyPointer(key),
-                 "expected integer, got fractional number "
-                     + util::jsonNumber(n));
-            return false;
-        }
-        if (n < min || n > max) {
-            diag(keyPointer(key),
-                 "value " + util::jsonNumber(n) + " outside ["
-                     + util::jsonNumber(min) + ", "
-                     + util::jsonNumber(max) + "]");
-            return false;
-        }
-        out = static_cast<Int>(n);
-        return true;
+        return getNumber(key, out, min, max, true);
     }
 
     /** String constrained to an allowed set. */
@@ -160,6 +152,41 @@ class ObjectReader
             list += (i ? "|" : "") + allowed[i];
         diag(keyPointer(key), "\"" + s + "\" is not one of " + list);
         return false;
+    }
+
+    /** Array member of `min`..`max` items, marked consumed; calls
+     * `item(value, pointer)` on each. False when absent or not an
+     * array (a diagnostic is emitted when required or mistyped). */
+    template <typename Item>
+    bool
+    getArray(const std::string &key, size_t min, size_t max, Item item,
+             bool required = false)
+    {
+        const JsonValue *v = take(key);
+        if (!v)
+            return reportMissing(key, required, "array");
+        if (!v->isArray()) {
+            typeError(key, "array", *v);
+            return false;
+        }
+        const auto &items = v->array();
+        if (items.size() < min || items.size() > max)
+            diag(keyPointer(key),
+                 "expected " + std::to_string(min) + ".."
+                     + std::to_string(max) + " entries, got "
+                     + std::to_string(items.size()));
+        for (size_t i = 0; i < items.size(); ++i)
+            item(items[i], keyPointer(key) + "/" + std::to_string(i));
+        return true;
+    }
+
+    /** Mark `key` consumed and diagnose it when present: it is valid
+     * elsewhere, but not here (`why`). */
+    void
+    refuse(const std::string &key, const std::string &why)
+    {
+        if (take(key))
+            diag(keyPointer(key), why);
     }
 
     /** Nested object member, marked consumed; nullptr when absent
@@ -198,6 +225,21 @@ class ObjectReader
     }
 
   private:
+    template <typename Number>
+    bool
+    getNumber(const std::string &key, Number &out, double min,
+              double max, bool integer)
+    {
+        const JsonValue *v = take(key);
+        if (!v)
+            return false;
+        const std::optional<double> n =
+            checkNumber(*v, keyPointer(key), min, max, integer, diags_);
+        if (n)
+            out = static_cast<Number>(*n);
+        return n.has_value();
+    }
+
     bool
     reportMissing(const std::string &key, bool required,
                   const char *expected)
@@ -234,14 +276,43 @@ readRuntime(const JsonValue &v, const std::string &pointer,
     r.finish();
 }
 
+const char *const kSimOnly = "valid only on dag substrate \"sim\"";
+
+/** A dvfs block into `out`, which holds the inherited values.
+ * `rungs` is the profile's ladder; `call_cost_us` is read only when
+ * `sim`. */
 void
 readDvfs(const JsonValue &v, const std::string &pointer,
+         const platform::FrequencyLadder &rungs, bool sim,
          DvfsPolicy &out, std::vector<ScenarioDiag> &diags)
 {
     ObjectReader r(v, pointer, diags);
     r.getBool("tempo", out.tempo);
     r.getEnum("policy", out.policy,
               {"baseline", "workpath", "workload", "unified"});
+    std::vector<unsigned> ladder;
+    const auto rung = [&](const JsonValue &item, const std::string &ptr) {
+        const std::optional<double> f =
+            checkNumber(item, ptr, 1, 1e6, true, diags);
+        if (!f)
+            return;
+        if (!rungs.contains(static_cast<unsigned>(*f)))
+            r.diag(ptr, "not a rung of the profile (" + rungs.describe()
+                            + ")");
+        else if (!ladder.empty() && *f >= ladder.back())
+            r.diag(ptr, "rungs must be strictly decreasing (fastest "
+                        "first)");
+        else
+            ladder.push_back(static_cast<unsigned>(*f));
+    };
+    if (r.getArray("ladder", 1, rungs.size(), rung))
+        out.ladder = ladder;
+    r.getInt("thresholds", out.thresholds, 1, 16);
+    r.getInt("window", out.window, 1, 1e6);
+    if (sim)
+        r.getDouble("call_cost_us", out.callCostUs, 0.0, 1e6);
+    else
+        r.refuse("call_cost_us", kSimOnly);
     r.finish();
 }
 
@@ -261,13 +332,13 @@ readDag(const JsonValue &v, const std::string &pointer,
         DagParams &out, std::vector<ScenarioDiag> &diags)
 {
     ObjectReader r(v, pointer, diags);
-    std::vector<std::string> names;
-    for (const std::string &n : sim::benchmarkNames())
-        names.push_back(n);
-    r.getEnum("benchmark", out.benchmark, names);
+    r.getEnum("benchmark", out.benchmark, sim::benchmarkNames());
     r.getDouble("scale", out.scale, 1e-6, 1e3);
-    r.getDouble("gigacycles_per_sec", out.gigacyclesPerSec, 1e-3,
-                1e3);
+    r.getEnum("substrate", out.substrate, {"runtime", "sim"});
+    if (out.substrate == "sim")
+        r.getEnum("scheduling", out.scheduling, {"static", "dynamic"});
+    else
+        r.refuse("scheduling", kSimOnly);
     r.finish();
 }
 
@@ -407,98 +478,87 @@ readSweep(const JsonValue &v, const std::string &pointer,
 {
     out.enabled = true;
     ObjectReader r(v, pointer, diags);
+    const bool dag = base.kind == ScenarioKind::kDag;
+    const platform::SystemProfile profile =
+        platform::profileByName(base.profile);
 
-    if (const JsonValue *rates = r.take("rates_per_sec")) {
-        if (!rates->isArray()) {
-            r.diag(r.keyPointer("rates_per_sec"),
-                   std::string("expected array, got ")
-                       + JsonValue::kindName(rates->kind()));
-        } else {
-            const auto &items = rates->array();
-            if (items.empty() || items.size() > 64)
-                r.diag(r.keyPointer("rates_per_sec"),
-                       "expected 1..64 rates, got "
-                           + std::to_string(items.size()));
-            for (size_t i = 0; i < items.size(); ++i) {
-                const std::string ptr = r.keyPointer("rates_per_sec")
-                                        + "/" + std::to_string(i);
-                if (!items[i].isNumber()) {
-                    r.diag(ptr,
-                           std::string("expected number, got ")
-                               + JsonValue::kindName(
-                                   items[i].kind()));
-                    continue;
-                }
-                const double rate = items[i].number();
-                if (rate < 1e-3 || rate > 1e9) {
-                    r.diag(ptr, "value " + util::jsonNumber(rate)
-                                    + " outside [0.001, 1e+09]");
-                    continue;
-                }
-                if (!out.ratesPerSec.empty()
-                    && rate <= out.ratesPerSec.back()) {
+    if (dag) {
+        const auto &names = sim::benchmarkNames();
+        r.getArray(
+            "benchmarks", 1, names.size(),
+            [&](const JsonValue &item, const std::string &ptr) {
+                const std::string name =
+                    item.isString() ? item.string() : "";
+                if (std::find(names.begin(), names.end(), name)
+                    == names.end())
+                    r.diag(ptr, "expected a generator name (knn|ray|"
+                                "sort|compare|hull)");
+                else if (std::find(out.benchmarks.begin(),
+                                   out.benchmarks.end(), name)
+                         != out.benchmarks.end())
+                    r.diag(ptr, "duplicate benchmark \"" + name + "\"");
+                else
+                    out.benchmarks.push_back(name);
+            },
+            /*required=*/true);
+        // The simulator places one worker per clock domain.
+        const double most = base.onSim() ? profile.maxWorkers() : 256;
+        r.getArray(
+            "workers", 1, 64,
+            [&](const JsonValue &item, const std::string &ptr) {
+                const std::optional<double> w =
+                    checkNumber(item, ptr, 1, most, true, diags);
+                if (w && !out.workers.empty() && *w <= out.workers.back())
+                    r.diag(ptr, "workers must be strictly increasing");
+                else if (w)
+                    out.workers.push_back(static_cast<unsigned>(*w));
+            },
+            /*required=*/true);
+    } else {
+        r.getArray(
+            "rates_per_sec", 1, 64,
+            [&](const JsonValue &item, const std::string &ptr) {
+                const std::optional<double> rate =
+                    checkNumber(item, ptr, 1e-3, 1e9, false, diags);
+                if (rate && !out.ratesPerSec.empty()
+                    && *rate <= out.ratesPerSec.back())
                     r.diag(ptr, "rates must be strictly increasing");
-                    continue;
-                }
-                out.ratesPerSec.push_back(rate);
-            }
-        }
-    } else {
-        r.diag(r.keyPointer("rates_per_sec"),
-               "missing required array");
+                else if (rate)
+                    out.ratesPerSec.push_back(*rate);
+            },
+            /*required=*/true);
+        r.getDouble("knee_p99_ns", out.kneeP99Ns, 0.0, 1e12);
     }
 
-    r.getDouble("knee_p99_ns", out.kneeP99Ns, 0.0, 1e12);
-
-    if (const JsonValue *vars = r.take("variants")) {
-        if (!vars->isArray()) {
-            r.diag(r.keyPointer("variants"),
-                   std::string("expected array, got ")
-                       + JsonValue::kindName(vars->kind()));
-        } else {
-            const auto &items = vars->array();
-            if (items.empty() || items.size() > 8)
-                r.diag(r.keyPointer("variants"),
-                       "expected 1..8 variants, got "
-                           + std::to_string(items.size()));
-            std::set<std::string> names;
-            for (size_t i = 0;
-                 i < items.size() && i < size_t(8); ++i) {
-                const std::string ptr = r.keyPointer("variants")
-                                        + "/" + std::to_string(i);
-                if (!items[i].isObject()) {
-                    r.diag(ptr,
-                           std::string("expected object, got ")
-                               + JsonValue::kindName(
-                                   items[i].kind()));
-                    continue;
-                }
-                SweepVariant var;
-                var.runtime = base.runtime;
-                var.dvfs = base.dvfs;
-                ObjectReader vr(items[i], ptr, diags);
-                vr.getString("name", var.name, /*required=*/true);
-                if (!var.name.empty() && !validName(var.name))
-                    vr.diag(ptr + "/name",
-                            "must match [A-Za-z0-9_-]+ (it names "
-                            "curves and point directories)");
-                else if (!var.name.empty()
-                         && !names.insert(var.name).second)
-                    vr.diag(ptr + "/name",
-                            "duplicate variant name \"" + var.name
-                                + "\"");
-                if (const JsonValue *rt = vr.getObject("runtime"))
-                    readRuntime(*rt, ptr + "/runtime", var.runtime,
-                                diags);
-                if (const JsonValue *dv = vr.getObject("dvfs"))
-                    readDvfs(*dv, ptr + "/dvfs", var.dvfs, diags);
-                vr.finish();
-                out.variants.push_back(std::move(var));
-            }
+    std::set<std::string> names;
+    const auto variant = [&](const JsonValue &item,
+                             const std::string &ptr) {
+        if (!item.isObject()) {
+            r.diag(ptr, std::string("expected object, got ")
+                            + JsonValue::kindName(item.kind()));
+            return;
         }
-    } else {
-        r.diag(r.keyPointer("variants"), "missing required array");
-    }
+        SweepVariant var;
+        var.runtime = base.runtime;
+        var.dvfs = base.dvfs;
+        ObjectReader vr(item, ptr, diags);
+        vr.getString("name", var.name, /*required=*/true);
+        if (!var.name.empty() && !validName(var.name))
+            vr.diag(ptr + "/name",
+                    "must match [A-Za-z0-9_-]+ (it names "
+                    "curves and point directories)");
+        else if (!var.name.empty() && !names.insert(var.name).second)
+            vr.diag(ptr + "/name",
+                    "duplicate variant name \"" + var.name + "\"");
+        if (const JsonValue *rt = vr.getObject("runtime"))
+            readRuntime(*rt, ptr + "/runtime", var.runtime, diags);
+        if (const JsonValue *dv = vr.getObject("dvfs"))
+            readDvfs(*dv, ptr + "/dvfs", profile.ladder, base.onSim(),
+                     var.dvfs, diags);
+        vr.finish();
+        out.variants.push_back(std::move(var));
+    };
+    r.getArray("variants", 1, 8, variant, /*required=*/true);
 
     if (const JsonValue *g = r.getObject("gates"))
         readVariantGates(*g, r.keyPointer("gates"), out.gates, diags);
@@ -608,8 +668,6 @@ parseScenario(const std::string &text)
 
     if (const JsonValue *v = r.getObject("runtime"))
         readRuntime(*v, "/runtime", config.runtime, diags);
-    if (const JsonValue *v = r.getObject("dvfs"))
-        readDvfs(*v, "/dvfs", config.dvfs, diags);
     if (const JsonValue *v = r.getObject("gates"))
         readCounterGates(*v, "/gates", config.gates, diags);
     if (const JsonValue *v = r.getObject("soak"))
@@ -644,6 +702,22 @@ parseScenario(const std::string &text)
             readServe(*v, ptr, config.serve, diags);
     }
 
+    // The dvfs block is read after the param blocks, so a sim-only
+    // key can check the substrate, and before the sweep, whose
+    // variants start from it.
+    const platform::SystemProfile profile =
+        platform::profileByName(config.profile);
+    config.dvfs.ladder = platform::defaultTempoLadder(profile).rungs();
+    if (const JsonValue *v = r.getObject("dvfs"))
+        readDvfs(*v, "/dvfs", profile.ladder, config.onSim(),
+                 config.dvfs, diags);
+    if (config.onSim() && config.runtime.workers > profile.maxWorkers())
+        r.diag("/runtime/workers",
+               "the simulator places one worker per clock domain; "
+               "profile " + config.profile + " has "
+                   + std::to_string(profile.maxWorkers())
+                   + " clock domains");
+
     // The faults block is read after runtime so its stall spec can
     // validate against the final worker count.
     if (const JsonValue *v = r.getObject("faults")) {
@@ -659,11 +733,9 @@ parseScenario(const std::string &text)
     // The sweep block is read after runtime/dvfs/serve so variants
     // can resolve against the final base policies.
     if (const JsonValue *v = r.getObject("sweep")) {
-        if (have_kind && config.kind != ScenarioKind::kServe)
-            r.diag("/sweep",
-                   std::string("sweep block requires kind 'serve', "
-                               "scenario kind is '")
-                       + kind + "'");
+        if (have_kind && config.kind == ScenarioKind::kForkJoin)
+            r.diag("/sweep", "sweep block requires kind 'serve' or "
+                             "'dag', scenario kind is 'fork_join'");
         else
             readSweep(*v, "/sweep", config, config.sweep, diags);
     }
@@ -706,17 +778,43 @@ runtimeBodyJson(const RuntimePolicy &r, const std::string &ind)
     return out.str();
 }
 
-/** DVFS policy as a JSON object body (see runtimeBodyJson). */
+/** `[a, b, c]` */
+template <typename T, typename Format>
 std::string
-dvfsBodyJson(const DvfsPolicy &d, const std::string &ind)
+arrayJson(const std::vector<T> &items, Format format)
+{
+    std::string out = "[";
+    for (size_t i = 0; i < items.size(); ++i)
+        out += (i ? ", " : "") + format(items[i]);
+    return out + "]";
+}
+
+std::string
+uintJson(unsigned v)
+{
+    return std::to_string(v);
+}
+
+/** DVFS policy as a JSON object body (see runtimeBodyJson);
+ * `call_cost_us` only on the sim substrate, where it is valid. */
+std::string
+dvfsBodyJson(const DvfsPolicy &d, const std::string &ind, bool sim)
 {
     const std::string in2 = ind + "  ";
     std::ostringstream out;
     out << "{\n"
         << in2 << "\"tempo\": " << (d.tempo ? "true" : "false")
         << ",\n"
-        << in2 << "\"policy\": \"" << d.policy << "\"\n"
-        << ind << "}";
+        << in2 << "\"policy\": \"" << d.policy << "\",\n"
+        << in2 << "\"ladder\": " << arrayJson(d.ladder, uintJson)
+        << ",\n"
+        << in2 << "\"thresholds\": " << d.thresholds << ",\n"
+        << in2 << "\"window\": " << d.window;
+    if (sim)
+        out << ",\n"
+            << in2 << "\"call_cost_us\": "
+            << util::jsonNumber(d.callCostUs);
+    out << "\n" << ind << "}";
     return out.str();
 }
 
@@ -773,7 +871,8 @@ writeConfigJson(const ScenarioConfig &c)
         << ",\n"
         << "  \"runtime\": " << runtimeBodyJson(c.runtime, "  ")
         << ",\n"
-        << "  \"dvfs\": " << dvfsBodyJson(c.dvfs, "  ") << ",\n";
+        << "  \"dvfs\": " << dvfsBodyJson(c.dvfs, "  ", c.onSim())
+        << ",\n";
 
     switch (c.kind) {
     case ScenarioKind::kForkJoin:
@@ -789,9 +888,11 @@ writeConfigJson(const ScenarioConfig &c)
             << "    \"benchmark\": \"" << c.dag.benchmark << "\",\n"
             << "    \"scale\": " << util::jsonNumber(c.dag.scale)
             << ",\n"
-            << "    \"gigacycles_per_sec\": "
-            << util::jsonNumber(c.dag.gigacyclesPerSec) << "\n"
-            << "  },\n";
+            << "    \"substrate\": \"" << c.dag.substrate << "\"";
+        if (c.onSim())
+            out << ",\n"
+                << "    \"scheduling\": \"" << c.dag.scheduling << "\"";
+        out << "\n  },\n";
         break;
     case ScenarioKind::kServe:
         out << "  \"serve\": {\n"
@@ -846,15 +947,19 @@ writeConfigJson(const ScenarioConfig &c)
     }
 
     if (c.sweep.enabled) {
-        out << "  \"sweep\": {\n"
-            << "    \"rates_per_sec\": [";
-        for (size_t i = 0; i < c.sweep.ratesPerSec.size(); ++i)
-            out << (i ? ", " : "")
-                << util::jsonNumber(c.sweep.ratesPerSec[i]);
-        out << "],\n"
-            << "    \"knee_p99_ns\": "
-            << util::jsonNumber(c.sweep.kneeP99Ns) << ",\n"
-            << "    \"variants\": [\n";
+        out << "  \"sweep\": {\n";
+        if (c.kind == ScenarioKind::kDag)
+            out << "    \"benchmarks\": "
+                << arrayJson(c.sweep.benchmarks, util::jsonQuote) << ",\n"
+                << "    \"workers\": "
+                << arrayJson(c.sweep.workers, uintJson) << ",\n";
+        else
+            out << "    \"rates_per_sec\": "
+                << arrayJson(c.sweep.ratesPerSec, util::jsonNumber)
+                << ",\n"
+                << "    \"knee_p99_ns\": "
+                << util::jsonNumber(c.sweep.kneeP99Ns) << ",\n";
+        out << "    \"variants\": [\n";
         for (size_t i = 0; i < c.sweep.variants.size(); ++i) {
             const SweepVariant &v = c.sweep.variants[i];
             out << "      {\n"
@@ -863,7 +968,7 @@ writeConfigJson(const ScenarioConfig &c)
                 << "        \"runtime\": "
                 << runtimeBodyJson(v.runtime, "        ") << ",\n"
                 << "        \"dvfs\": "
-                << dvfsBodyJson(v.dvfs, "        ") << "\n"
+                << dvfsBodyJson(v.dvfs, "        ", c.onSim()) << "\n"
                 << "      }"
                 << (i + 1 < c.sweep.variants.size() ? "," : "")
                 << "\n";

@@ -34,7 +34,7 @@ namespace hermes::harness::scenario {
 enum class ScenarioKind
 {
     kForkJoin, ///< repeated flat fork-join bursts of spin tasks
-    kDag,      ///< a src/sim DAG-generator graph on the real runtime
+    kDag,      ///< a src/sim DAG-generator graph, run or simulated
     kServe,    ///< open-loop serving via harness::serve::runServe()
 };
 
@@ -48,11 +48,19 @@ struct RuntimePolicy
     unsigned parkThreshold = 4;
 };
 
-/** Tempo/DVFS policy of the run. */
+/** Tempo/DVFS policy of the run (core::TempoConfig). */
 struct DvfsPolicy
 {
     bool tempo = false; ///< wire a TempoController into the hooks
     std::string policy = "unified"; ///< baseline|workpath|workload|unified
+    /** Usable rungs in MHz, fastest first; empty means the profile's
+     * paper pair (platform::defaultTempoLadder), which the parser
+     * fills in so the echo names the rungs a run used. */
+    std::vector<unsigned> ladder;
+    unsigned thresholds = 2; ///< K, TempoConfig::numThresholds
+    unsigned window = 64;    ///< TempoConfig::profilerWindow
+    /** Sim substrate only: SimConfig::dvfsCallCostSec, in µs. */
+    double callCostUs = 3.0;
 };
 
 /** fork_join kind: `repeats` sequential waves of `tasks` spin
@@ -65,14 +73,18 @@ struct ForkJoinParams
     unsigned repeats = 4;
 };
 
-/** dag kind: one generated benchmark DAG (sim/dag_generators.hpp)
- * executed on the threaded runtime, cycles mapped to wall-clock
- * spins. */
+/** dag kind: one generated benchmark DAG (sim/dag_generators.hpp),
+ * its grains anchored at the profile's fastest rung. The runtime
+ * substrate executes it on the threaded runtime, cycles spun at that
+ * rung; the sim substrate runs the Section 4.1 trial protocol on the
+ * simulator (scenario_runner.hpp). */
 struct DagParams
 {
     std::string benchmark = "ray"; ///< knn|ray|sort|compare|hull
     double scale = 0.02;           ///< multiplies total DAG work
-    double gigacyclesPerSec = 2.4; ///< cycle → wall-time mapping
+    std::string substrate = "runtime"; ///< runtime|sim
+    /** Sim substrate only: sim::SchedulingMode, static|dynamic. */
+    std::string scheduling = "static";
 };
 
 /** serve kind: parameters forwarded to harness::serve::ServeConfig. */
@@ -127,7 +139,7 @@ struct CounterGate
 };
 
 /** Direction-aware per-metric gate of a sweep: a variant against
- * variants[0] at the same rate. */
+ * variants[0] at the same grid point. */
 struct VariantGate
 {
     std::string metric;        ///< counter name in run.json
@@ -147,20 +159,26 @@ struct SweepVariant
 };
 
 /**
- * sweep block: a grid of offered rates x policy variants run by
- * `hermes-scenario sweep`, reduced into curves.json/curves.md.
- * Only valid for serve scenarios. Gates compare every non-first
- * variant against variants[0] at each rate point by the
- * direction-aware relative regression of each gated metric.
+ * sweep block: a grid of points x policy variants run by
+ * `hermes-scenario sweep`, reduced into curves.json/curves.md. A
+ * serve sweep's points are offered rates; a dag sweep's are
+ * benchmarks x worker counts. Gates compare every non-first variant
+ * against variants[0] at each point by the direction-aware relative
+ * regression of each gated metric.
  */
 struct SweepParams
 {
     bool enabled = false; ///< a sweep block was present
-    /** Offered rates (requests/sec), strictly increasing. */
+    /** Serve: offered rates (requests/sec), strictly increasing. */
     std::vector<double> ratesPerSec;
+    /** Dag: distinct generator names, in table order. */
+    std::vector<std::string> benchmarks;
+    /** Dag: worker counts, strictly increasing. */
+    std::vector<unsigned> workers;
     std::vector<SweepVariant> variants;
-    /** Knee bound: the curve's knee is the first rate whose sojourn
-     * p99 exceeds this many nanoseconds. 0 disables detection. */
+    /** Serve knee bound: the curve's knee is the first rate whose
+     * sojourn p99 exceeds this many nanoseconds. 0 disables
+     * detection. */
     double kneeP99Ns = 0.0;
     /** Per-metric variant-vs-variants[0] gates (exit code 7). */
     std::vector<VariantGate> gates;
@@ -193,6 +211,13 @@ struct ScenarioConfig
     std::vector<CounterGate> gates;
     SoakParams soak;
     SweepParams sweep;
+
+    /** A dag scenario on the simulator substrate. */
+    bool
+    onSim() const
+    {
+        return kind == ScenarioKind::kDag && dag.substrate == "sim";
+    }
 };
 
 /** One validation finding, pointer-first so tests and CI can grep. */

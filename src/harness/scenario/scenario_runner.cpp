@@ -1,6 +1,7 @@
 #include "harness/scenario/scenario_runner.hpp"
 
 #include <atomic>
+#include <cmath>
 #include <filesystem>
 #include <sstream>
 
@@ -10,11 +11,13 @@
 #include "platform/system_profile.hpp"
 #include "runtime/scheduler.hpp"
 #include "sim/dag_generators.hpp"
+#include "sim/simulator.hpp"
 #include "util/assert.hpp"
 #include "util/atomic_file.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/time.hpp"
 
 namespace hermes::harness::scenario {
@@ -49,6 +52,43 @@ tempoPolicyByName(const std::string &name)
     return core::TempoPolicy::Unified;
 }
 
+/** The dvfs block as the controller config both substrates take. */
+core::TempoConfig
+tempoConfig(const ScenarioConfig &c)
+{
+    core::TempoConfig tc;
+    tc.policy = tempoPolicyByName(c.dvfs.policy);
+    if (!c.dvfs.ladder.empty())
+        tc.ladder =
+            platform::profileByName(c.profile).ladder.select(c.dvfs.ladder);
+    tc.numThresholds = c.dvfs.thresholds;
+    tc.profilerWindow = c.dvfs.window;
+    return tc;
+}
+
+/** The scenario's DAG at generator seed `seed`, its grains anchored
+ * at the profile's fastest rung on both substrates. */
+sim::Dag
+makeDag(const ScenarioConfig &config, uint64_t seed)
+{
+    sim::WorkloadParams params;
+    params.scale = config.dag.scale;
+    params.seed = seed;
+    params.fmaxMhz =
+        platform::profileByName(config.profile).ladder.fastest();
+    return sim::makeBenchmark(config.dag.benchmark, params);
+}
+
+uint64_t
+spawnCount(const sim::Dag &dag)
+{
+    uint64_t spawns = 0;
+    for (sim::FrameId f = 0;
+         f < static_cast<sim::FrameId>(dag.frameCount()); ++f)
+        spawns += dag.frame(f).spawns.size();
+    return spawns;
+}
+
 } // namespace
 
 runtime::RuntimeConfig
@@ -61,7 +101,7 @@ makeRuntimeConfig(const ScenarioConfig &c)
     rc.enableParking = c.runtime.parking;
     rc.parkThreshold = c.runtime.parkThreshold;
     rc.enableTempo = c.dvfs.tempo;
-    rc.tempo.policy = tempoPolicyByName(c.dvfs.policy);
+    rc.tempo = tempoConfig(c);
     // Chaos fault site: shrink the inject ring shards so sustained
     // load trips the spillover path (docs/RESILIENCE.md).
     if (c.faults.enabled && c.faults.forceSpill)
@@ -242,21 +282,17 @@ runBody(runtime::Runtime &rt, const ScenarioConfig &config)
             }
         });
     } else {
-        HERMES_ASSERT(config.kind == ScenarioKind::kDag,
-                      "serve handled elsewhere");
-        sim::WorkloadParams params;
-        params.scale = config.dag.scale;
-        params.seed = config.seed;
-        const sim::Dag dag =
-            sim::makeBenchmark(config.dag.benchmark, params);
+        HERMES_ASSERT(config.kind == ScenarioKind::kDag && !config.onSim(),
+                      "serve and sim handled elsewhere");
+        const sim::Dag dag = makeDag(config, config.seed);
         counts.dagFrames = dag.frameCount();
-        for (sim::FrameId f = 0;
-             f < static_cast<sim::FrameId>(dag.frameCount()); ++f)
-            counts.dagSpawns += dag.frame(f).spawns.size();
+        counts.dagSpawns = spawnCount(dag);
         counts.expectedTasks = 1 + counts.dagSpawns;
-        const DagDriver driver{rt, dag,
-                               1.0 / config.dag.gigacyclesPerSec,
-                               checksum, config.seed};
+        // Cycles spin at the fastest rung the DAG was generated at.
+        const double nanos_per_cycle =
+            1e3 / platform::profileByName(config.profile).ladder.fastest();
+        const DagDriver driver{rt, dag, nanos_per_cycle, checksum,
+                               config.seed};
         const DagDriver *driver_ptr = &driver;
         const sim::FrameId root = dag.root();
         rt.run([driver_ptr, root] { driver_ptr->runFrame(root); });
@@ -298,6 +334,7 @@ runForkJoinOrDag(const ScenarioConfig &config)
     }
 
     putStats(result.stats, result.metrics);
+    result.metrics["seconds"] = result.wallSeconds;
     result.metrics["joules"] = result.joules;
     result.metrics["edp"] =
         energy::edp(result.joules, result.wallSeconds);
@@ -307,6 +344,69 @@ runForkJoinOrDag(const ScenarioConfig &config)
         : 0.0;
     result.metrics["executed_matches_expected"] =
         result.stats.executed == counts.expectedTasks ? 1.0 : 0.0;
+    return result;
+}
+
+/**
+ * A dag scenario on the simulator, by the protocol of Section 4.1:
+ * 20 trials with the first 2 discarded. Trial t regenerates the DAG
+ * at seed `seed + 7919 t` (new grain draws, like a fresh run on new
+ * data) and simulates it at seed `seed * 31 + t` (victim choice).
+ * The counters are the kept trials' means; events.jsonl is trial 0's
+ * 100 Hz power series.
+ */
+ScenarioResult
+runSimDag(const ScenarioConfig &config)
+{
+    constexpr unsigned kTrials = 20;
+    constexpr unsigned kWarmupTrials = 2;
+    ScenarioResult result;
+    result.config = config;
+
+    sim::SimConfig sc;
+    sc.profile = platform::profileByName(config.profile);
+    sc.numWorkers = config.runtime.workers;
+    sc.enableTempo = config.dvfs.tempo;
+    sc.tempo = tempoConfig(config);
+    sc.scheduling = config.dag.scheduling == "dynamic"
+        ? sim::SchedulingMode::Dynamic
+        : sim::SchedulingMode::Static;
+    sc.dvfsCallCostSec = config.dvfs.callCostUs / 1e6;
+
+    util::TrialSet seconds(kWarmupTrials);
+    util::TrialSet joules(kWarmupTrials);
+    for (unsigned t = 0; t < kTrials; ++t) {
+        const sim::Dag dag = makeDag(config, config.seed + 7919ULL * t);
+        if (t == 0) {
+            result.deterministic.emplace_back("dag_frames",
+                                              dag.frameCount());
+            result.deterministic.emplace_back("dag_spawns",
+                                              spawnCount(dag));
+        }
+        sc.seed = config.seed * 31ULL + t;
+        sc.recordPowerSeries = t == 0;
+        const sim::SimResult r = sim::simulate(dag, sc);
+        seconds.add(r.seconds);
+        joules.add(r.joules);
+        for (size_t i = 0; i < r.powerSeries.size(); ++i) {
+            RunSample sample;
+            sample.tSec = static_cast<double>(i) / 100.0;
+            sample.packageWatts = r.powerSeries[i];
+            result.events.push_back(sample);
+        }
+    }
+
+    result.wallSeconds = seconds.mean();
+    result.joules = joules.mean();
+    result.deterministic.emplace_back(
+        "mean_seconds_ns",
+        static_cast<uint64_t>(std::llround(result.wallSeconds * 1e9)));
+    result.deterministic.emplace_back(
+        "mean_joules_nj",
+        static_cast<uint64_t>(std::llround(result.joules * 1e9)));
+    result.metrics["seconds"] = result.wallSeconds;
+    result.metrics["joules"] = result.joules;
+    result.metrics["edp"] = result.wallSeconds * result.joules;
     return result;
 }
 
@@ -447,6 +547,8 @@ runScenario(const ScenarioConfig &config)
 {
     if (config.kind == ScenarioKind::kServe)
         return runServeScenario(config);
+    if (config.onSim())
+        return runSimDag(config);
     return runForkJoinOrDag(config);
 }
 
@@ -526,6 +628,7 @@ writeScenarioBundle(const std::string &dir,
     };
 
     const bool chaos = result.config.faults.enabled;
+    const bool sim = result.config.onSim();
 
     write("config.json", writeConfigJson(result.config));
     write("run.json", writeRunJson(result));
@@ -535,11 +638,13 @@ writeScenarioBundle(const std::string &dir,
         char buf[64];
         for (const RunSample &e : result.events) {
             std::snprintf(buf, sizeof(buf), "%.6f", e.tSec);
-            out << "{\"t_sec\": " << buf
-                << ", \"executed\": " << e.executed
-                << ", \"steals\": " << e.steals
-                << ", \"inject_pending\": " << e.injectPending
-                << ", \"parked_workers\": " << e.parkedWorkers;
+            out << "{\"t_sec\": " << buf;
+            // A simulated run has a power trace and no runtime.
+            if (!sim)
+                out << ", \"executed\": " << e.executed
+                    << ", \"steals\": " << e.steals
+                    << ", \"inject_pending\": " << e.injectPending
+                    << ", \"parked_workers\": " << e.parkedWorkers;
             if (chaos)
                 out << ", \"stalled_workers\": "
                     << e.stalledWorkers;
@@ -558,14 +663,15 @@ writeScenarioBundle(const std::string &dir,
         std::ostringstream out;
         out << "# Scenario run: " << result.config.name << "\n\n"
             << "- kind: `" << toString(result.config.kind)
-            << "`, seed " << result.config.seed << ", "
+            << (sim ? "` on the simulator" : "`") << ", seed "
+            << result.config.seed << ", "
             << result.config.runtime.workers << " workers, tempo "
             << (result.config.dvfs.tempo ? result.config.dvfs.policy
                                          : "off")
             << "\n"
-            << "- wall " << util::jsonNumber(result.wallSeconds)
-            << " s, energy " << util::jsonNumber(result.joules)
-            << " J\n\n"
+            << (sim ? "- mean makespan " : "- wall ")
+            << util::jsonNumber(result.wallSeconds) << " s, energy "
+            << util::jsonNumber(result.joules) << " J\n\n"
             << "## Deterministic counters\n\n"
             << "| counter | value |\n|---|---|\n";
         for (const auto &[name, value] : result.deterministic)

@@ -4,13 +4,16 @@
  *
  * runScenario() maps a validated ScenarioConfig onto the real
  * runtime — fork-join spin bursts, a src/sim benchmark DAG executed
- * as actual tasks (cycles mapped to wall-clock spins), or an
+ * as actual tasks (cycles spun at the profile's fastest rung), or an
  * open-loop serving run delegated to harness::serve::runServe() —
  * and collects everything a perf claim needs: the scheduler
  * counters, the time series and energy integral of one
  * harness::RunSampler, and a *deterministic counter section* that
  * two same-seed runs must reproduce byte-identically (the `cmp`
- * gate in CI).
+ * gate in CI). A dag scenario on the sim substrate runs the same DAG
+ * on the simulator instead, by the paper's trial protocol: its
+ * counters are the kept trials' mean `seconds`, `joules` and `edp`,
+ * and its events are trial 0's 100 Hz power trace.
  *
  * The evidence bundle (writeScenarioBundle) is four artifacts:
  *
@@ -24,7 +27,9 @@
  *
  * What counts as deterministic is kind-specific and deliberately
  * narrow: task counts and seed-derived checksums for fork_join/dag,
- * the arrival-schedule size and hash for serve. Timing-dependent
+ * the arrival-schedule size and hash for serve, and for a simulated
+ * dag the DAG's size and the two means in nanoseconds and
+ * nanojoules (the simulator is deterministic). Timing-dependent
  * counters (steals, parks, latency quantiles) are evidence, not
  * determinism gates — they live in run.json's counters only.
  */
@@ -83,13 +88,13 @@ struct ScenarioResult
 runtime::RuntimeConfig makeRuntimeConfig(const ScenarioConfig &config);
 
 /** Execute one scenario run. Creates its own Runtime from
- * `config.runtime`/`config.dvfs`; blocks until the workload
- * completes. */
+ * `config.runtime`/`config.dvfs` (or simulates, on the sim
+ * substrate); blocks until the workload completes. */
 ScenarioResult runScenario(const ScenarioConfig &config);
 
 /** One workload iteration of `config` on an existing runtime — the
  * soak unit. The same workload body runScenario() measures, without
- * sampling or evidence collection. */
+ * sampling or evidence collection. Not for the sim substrate. */
 void runScenarioIteration(runtime::Runtime &rt,
                           const ScenarioConfig &config);
 

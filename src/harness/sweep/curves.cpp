@@ -32,12 +32,13 @@ relativeRegression(double base, double current, bool lowerBetter)
 }
 
 /** Deterministic short float formatting shared by tables and SVG
- * coordinates ("%.6g": locale-independent, no trailing zeros). */
+ * coordinates (`%.<digits>g`: locale-independent, no trailing
+ * zeros). */
 std::string
-fmtG(double v)
+fmtG(double v, int digits = 6)
 {
     char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
+    std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
     return buf;
 }
 
@@ -48,10 +49,27 @@ metricOr(const SweepPoint &p, const char *name, double fallback,
     auto it = p.metrics.find(name);
     if (it != p.metrics.end())
         return it->second;
-    notes.push_back("point (" + p.variant + ", "
-                    + util::jsonNumber(p.ratePerSec)
+    notes.push_back("point (" + p.variant + ", " + pointLabel(p)
                     + "): missing metric " + name);
     return fallback;
+}
+
+bool
+samePoint(const SweepPoint &a, const SweepPoint &b)
+{
+    return a.ratePerSec == b.ratePerSec && a.benchmark == b.benchmark
+        && a.workers == b.workers;
+}
+
+/** A point's coordinates as JSON members: `"rate_per_sec": r` or
+ * `"benchmark": "knn", "workers": 16`. */
+std::string
+pointJson(bool dag, double rate, const std::string &benchmark,
+          unsigned workers)
+{
+    return dag ? "\"benchmark\": " + util::jsonQuote(benchmark)
+                     + ", \"workers\": " + std::to_string(workers)
+               : "\"rate_per_sec\": " + util::jsonNumber(rate);
 }
 
 CurvePoint
@@ -246,50 +264,19 @@ makeSeries(const SweepCurves &curves, Extract extract)
     return out;
 }
 
-} // namespace
-
-SweepCurves
-reduceSweep(const scenario::ScenarioConfig &config,
-            const std::vector<SweepPoint> &points)
+/** Serve: per-variant curves and knees over the matched grid. */
+void
+buildCurves(const scenario::ScenarioConfig &config,
+            const std::vector<std::vector<const SweepPoint *>> &grid,
+            SweepCurves &curves)
 {
     const scenario::SweepParams &sweep = config.sweep;
-    SweepCurves curves;
-
-    // Regroup variant-major, rate-ascending, matching cells by
-    // (variant name, rate). Grid order comes from the sweep block,
-    // never from input order, so reduction is order-insensitive.
-    // by_variant[vi][pi] stays aligned with variants[vi].points[pi]
-    // even when grid cells are missing.
-    std::vector<std::vector<SweepPoint>> by_variant;
-    for (const scenario::SweepVariant &variant : sweep.variants) {
+    for (size_t vi = 0; vi < sweep.variants.size(); ++vi) {
         VariantCurve vc;
-        vc.variant = variant.name;
-        std::vector<SweepPoint> mine;
-        for (double rate : sweep.ratesPerSec) {
-            const SweepPoint *found = nullptr;
-            for (const SweepPoint &p : points) {
-                if (p.variant == variant.name
-                    && p.ratePerSec == rate) {
-                    found = &p;
-                    break;
-                }
-            }
-            if (!found) {
-                curves.notes.push_back(
-                    "missing point (" + variant.name + ", "
-                    + util::jsonNumber(rate) + ")");
-                continue;
-            }
-            for (const std::string &failure :
-                 scenario::checkGates(config.gates, found->metrics))
-                curves.pointGateFailures.push_back(
-                    variant.name + " at " + util::jsonNumber(rate)
-                    + " req/s: " + failure);
-            curves.points.push_back(*found);
-            mine.push_back(*found);
-            vc.points.push_back(toCurvePoint(*found, curves.notes));
-        }
-        by_variant.push_back(std::move(mine));
+        vc.variant = sweep.variants[vi].name;
+        for (const SweepPoint *p : grid[vi])
+            if (p)
+                vc.points.push_back(toCurvePoint(*p, curves.notes));
         // Knee: first swept rate whose sojourn p99 exceeds the
         // bound. Rates ascend, so this is the leftmost crossing.
         if (sweep.kneeP99Ns > 0.0) {
@@ -303,47 +290,394 @@ reduceSweep(const scenario::ScenarioConfig &config,
         }
         curves.variants.push_back(std::move(vc));
     }
+}
 
-    // Gates: each non-first variant vs variants[0], per metric, per
-    // rate index, by relativeRegression().
-    if (!sweep.gates.empty() && curves.variants.size() >= 2) {
-        const VariantCurve &base = curves.variants[0];
-        for (size_t vi = 1; vi < curves.variants.size(); ++vi) {
-            const VariantCurve &cur = curves.variants[vi];
-            const size_t n =
-                std::min(base.points.size(), cur.points.size());
-            for (const scenario::VariantGate &gate : sweep.gates) {
-                for (size_t pi = 0; pi < n; ++pi) {
-                    GateFinding g;
-                    g.metric = gate.metric;
-                    g.variant = cur.variant;
-                    g.ratePerSec = cur.points[pi].ratePerSec;
-                    g.lowerBetter = gate.lowerBetter;
-                    g.maxRegression = gate.maxRegression;
-                    auto value = [&gate](const SweepPoint &p) {
-                        auto it = p.metrics.find(gate.metric);
-                        return it != p.metrics.end() ? it->second
-                                                     : 0.0;
-                    };
-                    g.baseline = value(by_variant[0][pi]);
-                    g.current = value(by_variant[vi][pi]);
-                    g.regression = relativeRegression(
-                        g.baseline, g.current, g.lowerBetter);
-                    g.failed = g.regression > g.maxRegression;
-                    if (g.failed)
-                        curves.gateFailure = true;
-                    curves.gates.push_back(std::move(g));
+/** Dag: the figure table over the matched grid. */
+void
+buildTable(const scenario::ScenarioConfig &config,
+           const std::vector<std::vector<const SweepPoint *>> &grid,
+           SweepCurves &curves)
+{
+    const std::vector<unsigned> &workers = config.sweep.workers;
+    auto counter = [&curves](const SweepPoint &p, const char *name) {
+        return metricOr(p, name, 0.0, curves.notes);
+    };
+    for (size_t vi = 0; vi < grid.size(); ++vi) {
+        std::vector<Versus> sums(workers.size());
+        std::vector<double> counts(workers.size(), 0.0);
+        for (size_t ci = 0; ci < grid[vi].size(); ++ci) {
+            const SweepPoint *p = grid[vi][ci];
+            const SweepPoint *ref = grid[0][ci];
+            if (!p)
+                continue;
+            TableRow row{p->variant, p->benchmark, p->workers,
+                         counter(*p, "seconds"), counter(*p, "joules"),
+                         counter(*p, "edp"), std::nullopt};
+            if (vi > 0 && ref) {
+                // Cells run benchmark-major, so ci % workers is the
+                // worker count's index.
+                Versus &sum = sums[ci % workers.size()];
+                row.versus = Versus{
+                    (1.0 - row.joules / counter(*ref, "joules")) * 100.0,
+                    (row.seconds / counter(*ref, "seconds") - 1.0) * 100.0,
+                    row.edp / counter(*ref, "edp")};
+                sum.energySavingsPct += row.versus->energySavingsPct;
+                sum.timeLossPct += row.versus->timeLossPct;
+                sum.normalizedEdp += row.versus->normalizedEdp;
+                counts[ci % workers.size()] += 1.0;
+            }
+            curves.rows.push_back(std::move(row));
+        }
+        for (size_t wi = 0; wi < workers.size(); ++wi) {
+            if (counts[wi] == 0.0)
+                continue;
+            const Versus &v = sums[wi];
+            curves.averages.push_back(
+                {config.sweep.variants[vi].name, workers[wi],
+                 {v.energySavingsPct / counts[wi],
+                  v.timeLossPct / counts[wi],
+                  v.normalizedEdp / counts[wi]}});
+        }
+    }
+}
+
+} // namespace
+
+std::vector<SweepPoint>
+gridPoints(const scenario::ScenarioConfig &config)
+{
+    const scenario::SweepParams &sweep = config.sweep;
+    std::vector<SweepPoint> cells;
+    for (double rate : sweep.ratesPerSec) {
+        SweepPoint cell;
+        cell.ratePerSec = rate;
+        cells.push_back(cell);
+    }
+    for (const std::string &benchmark : sweep.benchmarks) {
+        for (unsigned workers : sweep.workers) {
+            SweepPoint cell;
+            cell.benchmark = benchmark;
+            cell.workers = workers;
+            cells.push_back(cell);
+        }
+    }
+    return cells;
+}
+
+std::string
+pointLabel(const SweepPoint &point)
+{
+    return point.benchmark.empty()
+        ? util::jsonNumber(point.ratePerSec) + " req/s"
+        : point.benchmark + " at " + std::to_string(point.workers)
+            + " workers";
+}
+
+SweepCurves
+reduceSweep(const scenario::ScenarioConfig &config,
+            const std::vector<SweepPoint> &points)
+{
+    const scenario::SweepParams &sweep = config.sweep;
+    SweepCurves curves;
+
+    // grid[vi][ci]: variant vi's point at grid cell ci, matched by
+    // (variant name, coordinates), or nullptr when missing. Grid
+    // order comes from the sweep block, never from input order, so
+    // reduction is order-insensitive.
+    const std::vector<SweepPoint> cells = gridPoints(config);
+    std::vector<std::vector<const SweepPoint *>> grid;
+    for (const scenario::SweepVariant &variant : sweep.variants) {
+        std::vector<const SweepPoint *> row;
+        for (const SweepPoint &cell : cells) {
+            const SweepPoint *found = nullptr;
+            for (const SweepPoint &p : points) {
+                if (p.variant == variant.name && samePoint(p, cell)) {
+                    found = &p;
+                    break;
                 }
+            }
+            row.push_back(found);
+            if (!found) {
+                curves.notes.push_back("missing point (" + variant.name
+                                       + ", " + pointLabel(cell) + ")");
+                continue;
+            }
+            for (const std::string &failure :
+                 scenario::checkGates(config.gates, found->metrics))
+                curves.pointGateFailures.push_back(
+                    variant.name + " at " + pointLabel(cell) + ": "
+                    + failure);
+            curves.points.push_back(*found);
+        }
+        grid.push_back(std::move(row));
+    }
+
+    if (config.kind == scenario::ScenarioKind::kDag)
+        buildTable(config, grid, curves);
+    else
+        buildCurves(config, grid, curves);
+
+    // Gates: each non-first variant vs variants[0], per metric, at
+    // every point both measured, by relativeRegression().
+    for (size_t vi = 1; vi < grid.size(); ++vi) {
+        for (const scenario::VariantGate &gate : sweep.gates) {
+            for (size_t ci = 0; ci < cells.size(); ++ci) {
+                const SweepPoint *base = grid[0][ci];
+                const SweepPoint *cur = grid[vi][ci];
+                if (!base || !cur)
+                    continue;
+                GateFinding g;
+                g.metric = gate.metric;
+                g.variant = cur->variant;
+                g.ratePerSec = cur->ratePerSec;
+                g.benchmark = cur->benchmark;
+                g.workers = cur->workers;
+                g.lowerBetter = gate.lowerBetter;
+                g.maxRegression = gate.maxRegression;
+                auto value = [&gate](const SweepPoint &p) {
+                    auto it = p.metrics.find(gate.metric);
+                    return it != p.metrics.end() ? it->second : 0.0;
+                };
+                g.baseline = value(*base);
+                g.current = value(*cur);
+                g.regression = relativeRegression(
+                    g.baseline, g.current, g.lowerBetter);
+                g.failed = g.regression > g.maxRegression;
+                if (g.failed)
+                    curves.gateFailure = true;
+                curves.gates.push_back(std::move(g));
             }
         }
     }
     return curves;
 }
 
+namespace {
+
+/** The gate verdicts and the determinism section, which both
+ * curves.json shapes end with; `dag` picks the point coordinates. */
+std::string
+verdictsJson(bool dag, const SweepCurves &curves)
+{
+    std::ostringstream out;
+    out << "  \"gates_passed\": "
+        << (curves.gateFailure ? "false" : "true") << ",\n"
+        << "  \"gates\": [";
+    for (size_t i = 0; i < curves.gates.size(); ++i) {
+        const GateFinding &g = curves.gates[i];
+        out << (i ? "," : "") << "\n    {\"metric\": "
+            << util::jsonQuote(g.metric) << ", \"variant\": "
+            << util::jsonQuote(g.variant) << ", "
+            << pointJson(dag, g.ratePerSec, g.benchmark, g.workers)
+            << ", \"direction\": \""
+            << (g.lowerBetter ? "lower" : "higher")
+            << "\", \"baseline\": " << util::jsonNumber(g.baseline)
+            << ", \"current\": " << util::jsonNumber(g.current)
+            << ", \"regression\": " << util::jsonNumber(g.regression)
+            << ", \"max_regression\": "
+            << util::jsonNumber(g.maxRegression) << ", \"failed\": "
+            << (g.failed ? "true" : "false") << "}";
+    }
+    out << (curves.gates.empty() ? "" : "\n  ") << "],\n";
+
+    // The determinism section: pure functions of (seed, point), so
+    // two live same-seed sweeps must match it exactly even though
+    // their timing metrics differ.
+    out << "  \"deterministic\": [";
+    for (size_t i = 0; i < curves.points.size(); ++i) {
+        const SweepPoint &p = curves.points[i];
+        out << (i ? "," : "") << "\n    {\"variant\": "
+            << util::jsonQuote(p.variant) << ", "
+            << pointJson(dag, p.ratePerSec, p.benchmark, p.workers);
+        for (const auto &[name, value] : p.deterministic)
+            out << ", " << util::jsonQuote(name) << ": " << value;
+        out << "}";
+    }
+    out << (curves.points.empty() ? "" : "\n  ") << "]\n"
+        << "}\n";
+    return out.str();
+}
+
+/** "2400/1600" */
+std::string
+ladderText(const std::vector<unsigned> &rungs)
+{
+    std::string out;
+    for (size_t i = 0; i < rungs.size(); ++i) {
+        if (i)
+            out += '/';
+        out += std::to_string(rungs[i]);
+    }
+    return out;
+}
+
+std::string
+versusJson(const Versus &v)
+{
+    return ", \"energy_savings_pct\": " + util::jsonNumber(v.energySavingsPct)
+        + ", \"time_loss_pct\": " + util::jsonNumber(v.timeLossPct)
+        + ", \"normalized_edp\": " + util::jsonNumber(v.normalizedEdp);
+}
+
+/** A dag sweep's curves.json: the figure table at full precision. */
+std::string
+writeTableJson(const scenario::ScenarioConfig &config,
+               const SweepCurves &curves)
+{
+    std::ostringstream out;
+    out << "{\n"
+        << "  \"name\": " << util::jsonQuote(config.name) << ",\n"
+        << "  \"seed\": " << config.seed << ",\n"
+        << "  \"profile\": " << util::jsonQuote(config.profile) << ",\n"
+        << "  \"substrate\": " << util::jsonQuote(config.dag.substrate)
+        << ",\n"
+        << "  \"scale\": " << util::jsonNumber(config.dag.scale) << ",\n"
+        << "  \"rows\": [";
+    for (size_t i = 0; i < curves.rows.size(); ++i) {
+        const TableRow &r = curves.rows[i];
+        out << (i ? "," : "") << "\n    {\"variant\": "
+            << util::jsonQuote(r.variant) << ", "
+            << pointJson(true, 0.0, r.benchmark, r.workers)
+            << ", \"seconds\": " << util::jsonNumber(r.seconds)
+            << ", \"joules\": " << util::jsonNumber(r.joules)
+            << ", \"edp\": " << util::jsonNumber(r.edp)
+            << (r.versus ? versusJson(*r.versus) : "") << "}";
+    }
+    out << (curves.rows.empty() ? "" : "\n  ") << "],\n"
+        << "  \"averages\": [";
+    for (size_t i = 0; i < curves.averages.size(); ++i) {
+        const TableAverage &a = curves.averages[i];
+        out << (i ? "," : "") << "\n    {\"variant\": "
+            << util::jsonQuote(a.variant) << ", \"workers\": "
+            << a.workers << versusJson(a.versus) << "}";
+    }
+    out << (curves.averages.empty() ? "" : "\n  ") << "],\n"
+        << verdictsJson(true, curves);
+    return out.str();
+}
+
+/** The "Gates" and "Notes" sections both curves.md shapes end with;
+ * `dag` picks the point column. */
+std::string
+verdictsMd(const scenario::ScenarioConfig &config,
+           const SweepCurves &curves, bool dag)
+{
+    const char *axis = dag ? "point" : "rate";
+    std::ostringstream out;
+    out << "## Gates\n\n";
+    if (!config.gates.empty()) {
+        out << (curves.pointGateFailures.empty() ? "**PASS**"
+                                                 : "**FAIL**")
+            << " — the top-level gates on every point.\n\n";
+        for (const std::string &failure : curves.pointGateFailures)
+            out << "- " << failure << "\n";
+        if (!curves.pointGateFailures.empty())
+            out << "\n";
+    }
+    if (curves.gates.empty()) {
+        if (config.gates.empty())
+            out << "No gates declared.\n";
+    } else {
+        out << (curves.gateFailure ? "**FAIL**" : "**PASS**")
+            << " — every non-first variant vs `"
+            << config.sweep.variants.front().name << "` at each "
+            << axis << ".\n\n"
+            << "| metric | variant | " << axis
+            << " | baseline | current | regression | budget | verdict "
+               "|\n"
+            << "|---|---|---|---|---|---|---|---|\n";
+        for (const GateFinding &g : curves.gates) {
+            out << "| " << g.metric << " | " << g.variant << " | "
+                << (dag ? g.benchmark + " at " + std::to_string(g.workers)
+                              + " workers"
+                        : fmtG(g.ratePerSec))
+                << " | " << fmtG(g.baseline) << " | " << fmtG(g.current)
+                << " | " << fmtG(g.regression) << " | "
+                << fmtG(g.maxRegression) << " | "
+                << (g.failed ? "FAIL" : "ok") << " |\n";
+        }
+    }
+
+    if (!curves.notes.empty()) {
+        out << "\n## Notes\n\n";
+        for (const std::string &n : curves.notes)
+            out << "- " << n << "\n";
+    }
+    return out.str();
+}
+
+/** A dag sweep's curves.md: one table per variant at 4 significant
+ * digits, then the gate verdicts. */
+std::string
+writeTableMd(const scenario::ScenarioConfig &config,
+             const SweepCurves &curves)
+{
+    const scenario::SweepParams &sweep = config.sweep;
+    const bool sim = config.onSim();
+    auto g4 = [](double v) { return fmtG(v, 4); };
+    auto versus = [&g4](const Versus &v) {
+        return " " + g4(v.energySavingsPct) + " | " + g4(v.timeLossPct)
+            + " | " + g4(v.normalizedEdp) + " |";
+    };
+    std::ostringstream out;
+    out << "# Figure table: " << config.name << "\n\n"
+        << "- seed " << config.seed << ", profile `" << config.profile
+        << "`, dag substrate `" << config.dag.substrate << "`"
+        << (sim ? ", " + config.dag.scheduling + " scheduling" : "")
+        << ", scale " << fmtG(config.dag.scale) << "\n"
+        << "- " << sweep.benchmarks.size() << " benchmarks x "
+        << sweep.workers.size() << " worker counts x "
+        << sweep.variants.size() << " variants; "
+        << (sim ? "each cell is the mean of the 18 kept trials of 20"
+                : "one run per cell")
+        << "\n- energy savings, time loss and normalized EDP are "
+           "against `"
+        << sweep.variants.front().name
+        << "` at the same benchmark and worker count; an average row "
+           "is their mean over the benchmarks\n\n";
+
+    for (size_t vi = 0; vi < sweep.variants.size(); ++vi) {
+        const scenario::DvfsPolicy &d = sweep.variants[vi].dvfs;
+        out << "## Variant `" << sweep.variants[vi].name
+            << "`\n\n- tempo ";
+        if (!d.tempo)
+            out << "off";
+        else
+            out << "`" << d.policy << "`, ladder " << ladderText(d.ladder)
+                << " MHz, K = " << d.thresholds << ", window " << d.window
+                << (sim ? ", DVFS call " + fmtG(d.callCostUs) + " µs" : "");
+        out << "\n\n| benchmark | workers | seconds | joules | EDP (J·s) |"
+            << (vi ? " energy savings % | time loss % | normalized EDP |"
+                   : "")
+            << "\n|---|---|---|---|---|" << (vi ? "---|---|---|" : "")
+            << "\n";
+        for (const TableRow &r : curves.rows) {
+            if (r.variant == sweep.variants[vi].name)
+                out << "| " << r.benchmark << " | " << r.workers << " | "
+                    << g4(r.seconds) << " | " << g4(r.joules) << " | "
+                    << g4(r.edp) << " |"
+                    << (r.versus ? versus(*r.versus) : vi ? " | | |" : "")
+                    << "\n";
+        }
+        for (const TableAverage &a : curves.averages) {
+            if (a.variant == sweep.variants[vi].name)
+                out << "| **average** | " << a.workers << " | | | |"
+                    << versus(a.versus) << "\n";
+        }
+        out << "\n";
+    }
+    out << verdictsMd(config, curves, true);
+    return out.str();
+}
+
+} // namespace
+
 std::string
 writeCurvesJson(const scenario::ScenarioConfig &config,
                 const SweepCurves &curves)
 {
+    if (config.kind == scenario::ScenarioKind::kDag)
+        return writeTableJson(config, curves);
     const scenario::SweepParams &sweep = config.sweep;
     std::ostringstream out;
     out << "{\n"
@@ -405,41 +739,7 @@ writeCurvesJson(const scenario::ScenarioConfig &config,
         out << "    }"
             << (i + 1 < curves.variants.size() ? "," : "") << "\n";
     }
-    out << "  ],\n"
-        << "  \"gates_passed\": "
-        << (curves.gateFailure ? "false" : "true") << ",\n"
-        << "  \"gates\": [";
-    for (size_t i = 0; i < curves.gates.size(); ++i) {
-        const GateFinding &g = curves.gates[i];
-        out << (i ? "," : "") << "\n    {\"metric\": "
-            << util::jsonQuote(g.metric) << ", \"variant\": "
-            << util::jsonQuote(g.variant) << ", \"rate_per_sec\": "
-            << util::jsonNumber(g.ratePerSec) << ", \"direction\": \""
-            << (g.lowerBetter ? "lower" : "higher")
-            << "\", \"baseline\": " << util::jsonNumber(g.baseline)
-            << ", \"current\": " << util::jsonNumber(g.current)
-            << ", \"regression\": " << util::jsonNumber(g.regression)
-            << ", \"max_regression\": "
-            << util::jsonNumber(g.maxRegression) << ", \"failed\": "
-            << (g.failed ? "true" : "false") << "}";
-    }
-    out << (curves.gates.empty() ? "" : "\n  ") << "],\n";
-
-    // The determinism section: pure functions of (seed, rate), so
-    // two live same-seed sweeps must match it exactly even though
-    // their timing metrics differ.
-    out << "  \"deterministic\": [";
-    for (size_t i = 0; i < curves.points.size(); ++i) {
-        const SweepPoint &p = curves.points[i];
-        out << (i ? "," : "") << "\n    {\"variant\": "
-            << util::jsonQuote(p.variant) << ", \"rate_per_sec\": "
-            << util::jsonNumber(p.ratePerSec);
-        for (const auto &[name, value] : p.deterministic)
-            out << ", " << util::jsonQuote(name) << ": " << value;
-        out << "}";
-    }
-    out << (curves.points.empty() ? "" : "\n  ") << "]\n"
-        << "}\n";
+    out << "  ],\n" << verdictsJson(false, curves);
     return out.str();
 }
 
@@ -447,6 +747,8 @@ std::string
 writeCurvesMd(const scenario::ScenarioConfig &config,
               const SweepCurves &curves)
 {
+    if (config.kind == scenario::ScenarioKind::kDag)
+        return writeTableMd(config, curves);
     const scenario::SweepParams &sweep = config.sweep;
     std::ostringstream out;
     out << "# Sweep curves: " << config.name << "\n\n"
@@ -528,42 +830,7 @@ writeCurvesMd(const scenario::ScenarioConfig &config,
                           }))
         << "\n\n";
 
-    out << "## Gates\n\n";
-    if (!config.gates.empty()) {
-        out << (curves.pointGateFailures.empty() ? "**PASS**"
-                                                 : "**FAIL**")
-            << " — the top-level gates on every point.\n\n";
-        for (const std::string &failure : curves.pointGateFailures)
-            out << "- " << failure << "\n";
-        if (!curves.pointGateFailures.empty())
-            out << "\n";
-    }
-    if (curves.gates.empty()) {
-        if (config.gates.empty())
-            out << "No gates declared.\n";
-    } else {
-        out << (curves.gateFailure ? "**FAIL**" : "**PASS**")
-            << " — every non-first variant vs `"
-            << curves.variants.front().variant
-            << "` at each rate.\n\n"
-            << "| metric | variant | rate | baseline | current | "
-               "regression | budget | verdict |\n"
-            << "|---|---|---|---|---|---|---|---|\n";
-        for (const GateFinding &g : curves.gates) {
-            out << "| " << g.metric << " | " << g.variant << " | "
-                << fmtG(g.ratePerSec) << " | " << fmtG(g.baseline)
-                << " | " << fmtG(g.current) << " | "
-                << fmtG(g.regression) << " | "
-                << fmtG(g.maxRegression) << " | "
-                << (g.failed ? "FAIL" : "ok") << " |\n";
-        }
-    }
-
-    if (!curves.notes.empty()) {
-        out << "\n## Notes\n\n";
-        for (const std::string &n : curves.notes)
-            out << "- " << n << "\n";
-    }
+    out << verdictsMd(config, curves, false);
     return out.str();
 }
 

@@ -42,15 +42,21 @@ exactUint64At(const std::string &text, size_t offset)
     return v;
 }
 
-/** Reload one stored point bundle into a SweepPoint. Returns false
- * (with a message) on unreadable or malformed artifacts. */
-bool
-loadPoint(const std::string &dir, const std::string &variant,
-          double ratePerSec, SweepPoint &out, std::string &error)
+/** config.json's member `/block/key`, or nullptr. */
+const util::JsonValue *
+member(const util::JsonValue &config, const char *block, const char *key)
 {
-    out.variant = variant;
-    out.ratePerSec = ratePerSec;
+    const util::JsonValue *b = config.find(block);
+    return b && b->isObject() ? b->find(key) : nullptr;
+}
 
+/** Reload one stored point bundle into `out`, which names the
+ * variant and the grid point. Returns false (with a message) on
+ * unreadable or malformed artifacts, or a config.json whose point is
+ * not `out`'s. */
+bool
+loadPoint(const std::string &dir, SweepPoint &out, std::string &error)
+{
     std::string config_text;
     if (!slurp(dir + "/config.json", config_text)) {
         error = "cannot read " + dir + "/config.json";
@@ -62,19 +68,25 @@ loadPoint(const std::string &dir, const std::string &variant,
         error = dir + "/config.json: not a JSON object";
         return false;
     }
-    const util::JsonValue *serve = config.value.find("serve");
-    const util::JsonValue *rate =
-        serve && serve->isObject() ? serve->find("rate_per_sec")
-                                   : nullptr;
-    if (!rate || !rate->isNumber()) {
-        error = dir + "/config.json: missing /serve/rate_per_sec";
-        return false;
+    SweepPoint stored;
+    if (out.benchmark.empty()) {
+        const util::JsonValue *rate =
+            member(config.value, "serve", "rate_per_sec");
+        if (rate && rate->isNumber())
+            stored.ratePerSec = rate->number();
+    } else {
+        const util::JsonValue *bench =
+            member(config.value, "dag", "benchmark");
+        const util::JsonValue *workers =
+            member(config.value, "runtime", "workers");
+        if (bench && bench->isString())
+            stored.benchmark = bench->string();
+        if (workers && workers->isNumber())
+            stored.workers = static_cast<unsigned>(workers->number());
     }
-    if (rate->number() != ratePerSec) {
-        error = dir + "/config.json: rate_per_sec "
-                + util::jsonNumber(rate->number())
-                + " does not match grid rate "
-                + util::jsonNumber(ratePerSec);
+    if (pointLabel(stored) != pointLabel(out)) {
+        error = dir + "/config.json: its point " + pointLabel(stored)
+                + " is not the grid's " + pointLabel(out);
         return false;
     }
 
@@ -111,10 +123,6 @@ loadPoint(const std::string &dir, const std::string &variant,
         return false;
     }
     const util::JsonValue &bench = benchmarks->array().front();
-    const util::JsonValue *real_time =
-        bench.isObject() ? bench.find("real_time") : nullptr;
-    if (real_time && real_time->isNumber())
-        out.wallSeconds = real_time->number() / 1e9;
     const util::JsonValue *counters =
         bench.isObject() ? bench.find("counters") : nullptr;
     if (!counters || !counters->isObject()) {
@@ -143,23 +151,30 @@ writeFile(const std::string &path, const std::string &content,
 
 std::string
 pointDir(const std::string &outDir, const std::string &variant,
-         double ratePerSec)
+         const SweepPoint &cell)
 {
-    return outDir + "/points/" + variant + "/rate_"
-           + util::jsonNumber(ratePerSec);
+    const std::string leaf = cell.benchmark.empty()
+        ? "rate_" + util::jsonNumber(cell.ratePerSec)
+        : cell.benchmark + "_w" + std::to_string(cell.workers);
+    return outDir + "/points/" + variant + "/" + leaf;
 }
 
 scenario::ScenarioConfig
 pointConfig(const scenario::ScenarioConfig &base,
-            const scenario::SweepVariant &variant, double ratePerSec,
-            size_t rateIndex)
+            const scenario::SweepVariant &variant, const SweepPoint &cell,
+            size_t index)
 {
     scenario::ScenarioConfig derived = base;
     derived.name = base.name + "_" + variant.name + "_p"
-                   + std::to_string(rateIndex);
+                   + std::to_string(index);
     derived.runtime = variant.runtime;
     derived.dvfs = variant.dvfs;
-    derived.serve.ratePerSec = ratePerSec;
+    if (cell.benchmark.empty()) {
+        derived.serve.ratePerSec = cell.ratePerSec;
+    } else {
+        derived.dag.benchmark = cell.benchmark;
+        derived.runtime.workers = cell.workers;
+    }
     derived.sweep = scenario::SweepParams{};
     return derived;
 }
@@ -171,33 +186,27 @@ runSweep(const scenario::ScenarioConfig &config,
     const scenario::SweepParams &sweep = config.sweep;
     SweepOutcome outcome;
 
+    const std::vector<SweepPoint> cells = gridPoints(config);
     std::vector<SweepPoint> points;
     for (const scenario::SweepVariant &variant : sweep.variants) {
-        for (size_t ri = 0; ri < sweep.ratesPerSec.size(); ++ri) {
-            const double rate = sweep.ratesPerSec[ri];
-            const std::string dir =
-                pointDir(outDir, variant.name, rate);
+        for (size_t ci = 0; ci < cells.size(); ++ci) {
+            SweepPoint point = cells[ci];
+            point.variant = variant.name;
+            const std::string dir = pointDir(outDir, variant.name, point);
             if (reduceOnly) {
-                SweepPoint point;
                 std::string error;
-                if (!loadPoint(dir, variant.name, rate, point,
-                               error)) {
+                if (!loadPoint(dir, point, error)) {
                     outcome.errors.push_back(error);
                     continue;
                 }
                 points.push_back(std::move(point));
             } else {
-                util::inform("sweep: variant " + variant.name
-                             + ", rate " + util::jsonNumber(rate)
-                             + " req/s");
+                util::inform("sweep: variant " + variant.name + ", "
+                             + pointLabel(point));
                 const scenario::ScenarioResult result =
                     scenario::runScenario(
-                        pointConfig(config, variant, rate, ri));
+                        pointConfig(config, variant, point, ci));
                 scenario::writeScenarioBundle(dir, result);
-                SweepPoint point;
-                point.variant = variant.name;
-                point.ratePerSec = rate;
-                point.wallSeconds = result.wallSeconds;
                 point.metrics = result.metrics;
                 point.deterministic = result.deterministic;
                 points.push_back(std::move(point));

@@ -1,21 +1,23 @@
 /**
  * @file
- * Sweep orchestration: the rates x variants grid over the scenario
+ * Sweep orchestration: the points x variants grid over the scenario
  * runner, plus reduce-only re-reduction from stored bundles.
  *
- * runSweep() executes every (variant, rate) cell in one long-lived
+ * runSweep() executes every (variant, point) cell in one long-lived
  * process — each cell derives a per-point ScenarioConfig (variant
- * runtime/dvfs, that cell's rate, sweep block stripped), runs it on
- * a *fresh* Runtime via scenario::runScenario(), and writes the
- * standard four-artifact bundle under
- * `<out>/points/<variant>/rate_<rate>/`. The cells then reduce into
- * `<out>/curves.json` and `<out>/curves.md` (curves.hpp).
+ * runtime/dvfs, that cell's rate or benchmark and worker count,
+ * sweep block stripped), runs it on a *fresh* Runtime (or the
+ * simulator) via scenario::runScenario(), and writes the standard
+ * four-artifact bundle under `<out>/points/<variant>/rate_<rate>/`
+ * (serve) or `<out>/points/<variant>/<benchmark>_w<workers>/` (dag).
+ * The cells then reduce into `<out>/curves.json` and
+ * `<out>/curves.md` (curves.hpp).
  *
  * Reduce-only mode skips execution and reloads each stored point
- * bundle (rate from config.json, counters and the deterministic
- * object from run.json). Because the reducer and writers are pure,
- * a reduce-only pass over a sweep's own output reproduces
- * curves.json byte-identically — the cmp gate in CI.
+ * bundle (the point from config.json, counters and the
+ * deterministic object from run.json). Because the reducer and
+ * writers are pure, a reduce-only pass over a sweep's own output
+ * reproduces curves.json byte-identically — the cmp gate in CI.
  */
 
 #ifndef HERMES_HARNESS_SWEEP_SWEEP_RUNNER_HPP
@@ -40,18 +42,21 @@ struct SweepOutcome
     SweepCurves curves;
 };
 
-/** `<outDir>/points/<variant>/rate_<rate>` for one grid cell. */
+/** `<outDir>/points/<variant>/rate_<rate>` (serve) or
+ * `<outDir>/points/<variant>/<benchmark>_w<workers>` (dag) for one
+ * grid cell; `point` carries the coordinates (gridPoints()). */
 std::string pointDir(const std::string &outDir,
-                     const std::string &variant, double ratePerSec);
+                     const std::string &variant, const SweepPoint &point);
 
 /** The per-point ScenarioConfig for one grid cell: the base
- * scenario with the variant's runtime/dvfs, the cell's rate, a
- * `<name>_<variant>_p<index>` name, and the sweep block stripped
- * (a point run must not recurse). */
+ * scenario with the variant's runtime/dvfs, the point's rate (serve)
+ * or benchmark and worker count (dag), a `<name>_<variant>_p<index>`
+ * name, and the sweep block stripped (a point run must not
+ * recurse). */
 scenario::ScenarioConfig
 pointConfig(const scenario::ScenarioConfig &base,
-            const scenario::SweepVariant &variant, double ratePerSec,
-            size_t rateIndex);
+            const scenario::SweepVariant &variant, const SweepPoint &point,
+            size_t index);
 
 /**
  * Run (or, with `reduceOnly`, reload) the full sweep grid of

@@ -17,8 +17,6 @@
 #include "dvfs/simulated.hpp"
 #include "energy/ledger.hpp"
 #include "energy/power_model.hpp"
-#include "harness/experiment.hpp"
-#include "harness/report.hpp"
 #include "harness/run_sampler.hpp"
 #include "platform/affinity.hpp"
 #include "platform/frequency.hpp"

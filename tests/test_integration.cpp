@@ -1,39 +1,90 @@
 /**
  * @file
  * End-to-end integration tests: the full pipeline (generator ->
- * simulator -> tempo controller -> energy ledger -> harness) must
- * reproduce the paper's qualitative claims, and the two execution
- * substrates must drive the identical controller code.
+ * simulator -> tempo controller -> energy ledger -> scenario runner)
+ * must reproduce the paper's qualitative claims, and the two
+ * execution substrates must drive the identical controller code.
+ * The figure claims run through dag scenarios on the sim substrate,
+ * by the fixed protocol of Section 4.1 (20 trials, the first 2
+ * discarded) at the committed figure sweeps' seed.
  */
+
+#include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "dvfs/simulated.hpp"
-#include "harness/experiment.hpp"
+#include "harness/scenario/scenario_runner.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/scheduler.hpp"
 #include "sim/dag_generators.hpp"
 #include "sim/simulator.hpp"
+#include "util/stats.hpp"
 #include "workloads/registry.hpp"
 
 using namespace hermes;
+namespace scenario = harness::scenario;
 
 namespace {
 
-harness::ExperimentConfig
-cfgFor(const std::string &bench, unsigned workers,
-       const platform::SystemProfile &profile)
+/** A dag scenario on the simulator; `policy` empty = tempo off. */
+scenario::ScenarioConfig
+simConfig(const std::string &profile, const std::string &bench,
+          unsigned workers, const std::string &policy,
+          std::vector<unsigned> ladder = {})
 {
-    harness::ExperimentConfig cfg;
-    cfg.profile = profile;
-    cfg.benchmark = bench;
-    cfg.workers = workers;
-    cfg.trials = 5;
-    cfg.warmupTrials = 1;
-    return cfg;
+    scenario::ScenarioConfig c;
+    c.name = "integration";
+    c.kind = scenario::ScenarioKind::kDag;
+    c.seed = 20140301;
+    c.profile = profile;
+    c.runtime.workers = workers;
+    c.dag.benchmark = bench;
+    c.dag.scale = 1.0;
+    c.dag.substrate = "sim";
+    c.dvfs.tempo = !policy.empty();
+    if (!policy.empty())
+        c.dvfs.policy = policy;
+    c.dvfs.ladder = std::move(ladder);
+    return c;
+}
+
+/** A HERMES arm against the baseline on the same inputs, by the
+ * formulas of the figure tables (fractions, not percent). */
+struct Versus
+{
+    double energySavings = 0.0;
+    double timeLoss = 0.0;
+    double normalizedEdp = 0.0;
+};
+
+Versus
+versus(const std::string &profile, const std::string &bench,
+       unsigned workers, const std::string &policy,
+       std::vector<unsigned> ladder = {})
+{
+    const auto base =
+        scenario::runScenario(simConfig(profile, bench, workers, ""));
+    const auto arm = scenario::runScenario(
+        simConfig(profile, bench, workers, policy, std::move(ladder)));
+    Versus v;
+    v.energySavings = 1.0 - arm.joules / base.joules;
+    v.timeLoss = arm.wallSeconds / base.wallSeconds - 1.0;
+    v.normalizedEdp = arm.metrics.at("edp") / base.metrics.at("edp");
+    return v;
 }
 
 } // namespace
+
+TEST(Integration, CompareProducesPaperShape)
+{
+    const Versus v = versus("B", "sort", 4, "unified");
+    EXPECT_GT(v.energySavings, 0.0);
+    EXPECT_LT(v.energySavings, 0.5);
+    EXPECT_GT(v.timeLoss, -0.05);
+    EXPECT_LT(v.timeLoss, 0.15);
+    EXPECT_LT(v.normalizedEdp, 1.05);
+}
 
 TEST(Integration, PaperHeadlineShapeSystemB)
 {
@@ -41,11 +92,10 @@ TEST(Integration, PaperHeadlineShapeSystemB)
     // bounded loss, EDP <= ~1 (the paper: EDP improved without
     // exception).
     for (const auto &bench : sim::benchmarkNames()) {
-        const auto cmp = harness::compareToBaseline(
-            cfgFor(bench, 4, platform::systemB()));
-        EXPECT_GT(cmp.energySavings(), 0.0) << bench;
-        EXPECT_LT(cmp.timeLoss(), 0.10) << bench;
-        EXPECT_LT(cmp.normalizedEdp(), 1.03) << bench;
+        const Versus v = versus("B", bench, 4, "unified");
+        EXPECT_GT(v.energySavings, 0.0) << bench;
+        EXPECT_LT(v.timeLoss, 0.10) << bench;
+        EXPECT_LT(v.normalizedEdp, 1.03) << bench;
     }
 }
 
@@ -55,14 +105,10 @@ TEST(Integration, UnifiedBeatsSingleStrategiesOnTimeLoss)
     // each strategy alone loses more time than unified.
     double unified_loss = 0.0, single_loss = 0.0;
     for (const auto &bench : sim::benchmarkNames()) {
-        auto cfg = cfgFor(bench, 16, platform::systemA());
-        const auto cu = harness::compareToBaseline(cfg);
-        cfg.policy = core::TempoPolicy::WorkpathOnly;
-        const auto cp = harness::compareToBaseline(cfg);
-        cfg.policy = core::TempoPolicy::WorkloadOnly;
-        const auto cl = harness::compareToBaseline(cfg);
-        unified_loss += cu.timeLoss();
-        single_loss += 0.5 * (cp.timeLoss() + cl.timeLoss());
+        unified_loss += versus("A", bench, 16, "unified").timeLoss;
+        single_loss +=
+            0.5 * (versus("A", bench, 16, "workpath").timeLoss
+                   + versus("A", bench, 16, "workload").timeLoss);
     }
     EXPECT_LT(unified_loss, single_loss);
 }
@@ -73,25 +119,21 @@ TEST(Integration, UnifiedBalancesSavingsAgainstLoss)
     // saves energy, unified loses less time than workload-only
     // (which lacks the relay and the head guard), and unified's EDP
     // is below baseline. No energy ranking between the arms is
-    // asserted. bench/fig10_11_ablation_a.cpp and
-    // bench/fig12_13_ablation_b.cpp print the same comparison as the
-    // paper's Figures 10-13.
+    // asserted. scenarios/fig_policies_a.json and
+    // scenarios/fig_policies_b.json tabulate the same comparison at
+    // every width, from which the paper's Figures 10-13 are read.
     double unified_e = 0.0, workpath_e = 0.0, workload_e = 0.0;
     double unified_t = 0.0, workload_t = 0.0;
     double unified_edp = 0.0;
     for (const auto &bench : sim::benchmarkNames()) {
-        auto cfg = cfgFor(bench, 16, platform::systemA());
-        const auto cu = harness::compareToBaseline(cfg);
-        unified_e += cu.energySavings();
-        unified_t += cu.timeLoss();
-        unified_edp += cu.normalizedEdp();
-        cfg.policy = core::TempoPolicy::WorkpathOnly;
-        workpath_e +=
-            harness::compareToBaseline(cfg).energySavings();
-        cfg.policy = core::TempoPolicy::WorkloadOnly;
-        const auto cl = harness::compareToBaseline(cfg);
-        workload_e += cl.energySavings();
-        workload_t += cl.timeLoss();
+        const Versus cu = versus("A", bench, 16, "unified");
+        unified_e += cu.energySavings;
+        unified_t += cu.timeLoss;
+        unified_edp += cu.normalizedEdp;
+        workpath_e += versus("A", bench, 16, "workpath").energySavings;
+        const Versus cl = versus("A", bench, 16, "workload");
+        workload_e += cl.energySavings;
+        workload_t += cl.timeLoss;
     }
     // Every policy saves energy on average.
     EXPECT_GT(unified_e, 0.0);
@@ -101,6 +143,75 @@ TEST(Integration, UnifiedBalancesSavingsAgainstLoss)
     // the aggressive workload-only arm, with EDP below baseline.
     EXPECT_LT(unified_t, workload_t);
     EXPECT_LT(unified_edp / 5.0, 1.0);
+}
+
+TEST(Integration, SimRunIsTheMeanOfTheKeptTrials)
+{
+    // The sim substrate's protocol, recomputed by hand: trial t
+    // generates at seed + 7919 t and simulates at seed * 31 + t; the
+    // first 2 of 20 trials are discarded.
+    const auto config = simConfig("B", "sort", 4, "unified");
+    const auto result = scenario::runScenario(config);
+
+    sim::SimConfig sc;
+    sc.profile = platform::systemB();
+    sc.numWorkers = 4;
+    sc.enableTempo = true;
+    sc.tempo.policy = core::TempoPolicy::Unified;
+    util::TrialSet seconds(2), joules(2);
+    for (unsigned t = 0; t < 20; ++t) {
+        sim::WorkloadParams wp;
+        wp.fmaxMhz = 3600;
+        wp.seed = config.seed + 7919ULL * t;
+        sc.seed = config.seed * 31ULL + t;
+        const auto r = sim::simulate(sim::makeBenchmark("sort", wp), sc);
+        seconds.add(r.seconds);
+        joules.add(r.joules);
+    }
+    EXPECT_EQ(seconds.keptCount(), 18u);
+    EXPECT_EQ(result.wallSeconds, seconds.mean());
+    EXPECT_EQ(result.metrics.at("seconds"), seconds.mean());
+    EXPECT_EQ(result.metrics.at("joules"), joules.mean());
+    EXPECT_EQ(result.metrics.at("edp"), seconds.mean() * joules.mean());
+    EXPECT_EQ(result.deterministic.back().first, "mean_joules_nj");
+    EXPECT_EQ(result.deterministic.back().second,
+              static_cast<uint64_t>(std::llround(joules.mean() * 1e9)));
+}
+
+TEST(Integration, SimRunIsDeterministicPerSeed)
+{
+    auto config = simConfig("B", "sort", 4, "unified");
+    const auto a = scenario::runScenario(config);
+    const auto b = scenario::runScenario(config);
+    EXPECT_EQ(a.metrics, b.metrics);
+    EXPECT_EQ(a.deterministic, b.deterministic);
+    config.seed += 1;
+    const auto c = scenario::runScenario(config);
+    EXPECT_NE(a.wallSeconds, c.wallSeconds);
+}
+
+TEST(Integration, SimEventsAreTrialZerosPowerTrace)
+{
+    // events.jsonl of a simulated run is trial 0's 100 Hz power
+    // series, the paper's Figures 19-22.
+    const auto config = simConfig("A", "knn", 8, "unified");
+    const auto result = scenario::runScenario(config);
+
+    sim::WorkloadParams wp;
+    wp.seed = config.seed;
+    sim::SimConfig sc;
+    sc.numWorkers = 8;
+    sc.enableTempo = true;
+    sc.seed = config.seed * 31ULL;
+    sc.recordPowerSeries = true;
+    const auto trace =
+        sim::simulate(sim::makeBenchmark("knn", wp), sc).powerSeries;
+    ASSERT_FALSE(trace.empty());
+    ASSERT_EQ(result.events.size(), trace.size());
+    for (size_t i = 0; i < trace.size(); ++i) {
+        EXPECT_EQ(result.events[i].packageWatts, trace[i]) << i;
+        EXPECT_DOUBLE_EQ(result.events[i].tSec, i / 100.0) << i;
+    }
 }
 
 TEST(Integration, ThreadedRuntimeRunsWorkloadsUnderTempo)
@@ -190,13 +301,10 @@ TEST(Integration, TwoFrequencyVsThreeFrequencyBothWork)
 {
     // Figure 16/17's qualitative claim: both N choices deliver
     // similar results (neither degenerates).
-    const auto profile = platform::systemA();
-    auto cfg = cfgFor("sort", 16, profile);
-    cfg.ladder = profile.ladder.select({2400, 1600});
-    const auto two = harness::compareToBaseline(cfg);
-    cfg.ladder = profile.ladder.select({2400, 1900, 1600});
-    const auto three = harness::compareToBaseline(cfg);
-    EXPECT_GT(two.energySavings(), 0.0);
-    EXPECT_GT(three.energySavings(), 0.0);
-    EXPECT_NEAR(two.energySavings(), three.energySavings(), 0.06);
+    const Versus two = versus("A", "sort", 16, "unified", {2400, 1600});
+    const Versus three =
+        versus("A", "sort", 16, "unified", {2400, 1900, 1600});
+    EXPECT_GT(two.energySavings, 0.0);
+    EXPECT_GT(three.energySavings, 0.0);
+    EXPECT_NEAR(two.energySavings, three.energySavings, 0.06);
 }

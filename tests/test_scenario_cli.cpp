@@ -5,7 +5,8 @@
  * HERMES_SCENARIO_BIN):
  *
  *   validate rejects malformed scenarios with pointer-bearing
- *   diagnostics (exit 3); run produces all four bundle artifacts
+ *   diagnostics (exit 3), misplaced sim-only and grid keys
+ *   included; run produces all four bundle artifacts
  *   (exit 0); two same-seed runs agree byte-for-byte on config.json
  *   and the deterministic counter section; run checks the gates
  *   after the bundle lands and exits 8 with one stderr line per
@@ -16,7 +17,9 @@
  *   without a sweep block (3), re-reduces stored bundles to
  *   byte-identical curves.json under --reduce-only, and reports a
  *   doctored gate metric as exit 7 (a variant gate) or 8 (a
- *   top-level gate, checked on every point); a serve bundle carries
+ *   top-level gate, checked on every point), on a serve grid and on
+ *   a simulated dag grid, whose tables a live re-run reproduces and
+ *   which soak refuses (3); a serve bundle carries
  *   the
  *   watchdog fields always, and outcome counters and faults.csv
  *   only when faults are on.
@@ -400,6 +403,149 @@ TEST_F(ScenarioCli, SoakIsHealthyAndResumesItsSequence)
     }
     EXPECT_GE(expected_seq, 2u);
     EXPECT_EQ(max_epoch, 1u);
+}
+
+TEST_F(ScenarioCli, ValidateRejectsMisplacedSimAndGridKeys)
+{
+    // Each document misplaces one key; validate exits 3 and names it.
+    const std::string dag =
+        R"("name": "d", "kind": "dag", "profile": "A", )";
+    const std::string serve = R"("name": "s", "kind": "serve", )";
+    const std::string grid =
+        R"("benchmarks": ["knn"], "workers": [2], )";
+    for (const auto &[pointer, doc] :
+         std::vector<std::pair<std::string, std::string>>{
+             // Sim-only keys outside the sim substrate.
+             {"/dag/scheduling",
+              "{" + dag + R"("dag": {"scheduling": "dynamic"}})"},
+             {"/dvfs/call_cost_us",
+              "{" + dag + R"("dvfs": {"call_cost_us": 30}})"},
+             {"/sweep/variants/0/dvfs/call_cost_us",
+              "{" + serve + R"("sweep": {"rates_per_sec": [1],
+                "variants": [{"name": "v",
+                              "dvfs": {"call_cost_us": 30}}]}})"},
+             // A rung profile A does not have, and rungs slowest
+             // first.
+             {"/dvfs/ladder/1",
+              "{" + dag + R"("dvfs": {"ladder": [2400, 2000]}})"},
+             {"/dvfs/ladder/1",
+              "{" + dag + R"("dvfs": {"ladder": [1600, 2400]}})"},
+             // More workers than profile A's 16 clock domains.
+             {"/runtime/workers",
+              "{" + dag + R"("runtime": {"workers": 17},
+                "dag": {"substrate": "sim"}})"},
+             {"/sweep/workers/1",
+              "{" + dag + R"("dag": {"substrate": "sim"},
+                "sweep": {"benchmarks": ["knn"], "workers": [2, 32],
+                          "variants": [{"name": "v"}]}})"},
+             // A repeated benchmark, workers not increasing.
+             {"/sweep/benchmarks/1",
+              "{" + dag + R"("sweep": {"benchmarks": ["knn", "knn"],
+                "workers": [2], "variants": [{"name": "v"}]}})"},
+             {"/sweep/workers/1",
+              "{" + dag + R"("sweep": {"benchmarks": ["knn"],
+                "workers": [4, 2], "variants": [{"name": "v"}]}})"},
+             // Each grid's keys on the other kind.
+             {"/sweep/rates_per_sec",
+              "{" + dag + R"("sweep": {)" + grid
+                  + R"("rates_per_sec": [1],
+                       "variants": [{"name": "v"}]}})"},
+             {"/sweep/benchmarks",
+              "{" + serve + R"("sweep": {"rates_per_sec": [1],
+                "benchmarks": ["knn"], "variants": [{"name": "v"}]}})"},
+             // Retired: the cycle mapping follows the profile.
+             {"/dag/gigacycles_per_sec",
+              "{" + dag + R"("dag": {"gigacycles_per_sec": 2.4}})"}}) {
+        writeFile("bad.json", doc);
+        std::string output;
+        EXPECT_EQ(run("validate " + path("bad.json"), &output), 3)
+            << pointer;
+        EXPECT_NE(output.find(pointer + ": "), std::string::npos)
+            << pointer << "\n" << output;
+    }
+}
+
+TEST_F(ScenarioCli, SimSweepWritesTablesAndGatesEveryPoint)
+{
+    writeFile("sim.json", R"({
+  "name": "cli_sim",
+  "kind": "dag",
+  "seed": 3,
+  "profile": "B",
+  "runtime": {"workers": 2},
+  "dag": {"benchmark": "sort", "scale": 0.05, "substrate": "sim"},
+  "sweep": {
+    "benchmarks": ["sort"],
+    "workers": [2],
+    "variants": [
+      {"name": "baseline"},
+      {"name": "unified", "dvfs": {"tempo": true}}
+    ],
+    "gates": {"joules": {"direction": "lower", "max_regression": 0}}
+  }
+})");
+    std::string output;
+    ASSERT_EQ(run("sweep " + path("sim.json") + " --out " + path("out"),
+                  &output),
+              0)
+        << output;
+    EXPECT_NE(output.find("2 variant(s) x 1 point(s)"), std::string::npos)
+        << output;
+    const std::string live = slurp(path("out/curves.json"));
+    EXPECT_NE(live.find("\"energy_savings_pct\""), std::string::npos)
+        << live;
+
+    // The point bundle: the simulator's three counters, the
+    // deterministic means, and a power trace with no runtime fields.
+    const std::string point = "out/points/unified/sort_w2/";
+    const JsonParseResult run_json = parseJson(slurp(path(point + "run.json")));
+    ASSERT_TRUE(run_json.ok);
+    const auto *counters =
+        run_json.value.find("benchmarks")->array().front().find("counters");
+    EXPECT_EQ(counters->members().size(), 3u);
+    for (const char *name : {"seconds", "joules", "edp"})
+        EXPECT_NE(counters->find(name), nullptr) << name;
+    const std::string det =
+        deterministicSection(slurp(path(point + "run.json")));
+    EXPECT_NE(det.find("mean_joules_nj="), std::string::npos) << det;
+    std::ifstream events(path(point + "events.jsonl"));
+    std::string first;
+    ASSERT_TRUE(std::getline(events, first));
+    EXPECT_EQ(first.rfind("{\"t_sec\": 0.000000, \"package_watts\": ", 0),
+              0u)
+        << first;
+
+    // The simulator is deterministic: a second live sweep and a
+    // reduce-only pass both reproduce curves.json byte for byte.
+    ASSERT_EQ(run("sweep " + path("sim.json") + " --out " + path("again")),
+              0);
+    EXPECT_EQ(slurp(path("again/curves.json")), live);
+    ASSERT_EQ(run("sweep " + path("sim.json") + " --out " + path("out")
+                  + " --reduce-only"),
+              0);
+    EXPECT_EQ(slurp(path("out/curves.json")), live);
+
+    // A doctored point that spends more joules than the baseline
+    // fails the gate on re-reduction.
+    const std::string victim = path(point + "run.json");
+    std::string text = slurp(victim);
+    const size_t at = text.find("\"joules\": ");
+    ASSERT_NE(at, std::string::npos) << text;
+    text.insert(at + std::string("\"joules\": ").size(), "1");
+    std::ofstream(victim) << text;
+    EXPECT_EQ(run("sweep " + path("sim.json") + " --out " + path("out")
+                      + " --reduce-only",
+                  &output),
+              7)
+        << output;
+    EXPECT_NE(slurp(path("out/curves.md"))
+                  .find("| joules | unified | sort at 2 workers |"),
+              std::string::npos);
+
+    // soak loops a runtime, which a simulated scenario does not have.
+    EXPECT_EQ(run("soak " + path("sim.json") + " --duration 0.2", &output),
+              3);
+    EXPECT_NE(output.find("simulator"), std::string::npos) << output;
 }
 
 TEST_F(ScenarioCli, SweepWithoutSweepBlockExitsThree)

@@ -1,10 +1,11 @@
 /**
  * @file
  * The sweep layer: schema (sweep block validation and variant
- * override resolution), the pure reducer (per-variant grouping,
- * monotone accepted-rate ordering, knee detection, gate verdicts),
- * and the determinism contract — equal inputs must serialize to
- * byte-identical curves.json.
+ * override resolution, for serve rates and dag benchmark x workers
+ * grids), the pure reducers (per-variant grouping, monotone
+ * accepted-rate ordering, knee detection, the figure table, gate
+ * verdicts), and the determinism contract — equal inputs must
+ * serialize to byte-identical curves.json.
  */
 
 #include <string>
@@ -57,7 +58,6 @@ makePoint(const std::string &variant, double rate, double p99_ns,
     sweep::SweepPoint p;
     p.variant = variant;
     p.ratePerSec = rate;
-    p.wallSeconds = 0.05;
     p.metrics["accepted_rate_per_sec"] = accepted_rate;
     p.metrics["sojourn_p50_ns"] = p99_ns / 4.0;
     p.metrics["sojourn_p99_ns"] = p99_ns;
@@ -190,7 +190,8 @@ TEST(SweepRunner, PointConfigAppliesVariantAndStripsSweep)
 {
     const auto config = sweepConfig();
     const auto derived = sweep::pointConfig(
-        config, config.sweep.variants[1], 4000.0, 2);
+        config, config.sweep.variants[1], sweep::gridPoints(config)[2],
+        2);
     EXPECT_EQ(derived.name, "sweep_unit_tempo_p2");
     EXPECT_TRUE(derived.dvfs.tempo);
     EXPECT_EQ(derived.serve.ratePerSec, 4000.0);
@@ -200,10 +201,17 @@ TEST(SweepRunner, PointConfigAppliesVariantAndStripsSweep)
     EXPECT_TRUE(scenario::parseScenario(echo).ok);
 }
 
-TEST(SweepRunner, PointDirEncodesVariantAndRate)
+TEST(SweepRunner, PointDirEncodesVariantAndPoint)
 {
-    EXPECT_EQ(sweep::pointDir("out", "tempo", 4000.0),
+    sweep::SweepPoint rate;
+    rate.ratePerSec = 4000.0;
+    EXPECT_EQ(sweep::pointDir("out", "tempo", rate),
               "out/points/tempo/rate_4000");
+    sweep::SweepPoint dag;
+    dag.benchmark = "knn";
+    dag.workers = 16;
+    EXPECT_EQ(sweep::pointDir("out", "unified", dag),
+              "out/points/unified/knn_w16");
 }
 
 // --- reducer ------------------------------------------------------
@@ -354,4 +362,153 @@ TEST(SweepReduce, CurvesMdRendersTablesAndThreeCharts)
          at = md.find("<svg", at + 1))
         ++svgs;
     EXPECT_EQ(svgs, 3u); // latency, energy, power — never dual-axis
+}
+
+// --- dag grids and the figure table -------------------------------
+
+namespace {
+
+const char *const kDagSweep = R"({
+  "name": "table_unit",
+  "kind": "dag",
+  "seed": 5,
+  "profile": "B",
+  "dag": {"benchmark": "knn", "scale": 0.01, "substrate": "sim"},
+  "sweep": {
+    "benchmarks": ["knn", "sort"],
+    "workers": [2, 4],
+    "variants": [
+      {"name": "baseline"},
+      {"name": "unified", "dvfs": {"tempo": true, "ladder": [3600, 2100]}}
+    ],
+    "gates": {"joules": {"direction": "lower", "max_regression": 0}}
+  }
+})";
+
+scenario::ScenarioConfig
+dagConfig()
+{
+    const auto loaded = scenario::parseScenario(kDagSweep);
+    EXPECT_TRUE(loaded.ok) << (loaded.diags.empty()
+                                   ? ""
+                                   : loaded.diags.front().toString());
+    return loaded.config;
+}
+
+/** A dag point whose counters are the three the table reads. */
+sweep::SweepPoint
+tablePoint(const std::string &variant, const std::string &bench,
+           unsigned workers, double seconds, double joules)
+{
+    sweep::SweepPoint p;
+    p.variant = variant;
+    p.benchmark = bench;
+    p.workers = workers;
+    p.metrics["seconds"] = seconds;
+    p.metrics["joules"] = joules;
+    p.metrics["edp"] = seconds * joules;
+    p.deterministic.emplace_back("dag_frames", 7);
+    return p;
+}
+
+} // namespace
+
+TEST(SweepSchema, DagGridParsesBenchmarksAndWorkers)
+{
+    const auto config = dagConfig();
+    EXPECT_EQ(config.sweep.benchmarks,
+              (std::vector<std::string>{"knn", "sort"}));
+    EXPECT_EQ(config.sweep.workers, (std::vector<unsigned>{2, 4}));
+    EXPECT_TRUE(config.sweep.ratesPerSec.empty());
+    // The default ladder is the profile's paper pair; a variant's
+    // ladder replaces it.
+    EXPECT_EQ(config.sweep.variants[0].dvfs.ladder,
+              (std::vector<unsigned>{3600, 2700}));
+    EXPECT_EQ(config.sweep.variants[1].dvfs.ladder,
+              (std::vector<unsigned>{3600, 2100}));
+
+
+    // Grid order is benchmark-major; each point sets the benchmark
+    // and the worker count.
+    const auto cells = sweep::gridPoints(config);
+    ASSERT_EQ(cells.size(), 4u);
+    EXPECT_EQ(sweep::pointLabel(cells[1]), "knn at 4 workers");
+    const auto derived = sweep::pointConfig(
+        config, config.sweep.variants[1], cells[2], 2);
+    EXPECT_EQ(derived.dag.benchmark, "sort");
+    EXPECT_EQ(derived.runtime.workers, 2u);
+    EXPECT_TRUE(derived.dvfs.tempo);
+    EXPECT_TRUE(scenario::parseScenario(
+                    scenario::writeConfigJson(derived))
+                    .ok);
+}
+
+TEST(SweepReduce, TableComparesEveryVariantWithTheFirst)
+{
+    const auto config = dagConfig();
+    std::vector<sweep::SweepPoint> points;
+    for (const std::string bench : {"sort", "knn"}) {
+        for (unsigned w : {4u, 2u}) {
+            points.push_back(tablePoint("unified", bench, w, 1.25, 90.0));
+            points.push_back(tablePoint("baseline", bench, w, 1.0,
+                                        bench == "knn" ? 100.0 : 120.0));
+        }
+    }
+    const auto curves = sweep::reduceSweep(config, points);
+    EXPECT_TRUE(curves.notes.empty());
+    ASSERT_EQ(curves.rows.size(), 8u);
+    // Variant-major, then benchmark-major in file order.
+    EXPECT_EQ(curves.rows[0].variant, "baseline");
+    EXPECT_EQ(curves.rows[0].benchmark, "knn");
+    EXPECT_EQ(curves.rows[0].workers, 2u);
+    EXPECT_FALSE(curves.rows[0].versus);
+    const sweep::TableRow &knn = curves.rows[4];
+    EXPECT_EQ(knn.variant, "unified");
+    ASSERT_TRUE(knn.versus);
+    EXPECT_DOUBLE_EQ(knn.versus->energySavingsPct, 10.0);
+    EXPECT_DOUBLE_EQ(knn.versus->timeLossPct, 25.0);
+    EXPECT_DOUBLE_EQ(knn.versus->normalizedEdp, 1.125);
+
+    // One average per (non-first variant, workers), over benchmarks:
+    // savings 10 % on knn and 25 % on sort.
+    ASSERT_EQ(curves.averages.size(), 2u);
+    EXPECT_EQ(curves.averages[0].workers, 2u);
+    EXPECT_DOUBLE_EQ(curves.averages[0].versus.energySavingsPct, 17.5);
+
+    // The joules gate is checked at all 4 points, and passes.
+    EXPECT_EQ(curves.gates.size(), 4u);
+    EXPECT_FALSE(curves.gateFailure);
+
+    const std::string json = sweep::writeCurvesJson(config, curves);
+    std::vector<sweep::SweepPoint> reversed(points.rbegin(),
+                                            points.rend());
+    EXPECT_EQ(json, sweep::writeCurvesJson(
+                        config, sweep::reduceSweep(config, reversed)));
+    EXPECT_NE(json.find("\"energy_savings_pct\": 17.5"),
+              std::string::npos)
+        << json;
+
+    std::string md = sweep::writeCurvesMd(config, curves);
+    EXPECT_NE(md.find("## Variant `unified`"), std::string::npos);
+    EXPECT_NE(md.find("| knn | 2 | 1.25 | 90 | 112.5 | 10 | 25 | 1.125 |"),
+              std::string::npos)
+        << md;
+    EXPECT_NE(md.find("| **average** | 2 | | | | 17.5 | 25 | 1.031 |"),
+              std::string::npos)
+        << md;
+    EXPECT_EQ(md.find("<svg"), std::string::npos);
+
+    // Spending more joules than the baseline at one point fails the
+    // gate there, and only there.
+    points[0].metrics["joules"] = 121.0; // unified, sort at 4 workers
+    const auto worse = sweep::reduceSweep(config, points);
+    EXPECT_TRUE(worse.gateFailure);
+    size_t failed = 0;
+    for (const auto &g : worse.gates)
+        failed += g.failed ? 1 : 0;
+    EXPECT_EQ(failed, 1u);
+    md = sweep::writeCurvesMd(config, worse);
+    EXPECT_NE(md.find("| joules | unified | sort at 4 workers | 120 | 121 "),
+              std::string::npos)
+        << md;
 }

@@ -16,7 +16,7 @@ import re
 import sys
 from pathlib import Path
 
-SKIP_DIRS = {"build", ".git", "bench_results"}
+SKIP_DIRS = {"build", ".git"}
 # Inline link/image: [text](target) — target ends at the first
 # unescaped ')' or whitespace+title. Good enough for this repo's
 # hand-written docs; fenced code blocks are stripped first.

@@ -119,6 +119,10 @@ class TrajectoryContract(unittest.TestCase):
                        results([run_record(2, 1.0)], commit="other"))
         self.assert_rejected(a, b)
 
+    def test_unknown_commit_appends_nothing(self):
+        self.assert_rejected(self.write(
+            "unknown.json", results([run_record(1, 1.0)], commit="unknown")))
+
     def test_unreadable_results_append_nothing(self):
         with open(self.path("bad.json"), "w", encoding="utf-8") as fh:
             fh.write("{not json")

@@ -25,8 +25,10 @@ the two entries apart.
 
 The file is append-only: an earlier entry is never rewritten. The
 tool appends nothing and exits 1 when a results file has failed ops,
-lacks an end-to-end metric, or disagrees with the others on the
-commit, CPU key or run length. Exit 2 is a usage error.
+lacks an end-to-end metric, records the commit as "unknown" (run.py
+writes that when `git rev-parse HEAD` fails, as in a `git archive`
+copy), or disagrees with the others on the commit, CPU key or run
+length. Exit 2 is a usage error.
 """
 
 import argparse
@@ -63,6 +65,8 @@ def entry(pr, label, paths):
         except (KeyError, TypeError) as err:
             raise Rejected("%s is not a run.py results file (%s)"
                            % (path, err))
+        if this["commit"] == "unknown":
+            raise Rejected("%s does not name its commit" % path)
         if header is None:
             header = this
         elif this != header:
