@@ -31,14 +31,14 @@ struct RunResult
     double injectFastFrac; ///< share of injects on the lock-free fast path
 };
 
+/** One sort, with tempo off (the baseline) or under unified HERMES. */
 RunResult
-runSort(bool use_sample_sort, core::TempoPolicy policy, size_t n,
-        unsigned workers)
+runSort(bool use_sample_sort, bool tempo, size_t n, unsigned workers)
 {
     runtime::RuntimeConfig cfg;
     cfg.numWorkers = workers;
-    cfg.enableTempo = policy != core::TempoPolicy::Baseline;
-    cfg.tempo.policy = policy;
+    cfg.enableTempo = tempo;
+    cfg.tempo.policy = core::TempoPolicy::Unified;
     runtime::Runtime rt(cfg);
 
     auto keys = workloads::randomKeys(n, 12345);
@@ -89,14 +89,13 @@ main(int argc, char **argv)
                 "policy", "time (s)", "energy (J)*", "parked",
                 "tasks/steal", "local", "inj-fast");
     for (const bool sample : {false, true}) {
-        for (const auto policy : {core::TempoPolicy::Baseline,
-                                  core::TempoPolicy::Unified}) {
-            const auto r = runSort(sample, policy, n, workers);
+        for (const bool tempo : {false, true}) {
+            const auto r = runSort(sample, tempo, n, workers);
             std::printf(
                 "%-14s%-10s%12.3f%14.2f%11.1f%%%12.2f%11.1f%%"
                 "%11.1f%%\n",
                 sample ? "sample sort" : "radix sort",
-                core::toString(policy).c_str(), r.seconds, r.joules,
+                tempo ? "unified" : "baseline", r.seconds, r.joules,
                 100.0 * r.parkedFrac, r.tasksPerSteal,
                 100.0 * r.localFrac, 100.0 * r.injectFastFrac);
         }

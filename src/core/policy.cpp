@@ -8,8 +8,6 @@ std::string
 toString(TempoPolicy policy)
 {
     switch (policy) {
-      case TempoPolicy::Baseline:
-        return "baseline";
       case TempoPolicy::WorkpathOnly:
         return "workpath";
       case TempoPolicy::WorkloadOnly:
@@ -23,16 +21,14 @@ toString(TempoPolicy policy)
 TempoPolicy
 policyFromString(const std::string &name)
 {
-    if (name == "baseline")
-        return TempoPolicy::Baseline;
     if (name == "workpath")
         return TempoPolicy::WorkpathOnly;
     if (name == "workload")
         return TempoPolicy::WorkloadOnly;
-    if (name == "unified" || name == "hermes")
+    if (name == "unified")
         return TempoPolicy::Unified;
     util::fatal("unknown tempo policy '" + name
-                + "' (baseline|workpath|workload|unified)");
+                + "' (workpath|workload|unified)");
 }
 
 } // namespace hermes::core

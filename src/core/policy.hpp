@@ -2,9 +2,10 @@
  * @file
  * Tempo-control policies and configuration.
  *
- * The four policies correspond to the paper's evaluation arms:
- * unmodified work stealing (Baseline), each strategy alone
- * (Figures 10-13), and the unified HERMES algorithm.
+ * The three policies are the paper's HERMES arms: each strategy
+ * alone (Figures 10-13) and the unified algorithm. The fourth arm,
+ * unmodified work stealing, is tempo off: no controller at all
+ * (`enableTempo` in the runtime and simulator configs).
  */
 
 #ifndef HERMES_CORE_POLICY_HPP
@@ -21,13 +22,12 @@ namespace hermes::core {
 /** Which tempo-control strategies are active. */
 enum class TempoPolicy
 {
-    Baseline,       ///< no tempo control (plain work stealing)
     WorkpathOnly,   ///< Section 3.1 only
     WorkloadOnly,   ///< Section 3.2 only
     Unified,        ///< Section 3.3 (full HERMES)
 };
 
-/** Short name for reports ("baseline", "workpath", ...). */
+/** Short name for reports ("workpath", "workload", "unified"). */
 std::string toString(TempoPolicy policy);
 
 /** Parse a policy name; fatal() on unknown names. */

@@ -2,25 +2,23 @@
 
 #include <algorithm>
 
+#include "runtime/sync.hpp"
 #include "util/assert.hpp"
 
 namespace hermes::core {
 
-TempoController::TempoController(TempoConfig config,
-                                 dvfs::DvfsBackend &backend,
-                                 unsigned num_workers,
-                                 DomainLookup domain_of)
+TempoController::TempoController(
+    TempoConfig config, dvfs::DvfsBackend &backend,
+    std::vector<platform::DomainId> domain_of)
     : config_(std::move(config)),
       ladder_(config_.ladder.has_value()
                   ? *config_.ladder
                   : platform::FrequencyLadder({1})),
-      backend_(backend),
-      numWorkers_(num_workers), domainOf_(std::move(domain_of)),
-      list_(num_workers),
-      tempo_(num_workers, 0),
-      region_(num_workers, 0),
-      parked_(num_workers, 0),
-      profiler_(num_workers,
+      backend_(backend), domainOf_(std::move(domain_of)),
+      list_(numWorkers()),
+      tempo_(numWorkers(), 0),
+      region_(numWorkers(), 0),
+      profiler_(numWorkers(),
                 ThresholdProfiler(config_.numThresholds,
                                   config_.profilerWindow))
 {
@@ -28,68 +26,65 @@ TempoController::TempoController(TempoConfig config,
                   "TempoConfig::ladder must be resolved before "
                   "constructing a TempoController (see "
                   "platform::defaultTempoLadder)");
-    HERMES_ASSERT(num_workers > 0, "need at least one worker");
-    HERMES_ASSERT(domainOf_ != nullptr, "domain lookup required");
+    HERMES_ASSERT(!domainOf_.empty(), "need at least one worker");
+    for (const platform::DomainId d : domainOf_) {
+        HERMES_ASSERT(d < backend_.numDomains(),
+                      "domain " << d << " out of range");
+    }
 }
 
 void
 TempoController::validate(WorkerId w) const
 {
-    HERMES_ASSERT(w < numWorkers_, "worker " << w << " out of range");
+    HERMES_ASSERT(w < numWorkers(), "worker " << w << " out of range");
 }
 
 void
-TempoController::reset(double now)
+TempoController::reset()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    runtime::sync::Guard lock(mutex_);
     list_.clear();
-    for (WorkerId w = 0; w < numWorkers_; ++w) {
+    for (WorkerId w = 0; w < numWorkers(); ++w) {
         tempo_[w] = 0;
         region_[w] = 0;
-        parked_[w] = 0;
         profiler_[w] = ThresholdProfiler(config_.numThresholds,
                                          config_.profilerWindow);
-        backend_.setDomainFreq(domainOf_(w), ladder_.fastest(),
-                               now);
+        backend_.setDomainFreq(domainOf_[w], ladder_.fastest());
     }
     counters_ = TempoCounters{};
 }
 
 void
-TempoController::setTempo(WorkerId w, platform::FreqIndex idx,
-                          double now)
+TempoController::setTempo(WorkerId w, platform::FreqIndex idx)
 {
     idx = std::min(idx, slowestIndex());
     if (tempo_[w] == idx)
         return;
     tempo_[w] = idx;
-    backend_.setDomainFreq(domainOf_(w), ladder_.at(idx), now);
+    backend_.setDomainFreq(domainOf_[w], ladder_.at(idx));
 }
 
 void
-TempoController::up(WorkerId w, double now)
+TempoController::up(WorkerId w)
 {
     if (tempo_[w] > 0)
-        setTempo(w, tempo_[w] - 1, now);
+        setTempo(w, tempo_[w] - 1);
 }
 
 void
-TempoController::down(WorkerId w, double now)
+TempoController::down(WorkerId w)
 {
-    setTempo(w, tempo_[w] + 1, now);
+    setTempo(w, tempo_[w] + 1);
 }
 
 void
-TempoController::onStealSuccess(WorkerId thief, WorkerId victim,
-                                double now)
+TempoController::onStealSuccess(WorkerId thief, WorkerId victim)
 {
     validate(thief);
     validate(victim);
     HERMES_ASSERT(thief != victim, "self-steal is impossible");
-    if (config_.policy == TempoPolicy::Baseline)
-        return;
 
-    std::lock_guard<std::mutex> lock(mutex_);
+    runtime::sync::Guard lock(mutex_);
 
     // The thief starts over with an empty deque in workload terms.
     region_[thief] = 0;
@@ -100,7 +95,7 @@ TempoController::onStealSuccess(WorkerId thief, WorkerId victim,
         // (Figure 5 lines 20-26). A thief that is still linked can
         // occur only through scheduler misuse; the out-of-work hook
         // always precedes a steal and unlinks it.
-        setTempo(thief, tempo_[victim] + 1, now);
+        setTempo(thief, tempo_[victim] + 1);
         ++counters_.stealDowns;
         list_.unlink(thief);
         list_.insertAfter(victim, thief);
@@ -114,18 +109,16 @@ TempoController::onStealSuccess(WorkerId thief, WorkerId victim,
             ++counters_.workloadDowns;
         else if (idx < tempo_[thief])
             ++counters_.workloadUps;
-        setTempo(thief, idx, now);
+        setTempo(thief, idx);
     }
 }
 
 void
-TempoController::onOutOfWork(WorkerId w, double now)
+TempoController::onOutOfWork(WorkerId w)
 {
     validate(w);
-    if (config_.policy == TempoPolicy::Baseline)
-        return;
 
-    std::lock_guard<std::mutex> lock(mutex_);
+    runtime::sync::Guard lock(mutex_);
     region_[w] = 0;
     ++counters_.outOfWorkEvents;
 
@@ -138,15 +131,14 @@ TempoController::onOutOfWork(WorkerId w, double now)
     // Re-invocations while w stays idle find next == invalid and are
     // no-ops, matching the pseudocode's loop structure.
     list_.forEachDownstream(w, [&](WorkerId t) {
-        up(t, now);
+        up(t);
         ++counters_.relayUps;
     });
     list_.unlink(w);
 }
 
 void
-TempoController::reconcileWorkload(WorkerId w, size_t deque_size,
-                                   double now)
+TempoController::reconcileWorkload(WorkerId w, size_t deque_size)
 {
     if (profiler_[w].addSample(deque_size)) {
         ++counters_.profilerPeriods;
@@ -155,7 +147,7 @@ TempoController::reconcileWorkload(WorkerId w, size_t deque_size,
     const unsigned target = profiler_[w].regionOf(deque_size);
     while (region_[w] < target) {
         ++region_[w];
-        up(w, now);
+        up(w);
         ++counters_.workloadUps;
     }
     while (region_[w] > target) {
@@ -171,77 +163,46 @@ TempoController::reconcileWorkload(WorkerId w, size_t deque_size,
             break;
         }
         --region_[w];
-        down(w, now);
+        down(w);
         ++counters_.workloadDowns;
     }
 }
 
 void
-TempoController::onPush(WorkerId w, size_t deque_size, double now)
+TempoController::onPush(WorkerId w, size_t deque_size)
 {
     validate(w);
     if (!hasWorkload(config_.policy))
         return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    reconcileWorkload(w, deque_size, now);
+    runtime::sync::Guard lock(mutex_);
+    reconcileWorkload(w, deque_size);
 }
 
 void
-TempoController::onPopSuccess(WorkerId w, size_t deque_size,
-                              double now)
+TempoController::onPopSuccess(WorkerId w, size_t deque_size)
 {
     validate(w);
     if (!hasWorkload(config_.policy))
         return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    reconcileWorkload(w, deque_size, now);
+    runtime::sync::Guard lock(mutex_);
+    reconcileWorkload(w, deque_size);
 }
 
 void
-TempoController::onVictimStolen(WorkerId victim, size_t deque_size,
-                                double now)
+TempoController::onVictimStolen(WorkerId victim, size_t deque_size)
 {
     validate(victim);
     if (!hasWorkload(config_.policy))
         return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    reconcileWorkload(victim, deque_size, now);
-}
-
-void
-TempoController::onPark(WorkerId w, double /*now*/)
-{
-    validate(w);
-    // Bookkeeping for every policy (including Baseline): the parked
-    // state feeds power accounting and reports, not tempo decisions,
-    // and by design changes no frequency (see header).
-    std::lock_guard<std::mutex> lock(mutex_);
-    parked_[w] = 1;
-    ++counters_.parkEvents;
-}
-
-void
-TempoController::onWake(WorkerId w, double /*now*/)
-{
-    validate(w);
-    std::lock_guard<std::mutex> lock(mutex_);
-    parked_[w] = 0;
-    ++counters_.wakeEvents;
-}
-
-bool
-TempoController::parkedOf(WorkerId w) const
-{
-    validate(w);
-    std::lock_guard<std::mutex> lock(mutex_);
-    return parked_[w] != 0;
+    runtime::sync::Guard lock(mutex_);
+    reconcileWorkload(victim, deque_size);
 }
 
 platform::FreqIndex
 TempoController::tempoOf(WorkerId w) const
 {
     validate(w);
-    std::lock_guard<std::mutex> lock(mutex_);
+    runtime::sync::Guard lock(mutex_);
     return tempo_[w];
 }
 
@@ -249,7 +210,7 @@ platform::FreqMhz
 TempoController::frequencyOf(WorkerId w) const
 {
     validate(w);
-    std::lock_guard<std::mutex> lock(mutex_);
+    runtime::sync::Guard lock(mutex_);
     return ladder_.at(tempo_[w]);
 }
 
@@ -257,7 +218,7 @@ WorkerId
 TempoController::nextOf(WorkerId w) const
 {
     validate(w);
-    std::lock_guard<std::mutex> lock(mutex_);
+    runtime::sync::Guard lock(mutex_);
     return list_.nextOf(w);
 }
 
@@ -265,7 +226,7 @@ WorkerId
 TempoController::prevOf(WorkerId w) const
 {
     validate(w);
-    std::lock_guard<std::mutex> lock(mutex_);
+    runtime::sync::Guard lock(mutex_);
     return list_.prevOf(w);
 }
 
@@ -273,22 +234,14 @@ unsigned
 TempoController::regionOf(WorkerId w) const
 {
     validate(w);
-    std::lock_guard<std::mutex> lock(mutex_);
+    runtime::sync::Guard lock(mutex_);
     return region_[w];
-}
-
-std::vector<double>
-TempoController::thresholdsOf(WorkerId w) const
-{
-    validate(w);
-    std::lock_guard<std::mutex> lock(mutex_);
-    return profiler_[w].thresholds();
 }
 
 TempoCounters
 TempoController::counters() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    runtime::sync::Guard lock(mutex_);
     return counters_;
 }
 

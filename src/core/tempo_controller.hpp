@@ -23,17 +23,24 @@
  * discrete-event simulator — call these same hooks, so the algorithm
  * under test is literally identical code in both.
  *
- * Thread safety: all hooks serialize on one internal mutex. Steal and
- * out-of-work events are rare; push/pop events take the lock only for
- * a short region check. The `domainOf` callback is invoked under the
- * lock and must not block.
+ * The controller keeps only what Figure 5 decides on: each worker's
+ * tempo, workload region and profiler, and the immediacy list. It
+ * reads no clock (the profiler's window counts samples) and knows
+ * nothing of parking: a parked worker left the list through the
+ * onOutOfWork() that preceded its empty hunts, and Section 3.4's
+ * rule that yielding changes no frequency covers parking too, so the
+ * runtime's own parked flags are the only record of it.
+ *
+ * Thread safety: all hooks serialize on one internal mutex, which is
+ * also what makes the controller the backend's only writer. Steal and
+ * out-of-work events are rare; push/pop events take the lock for a
+ * region check and, when the region moves, a frequency-word store.
  */
 
 #ifndef HERMES_CORE_TEMPO_CONTROLLER_HPP
 #define HERMES_CORE_TEMPO_CONTROLLER_HPP
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <vector>
 
@@ -56,78 +63,50 @@ struct TempoCounters
     uint64_t guardBlocks = 0;    ///< downs blocked by prev==null
     uint64_t outOfWorkEvents = 0;
     uint64_t profilerPeriods = 0;
-    uint64_t parkEvents = 0;     ///< workers entering the parked state
-    uint64_t wakeEvents = 0;     ///< workers leaving the parked state
 };
 
 /** Figure 5's unified algorithm over an abstract DVFS backend. */
 class TempoController
 {
   public:
-    /** Maps a worker to the clock domain currently hosting it (under
-     * dynamic scheduling this changes between tasks). */
-    using DomainLookup = std::function<platform::DomainId(WorkerId)>;
-
     /**
      * @param config policy, usable ladder (N-frequency selection,
      *        must be set — substrates resolve defaults before
      *        constructing), K, profiler window
      * @param backend DVFS sink; must outlive the controller
-     * @param num_workers dense worker-id space size
-     * @param domain_of worker -> clock domain lookup
+     * @param domain_of the clock domain hosting each worker, indexed
+     *        by WorkerId; its size is the worker count. Workers stay
+     *        on their domain for the controller's lifetime.
      */
     TempoController(TempoConfig config, dvfs::DvfsBackend &backend,
-                    unsigned num_workers, DomainLookup domain_of);
+                    std::vector<platform::DomainId> domain_of);
 
     /** Bootstrap: every worker at the fastest tempo (Section 3.2),
      * lists cleared, profilers reset. */
-    void reset(double now);
+    void reset();
 
-    /** Hook: `thief` successfully stole from `victim` at `now`. A
-     * bulk steal-half grab is still one steal event — thief
+    /** Hook: `thief` successfully stole from `victim`. A bulk
+     * steal-half grab is still one steal event — thief
      * procrastination fires once per grab, like the single steal it
      * replaces; the surplus re-enters through onPush() as the thief
      * stocks its own deque (docs/STEALING.md). */
-    void onStealSuccess(WorkerId thief, WorkerId victim, double now);
+    void onStealSuccess(WorkerId thief, WorkerId victim);
 
     /** Hook: `w` found its deque empty (before hunting for victims). */
-    void onOutOfWork(WorkerId w, double now);
+    void onOutOfWork(WorkerId w);
 
     /** Hook: `w` pushed; deque size is now `deque_size`. Fired for
      * spawned tasks and for bulk-steal surplus tasks alike, so
      * workload-threshold control sees the worker's real backlog. */
-    void onPush(WorkerId w, size_t deque_size, double now);
+    void onPush(WorkerId w, size_t deque_size);
 
     /** Hook: `w` popped successfully; size is now `deque_size`. */
-    void onPopSuccess(WorkerId w, size_t deque_size, double now);
+    void onPopSuccess(WorkerId w, size_t deque_size);
 
     /** Hook: `victim` was stolen from; size is now `deque_size`. */
-    void onVictimStolen(WorkerId victim, size_t deque_size,
-                        double now);
-
-    /**
-     * Hook: `w` parked (actually blocked on the runtime's lot;
-     * aborted parks are not reported, keeping `parkEvents` aligned
-     * with `RuntimeStats::parks`). Parking is the fifth worker state
-     * the controller tracks — distinct from busy, hunting, yielding,
-     * and the four deque events. It deliberately
-     * changes no frequency: Section 3.4's no-frequency-change-on-
-     * yield rule extends to parking (the energy saving comes from the
-     * core's C-state, modeled in energy::PowerModel::parkedPower, not
-     * from a P-state move), and `w` already left the immediacy list
-     * through the onOutOfWork() that preceded its empty hunts.
-     */
-    void onPark(WorkerId w, double now);
-
-    /** Hook: `w` returned from a blocked park (notified or
-     * spurious). Tempo is untouched; the next steal/push event
-     * repositions `w`. */
-    void onWake(WorkerId w, double now);
+    void onVictimStolen(WorkerId victim, size_t deque_size);
 
     // --- introspection (tests, reports) ---
-
-    /** Whether `w` is currently in the parked state. */
-    bool parkedOf(WorkerId w) const;
 
     /** Current tempo of `w` as a ladder index (0 = fastest). */
     platform::FreqIndex tempoOf(WorkerId w) const;
@@ -142,9 +121,6 @@ class TempoController
     /** Current workload region S of `w` (0 = emptiest). */
     unsigned regionOf(WorkerId w) const;
 
-    /** Current thresholds of `w` (ascending, size K). */
-    std::vector<double> thresholdsOf(WorkerId w) const;
-
     TempoCounters counters() const;
 
     const TempoConfig &config() const { return config_; }
@@ -152,7 +128,10 @@ class TempoController
     /** The resolved usable ladder (N-frequency selection). */
     const platform::FrequencyLadder &ladder() const { return ladder_; }
 
-    unsigned numWorkers() const { return numWorkers_; }
+    unsigned numWorkers() const
+    {
+        return static_cast<unsigned>(domainOf_.size());
+    }
 
   private:
     /** Slowest usable rung (N-1 under N-frequency control). */
@@ -165,13 +144,13 @@ class TempoController
 
     /** Apply `idx` to `w`'s hosting domain; records nothing if the
      * tempo is unchanged. Caller holds the lock. */
-    void setTempo(WorkerId w, platform::FreqIndex idx, double now);
+    void setTempo(WorkerId w, platform::FreqIndex idx);
 
     /** One step faster (clamped). Caller holds the lock. */
-    void up(WorkerId w, double now);
+    void up(WorkerId w);
 
     /** One step slower (clamped). Caller holds the lock. */
-    void down(WorkerId w, double now);
+    void down(WorkerId w);
 
     /**
      * Workload reconciliation: move w's region S stepwise toward the
@@ -179,21 +158,17 @@ class TempoController
      * one step per threshold crossed. Downward steps honour the
      * unified-policy head guard. Caller holds the lock.
      */
-    void reconcileWorkload(WorkerId w, size_t deque_size, double now);
+    void reconcileWorkload(WorkerId w, size_t deque_size);
 
     TempoConfig config_;
     platform::FrequencyLadder ladder_;
     dvfs::DvfsBackend &backend_;
-    unsigned numWorkers_;
-    DomainLookup domainOf_;
+    std::vector<platform::DomainId> domainOf_;
 
     mutable std::mutex mutex_;
     ImmediacyList list_;
     std::vector<platform::FreqIndex> tempo_;
     std::vector<unsigned> region_;
-    /** Parked-state flags (the fifth worker state); uint8_t because
-     * vector<bool> cannot hand out independent element references. */
-    std::vector<uint8_t> parked_;
     std::vector<ThresholdProfiler> profiler_;
     TempoCounters counters_;
 };

@@ -5,62 +5,36 @@
 namespace hermes::dvfs {
 
 SimulatedDvfs::SimulatedDvfs(unsigned num_domains,
-                             platform::FrequencyLadder ladder,
-                             double transition_latency_sec)
-    : numDomains_(num_domains), ladder_(std::move(ladder)),
-      latencySec_(transition_latency_sec),
-      freqs_(num_domains, ladder_.fastest())
+                             platform::FrequencyLadder ladder)
+    : ladder_(std::move(ladder)), freqs_(num_domains)
 {
     HERMES_ASSERT(num_domains > 0, "need at least one clock domain");
+    for (auto &f : freqs_)
+        f.store(ladder_.fastest(), std::memory_order_relaxed);
 }
 
 platform::FreqMhz
 SimulatedDvfs::domainFreq(platform::DomainId domain) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    HERMES_ASSERT(domain < numDomains_,
+    HERMES_ASSERT(domain < freqs_.size(),
                   "domain " << domain << " out of range");
-    return freqs_[domain];
+    return freqs_[domain].load(std::memory_order_relaxed);
 }
 
 void
 SimulatedDvfs::setDomainFreq(platform::DomainId domain,
-                             platform::FreqMhz freq_mhz, double now)
+                             platform::FreqMhz freq_mhz)
 {
     HERMES_ASSERT(ladder_.contains(freq_mhz),
                   freq_mhz << " MHz is not a ladder rung");
-    std::lock_guard<std::mutex> lock(mutex_);
-    HERMES_ASSERT(domain < numDomains_,
+    HERMES_ASSERT(domain < freqs_.size(),
                   "domain " << domain << " out of range");
-    if (freqs_[domain] == freq_mhz)
+    auto &word = freqs_[domain];
+    if (word.load(std::memory_order_relaxed) == freq_mhz)
         return;
-    timeline_.push_back({now, domain, freqs_[domain], freq_mhz});
-    freqs_[domain] = freq_mhz;
-}
-
-size_t
-SimulatedDvfs::transitionCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return timeline_.size();
-}
-
-std::vector<Transition>
-SimulatedDvfs::timeline() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return timeline_;
-}
-
-void
-SimulatedDvfs::reset(platform::FreqMhz freq_mhz)
-{
-    HERMES_ASSERT(ladder_.contains(freq_mhz),
-                  freq_mhz << " MHz is not a ladder rung");
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto &f : freqs_)
-        f = freq_mhz;
-    timeline_.clear();
+    word.store(freq_mhz, std::memory_order_relaxed);
+    transitions_.store(transitions_.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
 }
 
 } // namespace hermes::dvfs

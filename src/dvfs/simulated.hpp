@@ -3,18 +3,22 @@
  * Simulated DVFS backend.
  *
  * Substitutes for the per-core DVFS hardware of the paper's AMD
- * systems (see docs/ENERGY_MODEL.md). Maintains per-domain
- * frequency state,
- * validates requests against the ladder, counts transitions, and
- * records the full transition timeline so the energy ledger can
- * integrate power exactly. Thread-safe: the threaded runtime issues
- * requests from many workers.
+ * systems (see docs/ENERGY_MODEL.md) on the threaded runtime: one
+ * frequency word per clock domain, validated against the ladder, and
+ * a count of accepted transitions. Nothing here grows with the run.
+ *
+ * One writer at a time: the tempo controller's mutex serializes
+ * every request, so the words and the count are written with plain
+ * relaxed stores, never a read-modify-write. Readers (the power
+ * model's snapshot, reports) may load them from any thread at any
+ * time; a relaxed read sees some rung the domain was set to.
  */
 
 #ifndef HERMES_DVFS_SIMULATED_HPP
 #define HERMES_DVFS_SIMULATED_HPP
 
-#include <mutex>
+#include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include "dvfs/backend.hpp"
@@ -22,78 +26,40 @@
 
 namespace hermes::dvfs {
 
-/** In-memory DVFS with transition recording. */
+/** One frequency word per domain plus a transition count. */
 class SimulatedDvfs : public DvfsBackend
 {
   public:
     /**
+     * Every domain starts at the ladder's fastest rung.
      * @param num_domains independently scalable domains
      * @param ladder the frequencies requests must come from
-     * @param transition_latency_sec modelled switch latency, exposed
-     *        via latency() for the simulator's delayed-effect model
      */
     SimulatedDvfs(unsigned num_domains,
-                  platform::FrequencyLadder ladder,
-                  double transition_latency_sec = 50e-6);
+                  platform::FrequencyLadder ladder);
 
-    unsigned numDomains() const override { return numDomains_; }
+    unsigned numDomains() const override
+    {
+        return static_cast<unsigned>(freqs_.size());
+    }
 
     platform::FreqMhz
     domainFreq(platform::DomainId domain) const override;
 
+    /** Callers must not race each other (see the file comment). */
     void setDomainFreq(platform::DomainId domain,
-                       platform::FreqMhz freq_mhz,
-                       double now) override;
-
-    /** Modelled per-switch latency in seconds. */
-    double latency() const { return latencySec_; }
-
-    /** Ladder this backend validates against. */
-    const platform::FrequencyLadder &ladder() const { return ladder_; }
+                       platform::FreqMhz freq_mhz) override;
 
     /** Total accepted (non-redundant) transitions so far. */
-    size_t transitionCount() const;
-
-    /** Copy of the recorded transition timeline, in request order. */
-    std::vector<Transition> timeline() const;
-
-    /** Reset all domains to `freq_mhz` and clear the timeline. */
-    void reset(platform::FreqMhz freq_mhz);
-
-  private:
-    unsigned numDomains_;
-    platform::FrequencyLadder ladder_;
-    double latencySec_;
-
-    mutable std::mutex mutex_;
-    std::vector<platform::FreqMhz> freqs_;
-    std::vector<Transition> timeline_;
-};
-
-/** Backend that ignores requests; the Cilk-Plus-baseline stand-in. */
-class NullDvfs : public DvfsBackend
-{
-  public:
-    NullDvfs(unsigned num_domains, platform::FreqMhz fixed_mhz)
-        : numDomains_(num_domains), fixedMhz_(fixed_mhz)
-    {}
-
-    unsigned numDomains() const override { return numDomains_; }
-
-    platform::FreqMhz
-    domainFreq(platform::DomainId) const override
+    uint64_t transitionCount() const
     {
-        return fixedMhz_;
+        return transitions_.load(std::memory_order_relaxed);
     }
 
-    void
-    setDomainFreq(platform::DomainId, platform::FreqMhz,
-                  double) override
-    {}
-
   private:
-    unsigned numDomains_;
-    platform::FreqMhz fixedMhz_;
+    platform::FrequencyLadder ladder_;
+    std::vector<std::atomic<platform::FreqMhz>> freqs_;
+    std::atomic<uint64_t> transitions_{0};
 };
 
 } // namespace hermes::dvfs

@@ -288,8 +288,7 @@ readDvfs(const JsonValue &v, const std::string &pointer,
 {
     ObjectReader r(v, pointer, diags);
     r.getBool("tempo", out.tempo);
-    r.getEnum("policy", out.policy,
-              {"baseline", "workpath", "workload", "unified"});
+    r.getEnum("policy", out.policy, {"workpath", "workload", "unified"});
     std::vector<unsigned> ladder;
     const auto rung = [&](const JsonValue &item, const std::string &ptr) {
         const std::optional<double> f =

@@ -52,7 +52,7 @@ struct RuntimePolicy
 struct DvfsPolicy
 {
     bool tempo = false; ///< wire a TempoController into the hooks
-    std::string policy = "unified"; ///< baseline|workpath|workload|unified
+    std::string policy = "unified"; ///< workpath|workload|unified
     /** Usable rungs in MHz, fastest first; empty means the profile's
      * paper pair (platform::defaultTempoLadder), which the parser
      * fills in so the echo names the rungs a run used. */

@@ -38,26 +38,12 @@ spinFor(uint64_t nanos)
     }
 }
 
-core::TempoPolicy
-tempoPolicyByName(const std::string &name)
-{
-    if (name == "baseline")
-        return core::TempoPolicy::Baseline;
-    if (name == "workpath")
-        return core::TempoPolicy::WorkpathOnly;
-    if (name == "workload")
-        return core::TempoPolicy::WorkloadOnly;
-    HERMES_ASSERT(name == "unified",
-                  "unvalidated dvfs policy name " << name);
-    return core::TempoPolicy::Unified;
-}
-
 /** The dvfs block as the controller config both substrates take. */
 core::TempoConfig
 tempoConfig(const ScenarioConfig &c)
 {
     core::TempoConfig tc;
-    tc.policy = tempoPolicyByName(c.dvfs.policy);
+    tc.policy = core::policyFromString(c.dvfs.policy);
     if (!c.dvfs.ladder.empty())
         tc.ladder =
             platform::profileByName(c.profile).ladder.select(c.dvfs.ladder);

@@ -126,8 +126,7 @@ Runtime::Runtime(RuntimeConfig config)
     }
 
     backend_ = std::make_unique<dvfs::SimulatedDvfs>(
-        topo.numDomains(), config_.profile.ladder,
-        config_.profile.dvfsLatencySec);
+        topo.numDomains(), config_.profile.ladder);
 
     if (config_.enableTempo) {
         // Resolve the usable ladder: default to the paper's pair for
@@ -145,12 +144,12 @@ Runtime::Runtime(RuntimeConfig config)
                             + ")");
             }
         }
+        std::vector<platform::DomainId> domain_of;
+        for (const platform::CoreId c : plannedCores_)
+            domain_of.push_back(topo.domainOf(c));
         tempo_ = std::make_unique<core::TempoController>(
-            config_.tempo, *backend_, config_.numWorkers,
-            [this](core::WorkerId w) {
-                return config_.profile.topology.domainOf(coreOf(w));
-            });
-        tempo_->reset(util::nowSeconds());
+            config_.tempo, *backend_, std::move(domain_of));
+        tempo_->reset();
     }
 
     workers_.reserve(config_.numWorkers);
@@ -174,31 +173,6 @@ Runtime::~Runtime()
         if (ws->thread.joinable())
             ws->thread.join();
     }
-}
-
-platform::CoreId
-Runtime::coreOf(core::WorkerId w) const
-{
-    HERMES_ASSERT(w < plannedCores_.size(), "worker out of range");
-    return plannedCores_[w];
-}
-
-double
-Runtime::coarseNow(WorkerState &ws)
-{
-    if (ws.clockEvents == 0)
-        ws.cachedNowSec = util::nowSeconds();
-    if (++ws.clockEvents >= kClockRefreshEvents)
-        ws.clockEvents = 0;
-    return ws.cachedNowSec;
-}
-
-double
-Runtime::freshNow(WorkerState &ws)
-{
-    ws.cachedNowSec = util::nowSeconds();
-    ws.clockEvents = 1; // cache just refreshed; reuse it for a while
-    return ws.cachedNowSec;
 }
 
 void
@@ -432,11 +406,9 @@ Runtime::hunt(core::WorkerId id)
     Task task;
 
     // Deque empty: the immediacy relay fires before victim hunting
-    // (Figure 5 lines 6-14). Idempotent across retries. Fresh
-    // timestamp: out-of-work is off the hot path and resyncs the
-    // coarse clock.
+    // (Figure 5 lines 6-14). Idempotent across retries.
     if (tempo_)
-        tempo_->onOutOfWork(id, freshNow(ws));
+        tempo_->onOutOfWork(id);
 
     // Externally submitted work (the program's root tasks).
     if (popInjected(id, task)) {
@@ -492,16 +464,12 @@ Runtime::tryStealFrom(core::WorkerId id, core::WorkerId victim)
     if (size_after > 0)
         notifyIfParked(domainMap_.domainOf(victim));
 
-    // Only the tempo hooks use the clock: a steady-clock read costs
-    // tens of ns, a real share of a steal.
-    const double now = tempo_ ? freshNow(ws) : 0.0;
     if (tempo_) {
         // Algorithm 3.5's victim-side workload check, then line 20's
         // thief procrastination + list splice. A bulk grab is still
         // one steal event; the surplus re-enters through onPush.
-        tempo_->onVictimStolen(victim,
-                               workers_[victim]->deque.size(), now);
-        tempo_->onStealSuccess(id, victim, now);
+        tempo_->onVictimStolen(victim, workers_[victim]->deque.size());
+        tempo_->onStealSuccess(id, victim);
     }
 
     // Everything below that executes a task can re-enter this
@@ -525,10 +493,8 @@ Runtime::tryStealFrom(core::WorkerId id, core::WorkerId victim)
                 ownedAdd(ws.pushes);
                 if (pushed.published)
                     wakeForShare(id);
-                // The whole surplus transfer is one instant to the
-                // controller — the steal's fresh timestamp covers it.
                 if (tempo_)
-                    tempo_->onPush(id, pushed.size, now);
+                    tempo_->onPush(id, pushed.size);
             } else {
                 // Ring full (cannot happen while every deque shares
                 // config_.dequeCapacity — a ceil-half grab always
@@ -661,12 +627,6 @@ Runtime::parkUntilWork(core::WorkerId id)
 
     bool blocked = false;
     if (!workPossiblyAvailable()) {
-        // The tempo controller sees only real blocks, keeping its
-        // parkEvents aligned with the `parks` stat (aborted parks
-        // count in neither) and the controller mutex off the
-        // aborted-park path.
-        if (tempo_)
-            tempo_->onPark(id, freshNow(ws));
         ownedAdd(ws.parks);
         // Parked-time clock: while blocked, the word holds the total
         // minus the block's start, so a reader credits the block up
@@ -690,8 +650,6 @@ Runtime::parkUntilWork(core::WorkerId id)
                                      kClockAwake),
                            std::memory_order_relaxed);
         ownedAdd(ws.wakes);
-        if (tempo_)
-            tempo_->onWake(id, freshNow(ws));
         blocked = true;
     }
 

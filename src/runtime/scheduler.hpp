@@ -32,12 +32,13 @@
  * land on the lock-free sharded inject queue (inject_queue.hpp) and
  * workers drain their own domain's shard first, so sustained outside
  * traffic serializes on no lock. Workers report the five HERMES
- * events to an optional
- * TempoController, which drives a DVFS backend; parking is reported
- * as a distinct fifth worker state (onPark/onWake) that never changes
- * frequency. This is the "mild change to the work stealing runtime"
- * the paper describes: the loop structure is untouched; only the
- * highlighted hook calls are added. The full state machine, the
+ * events to an optional TempoController, which drives one frequency
+ * word per clock domain (dvfs::SimulatedDvfs). The hooks carry no
+ * time, and parking is not one of them: a parked worker changes no
+ * frequency, and its parked flag here is the only record of it. This
+ * is the "mild change to the work stealing runtime" the paper
+ * describes: the loop structure is untouched; only the highlighted
+ * hook calls are added. The full state machine, the
  * lost-wakeup argument, and the inject path live in
  * docs/ARCHITECTURE.md; the stealing policy (victim order, bulk
  * grabs, wake selection) in docs/STEALING.md.
@@ -194,7 +195,8 @@ class Runtime
     core::TempoController *tempo() { return tempo_.get(); }
     const core::TempoController *tempo() const { return tempo_.get(); }
 
-    /** The DVFS backend workers are scaling (owned, simulated). */
+    /** The frequency words workers are scaling (owned, simulated):
+     * one per clock domain, readable from any thread. */
     dvfs::SimulatedDvfs &backend() { return *backend_; }
     const dvfs::SimulatedDvfs &backend() const { return *backend_; }
 
@@ -254,9 +256,6 @@ class Runtime
 
     /** Whether worker `w` is currently parked. */
     bool workerParked(core::WorkerId w) const;
-
-    /** Planned host core of worker `w`. */
-    platform::CoreId coreOf(core::WorkerId w) const;
 
     /** The worker → domain map steering victim and wake selection
      * (from `RuntimeConfig::domainMap` or derived from the platform
@@ -346,36 +345,8 @@ class Runtime
          * probe order and the bulk-steal landing buffer. */
         std::vector<core::WorkerId> huntOrder;
         std::vector<Task> stealBuf;
-        /**
-         * Owner-thread-only coarse clock for the per-push/per-pop
-         * tempo timestamps: the cached wall-clock second, refreshed
-         * every kClockRefreshEvents hot-path reads, resynced by
-         * every slow-path fresh read (out-of-work, steal,
-         * park/wake), and invalidated after every executed task —
-         * so staleness is bounded by one task body or 32
-         * back-to-back spawn events, never by 32 arbitrary-length
-         * tasks. Per-worker timestamps are monotone (the cache only
-         * moves forward); cross-worker skew is bounded by the same
-         * one-body limit. The tempo controller consumes ms-scale
-         * time; a clock syscall per push is measurable overhead on
-         * the lock-free deque fast path.
-         */
-        double cachedNowSec = 0.0;
-        unsigned clockEvents = 0;
         std::thread thread;
     };
-
-    /** Hot-path reads between coarse-clock refreshes (see
-     * WorkerState::cachedNowSec). */
-    static constexpr unsigned kClockRefreshEvents = 32;
-
-    /** Cached wall-clock for the hot-path tempo hooks (onPush,
-     * onPopSuccess): refreshed every kClockRefreshEvents calls. */
-    static double coarseNow(WorkerState &ws);
-
-    /** Exact wall-clock for the slow-path tempo hooks; resyncs the
-     * coarse cache so per-worker timestamps never run backwards. */
-    static double freshNow(WorkerState &ws);
 
     /** Spawn into the group: a push onto the calling worker's
      * deque (inline), else an inject. */
@@ -548,10 +519,8 @@ Runtime::spawn(TaskGroup &group, TaskFn &&fn)
     ownedAdd(ws.pushes);
     if (pushed.published)
         wakeForShare(id);
-    // Coarse timestamp: spawns are the hottest event the controller
-    // sees, and it only needs ms-scale time.
     if (tempo_)
-        tempo_->onPush(id, pushed.size, coarseNow(ws));
+        tempo_->onPush(id, pushed.size);
 }
 
 inline void
@@ -582,12 +551,6 @@ Runtime::execute(core::WorkerId id, Task &task)
             task.group->finish();
     }
     ownedAdd(ws.activeDepth, -1);
-    // Task bodies are the only unbounded-duration stretches between
-    // deque events; invalidating the coarse clock here bounds its
-    // staleness to one task body (or 32 back-to-back spawns) instead
-    // of 32 arbitrary-length tasks. The next tempo hook re-reads the
-    // wall clock.
-    ws.clockEvents = 0;
 }
 
 [[gnu::always_inline]] inline bool
@@ -608,7 +571,7 @@ Runtime::popAndRun(core::WorkerId id)
     if (popped.published)
         wakeForShare(id);
     if (tempo_)
-        tempo_->onPopSuccess(id, popped.size, coarseNow(ws));
+        tempo_->onPopSuccess(id, popped.size);
     execute(id, task);
     return true;
 }

@@ -3,7 +3,9 @@
  * The runtime's locked instructions, all routed through one header.
  *
  * Every atomic read-modify-write, compare-and-swap, seq_cst store and
- * mutex acquisition in src/runtime/ goes through the wrappers below.
+ * mutex acquisition in src/runtime/ goes through the wrappers below,
+ * and so does the tempo controller's mutex (src/core/), which the
+ * runtime takes in its push, pop, steal and out-of-work hooks.
  * On x86-64 each of them is a locked instruction: `lock xadd`,
  * `lock cmpxchg`, `xchg` (a seq_cst store), and the lock and unlock
  * inside `pthread_mutex_*`. Relaxed, acquire and release loads and
@@ -16,9 +18,9 @@
  * pin the locked instructions per spawned, stolen and injected task
  * (docs/STEALING.md, "Synchronization cost per task"). The counts
  * do not depend on the machine, so CI can gate them where it cannot
- * gate times. The tally covers the runtime's own sites only, not
- * what the standard library does inside (`std::shared_ptr` reference
- * counts, a condition variable's relock after a wait).
+ * gate times. The tally covers those sites only, not what the
+ * standard library does inside (`std::shared_ptr` reference counts,
+ * a condition variable's relock after a wait).
  */
 
 #ifndef HERMES_RUNTIME_SYNC_HPP

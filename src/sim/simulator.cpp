@@ -9,8 +9,9 @@ namespace hermes::sim {
 /**
  * DVFS backend whose requests become simulator events: the requested
  * frequency is visible to the controller immediately (it reads its
- * own intent), while the physical effect lands after the transition
- * latency via a DvfsApply event.
+ * own intent), while the physical effect lands one transition
+ * latency after the event being handled, via a DvfsApply event. This
+ * backend is the only place a frequency change gets a time.
  */
 class Simulator::Backend : public dvfs::DvfsBackend
 {
@@ -34,14 +35,14 @@ class Simulator::Backend : public dvfs::DvfsBackend
     }
 
     void
-    setDomainFreq(platform::DomainId domain, platform::FreqMhz f,
-                  double now) override
+    setDomainFreq(platform::DomainId domain,
+                  platform::FreqMhz f) override
     {
         HERMES_ASSERT(domain < freq_.size(), "domain out of range");
         if (freq_[domain] == f)
             return;
         freq_[domain] = f;
-        sim_.onFreqRequest(domain, f, now);
+        sim_.onFreqRequest(domain, f);
     }
 
   private:
@@ -94,11 +95,11 @@ Simulator::Simulator(const Dag &dag, SimConfig config)
             }
         }
         usableLadder_ = *config_.tempo.ladder;
+        std::vector<platform::DomainId> domain_of;
+        for (const WorkerSim &ws : workers_)
+            domain_of.push_back(topo.domainOf(ws.core));
         tempo_ = std::make_unique<core::TempoController>(
-            config_.tempo, *backend_, config_.numWorkers,
-            [this, topo](core::WorkerId w) {
-                return topo.domainOf(workers_[w].core);
-            });
+            config_.tempo, *backend_, std::move(domain_of));
     }
 
     frames_.assign(dag_.frameCount(), FrameState{});
@@ -180,12 +181,12 @@ Simulator::reapDvfsCost()
 
 void
 Simulator::onFreqRequest(platform::DomainId domain,
-                         platform::FreqMhz freq, double now)
+                         platform::FreqMhz freq)
 {
     ++stats_.dvfsRequests;
     ++dvfsCallsPending_;
     Event ev{};
-    ev.time = now + config_.profile.dvfsLatencySec;
+    ev.time = now_ + config_.profile.dvfsLatencySec;
     ev.kind = EventKind::DvfsApply;
     ev.domain = domain;
     ev.freqMhz = freq;
@@ -277,7 +278,7 @@ Simulator::onSegmentEnd(unsigned w, double t)
         ++stats_.pushes;
         ++frames_[parent].outstanding;
         if (tempo_)
-            tempo_->onPush(w, ws.deque.size(), t);
+            tempo_->onPush(w, ws.deque.size());
         maybeWake(t);
         const double cost = reapDvfsCost();
         ws.current = Continuation{child, 0.0, 0};
@@ -360,7 +361,7 @@ Simulator::workerFree(unsigned w, double t)
         ws.deque.pop_back();
         ++stats_.pops;
         if (tempo_)
-            tempo_->onPopSuccess(w, ws.deque.size(), t);
+            tempo_->onPopSuccess(w, ws.deque.size());
         startAcquired(w, c, t, reapDvfsCost());
         return;
     }
@@ -368,7 +369,7 @@ Simulator::workerFree(unsigned w, double t)
     // Out of work: immediacy relay fires before victim hunting. The
     // relay's DVFS calls are issued (and paid for) by this worker.
     if (tempo_)
-        tempo_->onOutOfWork(w, t);
+        tempo_->onOutOfWork(w);
     attemptSteal(w, t, reapDvfsCost());
 }
 
@@ -410,8 +411,8 @@ Simulator::attemptSteal(unsigned w, double t, double extra_cost)
     if (tempo_) {
         // Algorithm 3.5's victim-side workload check, then the
         // thief's procrastination + immediacy-list splice (Fig. 5).
-        tempo_->onVictimStolen(v, vs.deque.size(), t);
-        tempo_->onStealSuccess(w, v, t);
+        tempo_->onVictimStolen(v, vs.deque.size());
+        tempo_->onStealSuccess(w, v);
     }
 
     const double cost = extra_cost + config_.stealLatencySec
@@ -462,7 +463,7 @@ Simulator::run()
     }
 
     if (tempo_)
-        tempo_->reset(0.0);
+        tempo_->reset();
     dvfsCallsPending_ = 0;  // bootstrap requests are free
 
     // Worker 0 receives the root frame (the program's main()).
@@ -475,6 +476,7 @@ Simulator::run()
     while (!events_.empty() && !done_) {
         const Event ev = events_.top();
         events_.pop();
+        now_ = ev.time;
         ++stats_.eventsProcessed;
         HERMES_ASSERT(stats_.eventsProcessed < 500000000ULL,
                       "simulator event storm: likely model bug");

@@ -143,8 +143,11 @@ class Simulator
                        double extra_cost);
     bool completeFrame(FrameId f, unsigned w, double t);
     void maybeWake(double t);
+    /** A tempo hook changed `domain`'s frequency while the event at
+     * now_ is handled: it takes effect one transition latency
+     * later. */
     void onFreqRequest(platform::DomainId domain,
-                       platform::FreqMhz freq, double now);
+                       platform::FreqMhz freq);
     void applyFreq(platform::DomainId domain, platform::FreqMhz freq,
                    double t);
 
@@ -167,6 +170,8 @@ class Simulator
     std::priority_queue<Event, std::vector<Event>, EventAfter>
         events_;
     uint64_t eventSeq_ = 0;
+    /** Time of the event being handled (0 before the first). */
+    double now_ = 0.0;
     uint64_t dvfsCallsPending_ = 0;
 
     /** Credit busy time [ws.segStart, t] at the rung hosting `w`. */

@@ -1,7 +1,5 @@
 #include "util/csv.hpp"
 
-#include <cstdio>
-
 #include "util/assert.hpp"
 
 namespace hermes::util {
@@ -32,21 +30,6 @@ CsvWriter::row(const std::vector<std::string> &cells)
         line += escape(cells[i]);
     }
     emit(line);
-}
-
-void
-CsvWriter::rowNumeric(const std::string &label,
-                      const std::vector<double> &values)
-{
-    std::vector<std::string> cells;
-    cells.reserve(values.size() + 1);
-    cells.push_back(label);
-    for (double v : values) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.6g", v);
-        cells.emplace_back(buf);
-    }
-    row(cells);
 }
 
 void
@@ -82,23 +65,6 @@ CsvWriter::escape(const std::string &cell)
     }
     out += '"';
     return out;
-}
-
-std::string
-formatFixed(double value, int decimals)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
-    return buf;
-}
-
-std::string
-formatPercent(double fraction, int decimals)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f%%", decimals,
-                  fraction * 100.0);
-    return buf;
 }
 
 } // namespace hermes::util

@@ -1,8 +1,7 @@
 /**
  * @file
- * Minimal CSV emission for experiment results. Every figure bench
- * writes its table both as human-readable text and as CSV so results
- * can be re-plotted.
+ * Minimal CSV emission: a chaos run's fault log (`faults.csv` in its
+ * evidence bundle) and the serve arrival-schedule echo.
  */
 
 #ifndef HERMES_UTIL_CSV_HPP
@@ -33,10 +32,6 @@ class CsvWriter
     /** Write a header or data row from string cells. */
     void row(const std::vector<std::string> &cells);
 
-    /** Convenience: mixed string/double row, doubles at %.6g. */
-    void rowNumeric(const std::string &label,
-                    const std::vector<double> &values);
-
     /** Flush and close the underlying file. */
     void close();
 
@@ -51,12 +46,6 @@ class CsvWriter
     bool toFile_;
     std::string buffer_;
 };
-
-/** Format a double with fixed decimals into a string. */
-std::string formatFixed(double value, int decimals);
-
-/** Format a percentage (0.113 -> "11.3%") with given decimals. */
-std::string formatPercent(double fraction, int decimals = 1);
 
 } // namespace hermes::util
 

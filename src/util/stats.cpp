@@ -1,83 +1,19 @@
 #include "util/stats.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "util/assert.hpp"
-
 namespace hermes::util {
-
-void
-RunningStats::add(double x)
-{
-    ++count_;
-    if (count_ == 1) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-}
-
-void
-RunningStats::merge(const RunningStats &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(count_);
-    const double nb = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    const double total = na + nb;
-    mean_ += delta * nb / total;
-    m2_ += other.m2_ + delta * delta * na * nb / total;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    count_ += other.count_;
-}
-
-void
-RunningStats::clear()
-{
-    *this = RunningStats();
-}
-
-double
-RunningStats::variance() const
-{
-    if (count_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(count_ - 1);
-}
-
-double
-RunningStats::stddev() const
-{
-    return std::sqrt(variance());
-}
 
 double
 TrialSet::mean() const
 {
-    RunningStats s;
-    for (size_t i = warmupTrials_; i < values_.size(); ++i)
-        s.add(values_[i]);
-    return s.mean();
-}
-
-double
-TrialSet::stddev() const
-{
-    RunningStats s;
-    for (size_t i = warmupTrials_; i < values_.size(); ++i)
-        s.add(values_[i]);
-    return s.stddev();
+    // A running mean, in arrival order: the committed figure tables
+    // hold exactly these rounding steps.
+    double mean = 0.0;
+    size_t n = 0;
+    for (size_t i = warmupTrials_; i < values_.size(); ++i) {
+        ++n;
+        mean += (values_[i] - mean) / static_cast<double>(n);
+    }
+    return mean;
 }
 
 size_t
@@ -85,46 +21,6 @@ TrialSet::keptCount() const
 {
     return values_.size() > warmupTrials_
         ? values_.size() - warmupTrials_ : 0;
-}
-
-double
-percentile(std::vector<double> values, double pct)
-{
-    HERMES_ASSERT(!values.empty(), "percentile of empty vector");
-    HERMES_ASSERT(pct >= 0.0 && pct <= 100.0, "pct out of range");
-    std::sort(values.begin(), values.end());
-    if (values.size() == 1)
-        return values.front();
-    const double rank = pct / 100.0
-        * static_cast<double>(values.size() - 1);
-    const size_t lo = static_cast<size_t>(rank);
-    const size_t hi = std::min(lo + 1, values.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-double
-meanOf(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    RunningStats s;
-    for (double v : values)
-        s.add(v);
-    return s.mean();
-}
-
-double
-geomeanOf(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double log_sum = 0.0;
-    for (double v : values) {
-        HERMES_ASSERT(v > 0.0, "geomean requires positive values");
-        log_sum += std::log(v);
-    }
-    return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 } // namespace hermes::util

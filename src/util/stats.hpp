@@ -1,6 +1,6 @@
 /**
  * @file
- * Streaming statistics and the paper's trial-aggregation protocol.
+ * The paper's trial-aggregation protocol.
  */
 
 #ifndef HERMES_UTIL_STATS_HPP
@@ -10,45 +10,6 @@
 #include <vector>
 
 namespace hermes::util {
-
-/**
- * Welford-style running mean/variance plus min/max. O(1) per sample,
- * numerically stable; used by the online deque-size profiler and by
- * the experiment harness.
- */
-class RunningStats
-{
-  public:
-    /** Add one observation. */
-    void add(double x);
-
-    /** Merge another accumulator into this one. */
-    void merge(const RunningStats &other);
-
-    /** Reset to the empty state. */
-    void clear();
-
-    size_t count() const { return count_; }
-    double mean() const { return count_ ? mean_ : 0.0; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-
-    /** Sample variance (n-1 denominator); 0 with fewer than 2 items. */
-    double variance() const;
-
-    /** Sample standard deviation. */
-    double stddev() const;
-
-    /** Sum of all observations. */
-    double sum() const { return mean_ * static_cast<double>(count_); }
-
-  private:
-    size_t count_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /**
  * The paper's measurement protocol (Section 4.1): run `totalTrials`
@@ -66,33 +27,17 @@ class TrialSet
     void add(double value) { values_.push_back(value); }
 
     size_t count() const { return values_.size(); }
-    size_t warmupTrials() const { return warmupTrials_; }
 
-    /** Mean of the kept (post-warmup) trials. */
+    /** Mean of the kept (post-warmup) trials; 0 if none is kept. */
     double mean() const;
-
-    /** Standard deviation of the kept trials. */
-    double stddev() const;
 
     /** Number of trials that are kept (non-warmup). */
     size_t keptCount() const;
-
-    /** All raw values, including warmup. */
-    const std::vector<double> &raw() const { return values_; }
 
   private:
     size_t warmupTrials_;
     std::vector<double> values_;
 };
-
-/** Percentile (0..100) by linear interpolation; copies + sorts. */
-double percentile(std::vector<double> values, double pct);
-
-/** Arithmetic mean of a vector (0 for empty). */
-double meanOf(const std::vector<double> &values);
-
-/** Geometric mean of a vector of positive values (0 for empty). */
-double geomeanOf(const std::vector<double> &values);
 
 } // namespace hermes::util
 

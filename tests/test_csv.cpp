@@ -25,20 +25,13 @@ TEST(Csv, EscapesSeparatorsAndQuotes)
               "\"x,y\",\"he said \"\"hi\"\"\",\"line\nbreak\"\n");
 }
 
-TEST(Csv, NumericRow)
-{
-    CsvWriter csv;
-    csv.rowNumeric("row", {1.5, 2.0, 0.333333333});
-    EXPECT_EQ(csv.str(), "row,1.5,2,0.333333\n");
-}
-
 TEST(Csv, WritesFile)
 {
     const std::string path = testing::TempDir() + "hermes_csv_test.csv";
     {
         CsvWriter csv(path);
         csv.row({"h1", "h2"});
-        csv.rowNumeric("r", {42.0});
+        csv.row({"r", "42"});
     }
     std::ifstream in(path);
     std::string l1, l2;
@@ -47,12 +40,4 @@ TEST(Csv, WritesFile)
     EXPECT_EQ(l1, "h1,h2");
     EXPECT_EQ(l2, "r,42");
     std::remove(path.c_str());
-}
-
-TEST(Format, FixedAndPercent)
-{
-    EXPECT_EQ(formatFixed(3.14159, 2), "3.14");
-    EXPECT_EQ(formatFixed(-1.0, 0), "-1");
-    EXPECT_EQ(formatPercent(0.113), "11.3%");
-    EXPECT_EQ(formatPercent(0.113, 0), "11%");
 }

@@ -245,32 +245,30 @@ TEST(Integration, ControllerIsSubstrateAgnostic)
     core::TempoConfig tc;
     tc.policy = core::TempoPolicy::Unified;
     tc.ladder = ladder;
-    auto domain = [](core::WorkerId w) {
-        return static_cast<platform::DomainId>(w);
-    };
-    core::TempoController c1(tc, b1, 8, domain);
-    core::TempoController c2(tc, b2, 8, domain);
-    c1.reset(0.0);
-    c2.reset(0.0);
+    const std::vector<platform::DomainId> domain = {0, 1, 2, 3,
+                                                    4, 5, 6, 7};
+    core::TempoController c1(tc, b1, domain);
+    core::TempoController c2(tc, b2, domain);
+    c1.reset();
+    c2.reset();
 
     util::Rng rng(77);
     std::vector<size_t> deque_size(8, 0);
     for (int i = 0; i < 5000; ++i) {
         const auto w = static_cast<core::WorkerId>(
             rng.uniformInt(0, 7));
-        const double t = i * 1e-6;
         switch (rng.uniformInt(0, 3)) {
           case 0:
-            c1.onPush(w, ++deque_size[w], t);
-            c2.onPush(w, deque_size[w], t);
+            c1.onPush(w, ++deque_size[w]);
+            c2.onPush(w, deque_size[w]);
             break;
           case 1:
             if (deque_size[w] > 0) {
-                c1.onPopSuccess(w, --deque_size[w], t);
-                c2.onPopSuccess(w, deque_size[w], t);
+                c1.onPopSuccess(w, --deque_size[w]);
+                c2.onPopSuccess(w, deque_size[w]);
             } else {
-                c1.onOutOfWork(w, t);
-                c2.onOutOfWork(w, t);
+                c1.onOutOfWork(w);
+                c2.onOutOfWork(w);
             }
             break;
           case 2: {
@@ -279,12 +277,12 @@ TEST(Integration, ControllerIsSubstrateAgnostic)
             if (v >= w)
                 ++v;
             if (deque_size[v] > 0) {
-                c1.onOutOfWork(w, t);
-                c2.onOutOfWork(w, t);
-                c1.onVictimStolen(v, --deque_size[v], t);
-                c2.onVictimStolen(v, deque_size[v], t);
-                c1.onStealSuccess(w, v, t);
-                c2.onStealSuccess(w, v, t);
+                c1.onOutOfWork(w);
+                c2.onOutOfWork(w);
+                c1.onVictimStolen(v, --deque_size[v]);
+                c2.onVictimStolen(v, deque_size[v]);
+                c1.onStealSuccess(w, v);
+                c2.onStealSuccess(w, v);
             }
             break;
           }

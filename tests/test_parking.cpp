@@ -65,14 +65,21 @@ fib(Runtime &rt, long n)
 
 TEST(Parking, QuiescedPoolParksEveryWorker)
 {
-    Runtime rt(config(4));
-    ASSERT_TRUE(awaitFullyParked(rt))
-        << "idle workers never parked (still "
-        << rt.numWorkers() - rt.parkedWorkers() << " hunting)";
-    for (unsigned w = 0; w < rt.numWorkers(); ++w)
-        EXPECT_TRUE(rt.workerParked(w)) << "worker " << w;
-    // Every worker blocked at least once to get here.
-    EXPECT_GE(rt.stats().parks, rt.numWorkers());
+    // With tempo on too: the hunts before a park fire the
+    // out-of-work hook, and parking itself involves no controller.
+    for (const bool tempo : {false, true}) {
+        Runtime rt(config(4, tempo));
+        ASSERT_TRUE(awaitFullyParked(rt))
+            << "idle workers never parked (still "
+            << rt.numWorkers() - rt.parkedWorkers()
+            << " hunting, tempo " << tempo << ")";
+        for (unsigned w = 0; w < rt.numWorkers(); ++w) {
+            EXPECT_TRUE(rt.workerParked(w))
+                << "worker " << w << ", tempo " << tempo;
+        }
+        // Every worker blocked at least once to get here.
+        EXPECT_GE(rt.stats().parks, rt.numWorkers());
+    }
 }
 
 TEST(Parking, PackagePowerDropsToParkedWhenPoolQuiesces)
@@ -190,33 +197,6 @@ TEST(Parking, ParkedTimeIsAccountedWhileQuiesced)
     ASSERT_TRUE(awaitFullyParked(rt));
     rt.run([] {});
     EXPECT_GT(rt.stats().parkedNanos, before);
-}
-
-TEST(Parking, TempoSeesParkAsDistinctState)
-{
-    Runtime rt(config(4, true));
-    long result = 0;
-    rt.run([&] { result = fib(rt, 22); });
-    ASSERT_EQ(result, 17711);
-    ASSERT_TRUE(awaitFullyParked(rt));
-
-    ASSERT_NE(rt.tempo(), nullptr);
-    // parkedWorkers() can lead the tempo hook by an instruction or
-    // two (the runtime publishes its counter before onPark fires),
-    // so give each flag a moment to land.
-    const auto deadline = std::chrono::steady_clock::now()
-        + std::chrono::seconds(10);
-    for (unsigned w = 0; w < rt.numWorkers(); ++w) {
-        while (!rt.tempo()->parkedOf(w)
-               && std::chrono::steady_clock::now() < deadline) {
-            std::this_thread::sleep_for(
-                std::chrono::microseconds(100));
-        }
-        EXPECT_TRUE(rt.tempo()->parkedOf(w)) << "worker " << w;
-    }
-    const auto k = rt.tempo()->counters();
-    EXPECT_GE(k.parkEvents, rt.numWorkers());
-    EXPECT_GE(k.parkEvents, k.wakeEvents);
 }
 
 TEST(Parking, DisabledParkingFallsBackToYieldLoop)

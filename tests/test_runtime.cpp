@@ -18,6 +18,7 @@
 
 #include "runtime/parallel.hpp"
 #include "runtime/scheduler.hpp"
+#include "workloads/registry.hpp"
 
 using namespace hermes;
 using runtime::Runtime;
@@ -390,11 +391,49 @@ TEST(Runtime, PackagePowerIsPositiveAndBounded)
     const energy::PowerModel model(rt.config().profile);
     const double p = rt.packagePower(model);
     EXPECT_GT(p, 0.0);
-    const double cores = rt.config().profile.topology.numCores();
-    EXPECT_LT(p, model.uncorePower()
-                     + cores * model.coreActivePower(
-                           rt.config().profile.ladder.fastest())
-                     + 1.0);
+    const auto &profile = rt.config().profile;
+    const double ceiling = model.uncorePower()
+        + profile.topology.numCores()
+            * model.coreActivePower(profile.ladder.fastest())
+        + 1.0;
+    EXPECT_LT(p, ceiling);
+
+    // The same reads while the frequency words move: a reader thread
+    // polls packagePower() and every domain's word while the
+    // workload policy drives the registry kernels. The controller
+    // stores the words without a lock, so every read must still be a
+    // rung, and every power reading in range.
+    auto cfg = config(3, true);
+    cfg.tempo.policy = core::TempoPolicy::WorkloadOnly;
+    Runtime busy(cfg);
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> reads{0};
+    uint64_t off_ladder = 0, out_of_range = 0;
+    std::thread reader([&] {
+        while (!stop.load(std::memory_order_acquire)) {
+            const double watts = busy.packagePower(model);
+            if (!(watts > 0.0 && watts < ceiling))
+                ++out_of_range;
+            const auto &backend = busy.backend();
+            for (platform::DomainId d = 0; d < backend.numDomains(); ++d) {
+                if (!profile.ladder.contains(backend.domainFreq(d)))
+                    ++off_ladder;
+            }
+            reads.fetch_add(1, std::memory_order_release);
+            std::this_thread::yield();
+        }
+    });
+    // The kernels start only once the reader is polling.
+    while (reads.load(std::memory_order_acquire) == 0)
+        std::this_thread::yield();
+    for (const auto &name : workloads::workloadNames())
+        EXPECT_NE(workloads::runWorkload(busy, name, 30000, 5), 0u)
+            << name;
+    stop.store(true, std::memory_order_release);
+    reader.join();
+    EXPECT_EQ(off_ladder, 0u);
+    EXPECT_EQ(out_of_range, 0u);
+    EXPECT_GT(busy.backend().transitionCount(), 0u);
 }
 
 namespace {

@@ -111,6 +111,26 @@ TEST(ScenarioConfig, AdmissionWatermarksMustBeOrdered)
         << joined(r);
 }
 
+TEST(ScenarioConfig, TempoOffIsTheOnlyBaseline)
+{
+    // The unmodified work-stealing arm is `"tempo": false`; a
+    // "baseline" policy would build a controller that never changes a
+    // frequency, so the value is retired.
+    const ScenarioLoadResult r = parseScenario(
+        R"({"name": "x", "kind": "fork_join",
+            "dvfs": {"tempo": true, "policy": "baseline"}})");
+    ASSERT_FALSE(r.ok);
+    EXPECT_NE(joined(r).find("/dvfs/policy"), std::string::npos)
+        << joined(r);
+    for (const char *policy : {"workpath", "workload", "unified"}) {
+        const ScenarioLoadResult ok = parseScenario(
+            std::string(R"({"name": "x", "kind": "fork_join",
+                "dvfs": {"tempo": true, "policy": ")")
+            + policy + "\"}}");
+        EXPECT_TRUE(ok.ok) << policy << ": " << joined(ok);
+    }
+}
+
 TEST(ScenarioConfig, GatesParseAbsoluteBounds)
 {
     const ScenarioLoadResult r = parseScenario(

@@ -7,6 +7,9 @@
  * energy; and equal seeds must reproduce bit-identically.
  */
 
+#include <optional>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "sim/dag.hpp"
@@ -75,23 +78,27 @@ TEST_P(SimFuzz, InvariantsHoldForAllPolicies)
     const Dag dag = randomDag(GetParam());
     const double rate = 2400.0 * 1e6;
 
-    for (const auto policy :
-         {core::TempoPolicy::Baseline, core::TempoPolicy::Unified,
-          core::TempoPolicy::WorkpathOnly,
-          core::TempoPolicy::WorkloadOnly}) {
+    // nullopt: tempo off, the unmodified work-stealing baseline.
+    const std::optional<core::TempoPolicy> arms[] = {
+        std::nullopt, core::TempoPolicy::Unified,
+        core::TempoPolicy::WorkpathOnly, core::TempoPolicy::WorkloadOnly};
+    for (const auto &policy : arms) {
         SimConfig cfg;
         cfg.profile = platform::systemA();
         cfg.numWorkers = 8;
         cfg.seed = GetParam() * 3 + 1;
-        cfg.enableTempo = policy != core::TempoPolicy::Baseline;
-        cfg.tempo.policy = policy;
+        cfg.enableTempo = policy.has_value();
+        if (policy)
+            cfg.tempo.policy = *policy;
+        const std::string arm =
+            policy ? core::toString(*policy) : "tempo off";
 
         const auto r = simulate(dag, cfg);
 
         // Work conservation: every cycle of every frame executed.
         ASSERT_NEAR(r.stats.executedCycles, dag.totalCycles(),
                     dag.totalCycles() * 1e-9)
-            << core::toString(policy);
+            << arm;
 
         // Greedy lower bounds (memory-bound shares only make
         // segments slower, never faster than the fmax bound).
@@ -110,14 +117,14 @@ TEST_P(SimFuzz, InvariantsHoldForAllPolicies)
         for (double s : r.busySecondsAtRung)
             busy += s;
         EXPECT_LE(busy, 8.0 * r.seconds * (1.0 + 1e-6))
-            << core::toString(policy);
+            << arm;
 
         // Determinism: the identical configuration replays exactly.
         const auto again = simulate(dag, cfg);
         EXPECT_EQ(r.seconds, again.seconds)
-            << core::toString(policy);
+            << arm;
         EXPECT_EQ(r.joules, again.joules)
-            << core::toString(policy);
+            << arm;
     }
 }
 

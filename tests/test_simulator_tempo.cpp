@@ -10,14 +10,22 @@ using namespace hermes::sim;
 
 namespace {
 
+/** Tempo off: the unmodified work-stealing baseline. */
 SimConfig
-config(unsigned workers, core::TempoPolicy policy)
+baseline(unsigned workers)
 {
     SimConfig cfg;
     cfg.profile = platform::systemA();
     cfg.numWorkers = workers;
     cfg.seed = 33;
-    cfg.enableTempo = policy != core::TempoPolicy::Baseline;
+    return cfg;
+}
+
+SimConfig
+config(unsigned workers, core::TempoPolicy policy)
+{
+    SimConfig cfg = baseline(workers);
+    cfg.enableTempo = true;
     cfg.tempo.policy = policy;
     return cfg;
 }
@@ -35,8 +43,7 @@ benchDag(const std::string &name, uint64_t seed = 8)
 TEST(SimulatorTempo, BaselineIssuesNoDvfsRequests)
 {
     const Dag dag = benchDag("sort");
-    const auto r = simulate(dag,
-                            config(8, core::TempoPolicy::Baseline));
+    const auto r = simulate(dag, baseline(8));
     EXPECT_EQ(r.stats.dvfsRequests, 0u);
     // All busy time at the fastest rung.
     for (size_t i = 1; i < r.busySecondsAtRung.size(); ++i)
@@ -63,8 +70,7 @@ TEST(SimulatorTempo, HermesSavesEnergyOnEveryBenchmark)
 {
     for (const auto &name : benchmarkNames()) {
         const Dag dag = benchDag(name);
-        const auto base = simulate(
-            dag, config(16, core::TempoPolicy::Baseline));
+        const auto base = simulate(dag, baseline(16));
         const auto hermes_run = simulate(
             dag, config(16, core::TempoPolicy::Unified));
         EXPECT_LT(hermes_run.joules, base.joules) << name;
@@ -114,8 +120,7 @@ TEST(SimulatorTempo, LowerSlowRungSavesMoreEnergyOnSort)
     // slow rung saves more energy (sort is the most regular
     // benchmark, so the trend is stable at fixed seed).
     const Dag dag = benchDag("sort");
-    const auto base = simulate(
-        dag, config(16, core::TempoPolicy::Baseline));
+    const auto base = simulate(dag, baseline(16));
 
     auto run_pair = [&](platform::FreqMhz slow) {
         auto cfg = config(16, core::TempoPolicy::Unified);

@@ -1,70 +1,10 @@
-/** @file Unit tests for streaming stats and the trial protocol. */
-
-#include <cmath>
+/** @file Unit tests for the trial protocol. */
 
 #include <gtest/gtest.h>
 
 #include "util/stats.hpp"
 
 using namespace hermes::util;
-
-TEST(RunningStats, EmptyIsZero)
-{
-    RunningStats s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, HandComputedMoments)
-{
-    RunningStats s;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(v);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    // Sample variance with n-1: sum sq dev = 32, / 7.
-    EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-    EXPECT_EQ(s.min(), 2.0);
-    EXPECT_EQ(s.max(), 9.0);
-    EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, MergeMatchesCombinedStream)
-{
-    RunningStats a, b, all;
-    for (int i = 0; i < 50; ++i) {
-        const double v = i * 0.37 - 3.0;
-        (i % 2 ? a : b).add(v);
-        all.add(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-    EXPECT_EQ(a.min(), all.min());
-    EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty)
-{
-    RunningStats a, empty;
-    a.add(1.0);
-    a.add(3.0);
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 2u);
-    empty.merge(a);
-    EXPECT_EQ(empty.count(), 2u);
-    EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
-TEST(RunningStats, ClearResets)
-{
-    RunningStats s;
-    s.add(5.0);
-    s.clear();
-    EXPECT_EQ(s.count(), 0u);
-}
 
 TEST(TrialSet, DiscardsWarmupTrials)
 {
@@ -85,37 +25,4 @@ TEST(TrialSet, AllWarmupMeansZero)
     t.add(5.0);
     EXPECT_EQ(t.keptCount(), 0u);
     EXPECT_EQ(t.mean(), 0.0);
-}
-
-TEST(TrialSet, StddevOfKeptOnly)
-{
-    TrialSet t(1);
-    t.add(1000.0);
-    t.add(2.0);
-    t.add(4.0);
-    EXPECT_NEAR(t.stddev(), std::sqrt(2.0), 1e-12);
-}
-
-TEST(Percentile, MedianAndExtremes)
-{
-    std::vector<double> v = {5.0, 1.0, 3.0, 2.0, 4.0};
-    EXPECT_DOUBLE_EQ(percentile(v, 50.0), 3.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 100.0), 5.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 25.0), 2.0);
-}
-
-TEST(Percentile, Interpolates)
-{
-    std::vector<double> v = {0.0, 10.0};
-    EXPECT_DOUBLE_EQ(percentile(v, 50.0), 5.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 10.0), 1.0);
-}
-
-TEST(MeanGeomean, BasicValues)
-{
-    EXPECT_DOUBLE_EQ(meanOf({1.0, 2.0, 3.0}), 2.0);
-    EXPECT_DOUBLE_EQ(meanOf({}), 0.0);
-    EXPECT_NEAR(geomeanOf({1.0, 4.0}), 2.0, 1e-12);
-    EXPECT_DOUBLE_EQ(geomeanOf({}), 0.0);
 }

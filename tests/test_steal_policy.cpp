@@ -244,29 +244,68 @@ TEST(Stealing, BulkStealsLandMoreThanOneTaskPerSteal)
 
 TEST(Stealing, LocalHitsDominateUnderBalancedLoad)
 {
-    // Two synthetic domains of two workers: with every deque stocked
-    // by the recursive split, the same-domain pass (probed first)
-    // should land the majority of steals. One run is a few dozen
-    // steals and can tip either way by timing alone (13 vs 16 was
-    // seen under ASan), so the claim is checked on the totals of
-    // several independent runs.
-    auto cfg = twoDomainConfig();
-    constexpr int kRuns = 5;
-    uint64_t steals = 0, local = 0, remote = 0;
-    for (int run = 0; run < kRuns; ++run) {
-        Runtime rt(cfg);
-        spinLoad(rt, 4000, 20);
-        const auto s = rt.stats();
-        steals += s.steals;
-        local += s.localHits;
-        remote += s.remoteHits;
+    // Two synthetic domains of two workers: worker 0 (the thief) and
+    // worker 1 in domain 0, workers 2 and 3 in domain 1. Each round
+    // holds all four workers in gate tasks; workers 1, 2 and 3 stock
+    // their shared parts (a push into an empty deque shares its
+    // task) and keep holding, so worker 0 is the only thief once its
+    // gate opens. Its first steal must then come from worker 1, the
+    // one victim its hunt probes before the global ring. Without the
+    // locality pass the ring starts at a remote victim half the time,
+    // so eight rounds in one runtime (its thief's RNG moving on) would
+    // catch that with probability 1 - 2^-8.
+    Runtime rt(twoDomainConfig());
+    constexpr unsigned kWorkers = 4;
+    constexpr core::WorkerId kThief = 0;
+    constexpr int kRounds = 8;
+    for (int round = 0; round < kRounds; ++round) {
+        std::atomic<unsigned> arrived{0};
+        std::atomic<unsigned> stocked{0};
+        std::atomic<bool> stole{false};
+        runtime::RuntimeStats before, at_steal;
+        core::WorkerId victim = core::invalidWorker;
+        std::vector<runtime::SubmitHandle> gates;
+        for (unsigned g = 0; g < kWorkers; ++g) {
+            gates.push_back(rt.submit([&] {
+                // Held until every worker runs a gate, so each gate
+                // has a worker of its own.
+                arrived.fetch_add(1, std::memory_order_acq_rel);
+                while (arrived.load(std::memory_order_acquire) < kWorkers)
+                    std::this_thread::yield();
+                const auto self = Runtime::currentWorker();
+                if (self == kThief) {
+                    while (stocked.load(std::memory_order_acquire)
+                           < kWorkers - 1)
+                        std::this_thread::yield();
+                    before = rt.workerStats(kThief);
+                    return; // released: this worker hunts next
+                }
+                runtime::TaskGroup group(rt);
+                for (int c = 0; c < 4; ++c) {
+                    group.run([&, self] {
+                        if (Runtime::currentWorker() == kThief
+                            && !stole.load(std::memory_order_acquire)) {
+                            at_steal = rt.workerStats(kThief);
+                            victim = self;
+                            stole.store(true, std::memory_order_release);
+                        }
+                    });
+                }
+                stocked.fetch_add(1, std::memory_order_acq_rel);
+                while (!stole.load(std::memory_order_acquire))
+                    std::this_thread::yield();
+                group.wait();
+            }));
+        }
+        for (auto &gate : gates)
+            gate.wait();
+        EXPECT_EQ(victim, 1u) << "round " << round;
+        EXPECT_EQ(at_steal.steals - before.steals, 1u) << "round " << round;
+        EXPECT_EQ(at_steal.localHits - before.localHits, 1u)
+            << "round " << round;
+        EXPECT_EQ(at_steal.remoteHits, before.remoteHits)
+            << "round " << round;
     }
-    ASSERT_GT(steals, 0u);
-    EXPECT_GT(local, 0u);
-    EXPECT_GE(local, remote)
-        << "locality pass did not dominate over " << kRuns
-        << " runs: " << local << " local vs " << remote
-        << " remote hits";
 }
 
 TEST(Stealing, WakeSelectionCountsDomainOutcomes)

@@ -4,7 +4,8 @@
  *
  * Links the runtime built with HERMES_COUNT_SYNC (CMakeLists.txt), in
  * which every atomic RMW, CAS, seq_cst store and mutex acquisition in
- * src/runtime/ bumps a tally (src/runtime/sync.hpp). Each test counts
+ * src/runtime/, and every acquisition of the tempo controller's
+ * mutex, bumps a tally (src/runtime/sync.hpp). Each test counts
  * one window in which only the measured task moves: idle workers hunt
  * without parking (a failed hunt issues no locked instruction), and
  * the test thread spins on a flag instead of blocking in wait(). The
@@ -13,6 +14,7 @@
  */
 
 #include <atomic>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -93,6 +95,56 @@ TEST(SyncCount, SpawnedAndPoppedTaskCostsNoLockedInstruction)
     EXPECT_EQ(used.cas, 0u);
     EXPECT_EQ(used.locks, 0u);
     EXPECT_EQ(used.lockedInstructions(), 0u);
+}
+
+TEST(SyncCount, TempoAddsOneControllerLockPerPushAndPerPop)
+{
+    // The same window with the workload rule on: the push hook and
+    // the pop hook each take the controller's mutex once, and
+    // nothing else is added. The region changes inside them add
+    // nothing either: under workload-only the drain lowers the
+    // frequency, a relaxed store to the domain's word; under unified
+    // the lone worker heads the immediacy list, so the guard holds.
+    for (const auto policy :
+         {core::TempoPolicy::Unified, core::TempoPolicy::WorkloadOnly}) {
+        RuntimeConfig cfg = quietConfig(1);
+        cfg.enableTempo = true;
+        cfg.tempo.policy = policy;
+        Runtime rt(cfg);
+        constexpr int kTasks = 64;
+        Counts used;
+        core::TempoCounters k0, k1;
+        uint64_t transitions = 0;
+        onWorker(rt, [&] {
+            TaskGroup below(rt);
+            below.run([] {});
+            TaskGroup g(rt);
+            k0 = rt.tempo()->counters();
+            const uint64_t t0 = rt.backend().transitionCount();
+            const Counts before = runtime::sync::counts();
+            for (int i = 0; i < kTasks; ++i)
+                g.run([] {});
+            g.wait();
+            used = runtime::sync::counts() - before;
+            transitions = rt.backend().transitionCount() - t0;
+            k1 = rt.tempo()->counters();
+            below.wait();
+        });
+        const std::string arm = core::toString(policy);
+        EXPECT_EQ(used.locks, 2u * kTasks) << arm;
+        EXPECT_EQ(used.rmw, 0u) << arm;
+        EXPECT_EQ(used.cas, 0u) << arm;
+        EXPECT_EQ(used.seqCstStores, 0u) << arm;
+        EXPECT_EQ(used.lockedInstructions(), 4u * kTasks) << arm;
+        // The window did move the region.
+        EXPECT_GT(k1.workloadUps + k1.workloadDowns + k1.guardBlocks,
+                  k0.workloadUps + k0.workloadDowns + k0.guardBlocks)
+            << arm;
+        if (policy == core::TempoPolicy::WorkloadOnly)
+            EXPECT_GT(transitions, 0u);
+        else
+            EXPECT_GT(k1.guardBlocks, k0.guardBlocks);
+    }
 }
 
 TEST(SyncCount, LoneTaskPushAndPopCostsThreeLockedInstructions)

@@ -28,12 +28,19 @@ struct Rig
         : backend(workers, FrequencyLadder(rungs)),
           controller(makeConfig(policy, std::move(rungs),
                                 thresholds),
-                     backend, workers,
-                     [](core::WorkerId w) {
-                         return static_cast<platform::DomainId>(w);
-                     })
+                     backend, oneDomainEach(workers))
     {
-        controller.reset(0.0);
+        controller.reset();
+    }
+
+    /** Worker w on domain w. */
+    static std::vector<platform::DomainId>
+    oneDomainEach(unsigned workers)
+    {
+        std::vector<platform::DomainId> domain_of(workers);
+        for (unsigned w = 0; w < workers; ++w)
+            domain_of[w] = w;
+        return domain_of;
     }
 
     static TempoConfig
@@ -71,7 +78,7 @@ TEST(TempoController, Figure3WorkpathWalkthrough)
     auto &c = rig.controller;
 
     // (b) worker 1 steals from worker 0: Thief Procrastination.
-    c.onStealSuccess(1, 0, 0.1);
+    c.onStealSuccess(1, 0);
     EXPECT_EQ(c.tempoOf(0), 0u);
     EXPECT_EQ(c.tempoOf(1), 1u);
     EXPECT_EQ(c.nextOf(0), 1u);
@@ -79,13 +86,13 @@ TEST(TempoController, Figure3WorkpathWalkthrough)
 
     // (c) worker 2 steals from worker 1: a thief's thief runs at a
     // tempo further slower.
-    c.onStealSuccess(2, 1, 0.2);
+    c.onStealSuccess(2, 1);
     EXPECT_EQ(c.tempoOf(2), 2u);
     EXPECT_EQ(c.nextOf(1), 2u);
 
     // (d/e) worker 0 runs out of work: Immediacy Relay raises every
     // downstream thief one level, preserving their order.
-    c.onOutOfWork(0, 0.3);
+    c.onOutOfWork(0);
     EXPECT_EQ(c.tempoOf(1), 0u);
     EXPECT_EQ(c.tempoOf(2), 1u);
     EXPECT_FALSE(c.nextOf(0) != invalidWorker);
@@ -93,7 +100,7 @@ TEST(TempoController, Figure3WorkpathWalkthrough)
 
     // (f) worker 0 steals from worker 1: a fresh relationship with
     // roles swapped; 0 slots in right after its victim.
-    c.onStealSuccess(0, 1, 0.4);
+    c.onStealSuccess(0, 1);
     EXPECT_EQ(c.tempoOf(0), 1u);
     EXPECT_EQ(c.nextOf(1), 0u);
     EXPECT_EQ(c.nextOf(0), 2u);
@@ -108,26 +115,26 @@ TEST(TempoController, Figure4WorkloadWalkthrough)
 
     // (b) worker 1 steals; its deque is empty (size 0, below the
     // first threshold): lowest tempo.
-    c.onStealSuccess(1, 0, 0.1);
+    c.onStealSuccess(1, 0);
     EXPECT_EQ(c.tempoOf(1), 2u);
 
     // (c) pushes grow the deque past threshold 1: medium tempo.
-    c.onPush(1, 1, 0.2);
+    c.onPush(1, 1);
     EXPECT_EQ(c.tempoOf(1), 1u);
-    c.onPush(1, 2, 0.3);
+    c.onPush(1, 2);
     EXPECT_EQ(c.tempoOf(1), 1u);  // still below threshold 3
 
     // (d) deque reaches the second threshold: fastest tempo.
-    c.onPush(1, 3, 0.4);
+    c.onPush(1, 3);
     EXPECT_EQ(c.tempoOf(1), 0u);
 
     // (e) a thief steals from worker 1, dropping the deque below
     // the second threshold: slowed one level.
-    c.onVictimStolen(1, 2, 0.5);
+    c.onVictimStolen(1, 2);
     EXPECT_EQ(c.tempoOf(1), 1u);
 
     // (f) pops drain it below the first threshold: slowest again.
-    c.onPopSuccess(1, 0, 0.6);
+    c.onPopSuccess(1, 0);
     EXPECT_EQ(c.tempoOf(1), 2u);
 }
 
@@ -139,41 +146,28 @@ TEST(TempoController, UnifiedHeadGuardBlocksWorkloadDowns)
     // Worker 0 has prev == null (most immediate work): pushing it up
     // then draining must NOT slow it (the single intersection of the
     // two strategies, Section 3.3).
-    c.onPush(0, 4, 0.1);
+    c.onPush(0, 4);
     EXPECT_EQ(c.tempoOf(0), 0u);
-    c.onPopSuccess(0, 0, 0.2);
+    c.onPopSuccess(0, 0);
     EXPECT_EQ(c.tempoOf(0), 0u);
     EXPECT_GE(c.counters().guardBlocks, 1u);
 
     // A linked thief, in contrast, is subject to workload downs.
-    c.onStealSuccess(1, 0, 0.3);
+    c.onStealSuccess(1, 0);
     EXPECT_EQ(c.tempoOf(1), 1u);
-    c.onPush(1, 4, 0.4);  // region 2: two ups -> fastest
+    c.onPush(1, 4);  // region 2: two ups -> fastest
     EXPECT_EQ(c.tempoOf(1), 0u);
-    c.onPopSuccess(1, 0, 0.5);  // region 0: downs allowed
+    c.onPopSuccess(1, 0);  // region 0: downs allowed
     EXPECT_EQ(c.tempoOf(1), 2u);
-}
-
-TEST(TempoController, BaselineIsInert)
-{
-    Rig rig(TempoPolicy::Baseline, {2400, 1600});
-    auto &c = rig.controller;
-    c.onStealSuccess(1, 0, 0.1);
-    c.onPush(1, 10, 0.2);
-    c.onVictimStolen(0, 0, 0.3);
-    c.onOutOfWork(0, 0.4);
-    for (core::WorkerId w = 0; w < 4; ++w)
-        EXPECT_EQ(c.tempoOf(w), 0u);
-    EXPECT_EQ(rig.backend.transitionCount(), 0u);
 }
 
 TEST(TempoController, WorkpathOnlyIgnoresDequeSizes)
 {
     Rig rig(TempoPolicy::WorkpathOnly, {2400, 1900, 1600});
     auto &c = rig.controller;
-    c.onPush(0, 10, 0.1);
-    c.onPopSuccess(0, 0, 0.2);
-    c.onVictimStolen(0, 0, 0.3);
+    c.onPush(0, 10);
+    c.onPopSuccess(0, 0);
+    c.onVictimStolen(0, 0);
     EXPECT_EQ(c.tempoOf(0), 0u);
     EXPECT_EQ(c.counters().workloadUps, 0u);
     EXPECT_EQ(c.counters().workloadDowns, 0u);
@@ -185,9 +179,9 @@ TEST(TempoController, StealFromSlowedVictimClamps)
     // below the slowest usable rung (N-frequency clamping).
     Rig rig(TempoPolicy::WorkpathOnly, {2400, 1600});
     auto &c = rig.controller;
-    c.onStealSuccess(1, 0, 0.1);
+    c.onStealSuccess(1, 0);
     EXPECT_EQ(c.tempoOf(1), 1u);
-    c.onStealSuccess(2, 1, 0.2);
+    c.onStealSuccess(2, 1);
     EXPECT_EQ(c.tempoOf(2), 1u);  // clamped, not 2
     EXPECT_EQ(rig.backend.domainFreq(2), 1600u);
 }
@@ -196,11 +190,11 @@ TEST(TempoController, RelayIsIdempotentWhileIdle)
 {
     Rig rig(TempoPolicy::Unified, {2400, 1900, 1600});
     auto &c = rig.controller;
-    c.onStealSuccess(1, 0, 0.1);
-    c.onOutOfWork(0, 0.2);
+    c.onStealSuccess(1, 0);
+    c.onOutOfWork(0);
     const auto after_first = c.counters().relayUps;
-    c.onOutOfWork(0, 0.3);  // scheduler retries while idle
-    c.onOutOfWork(0, 0.4);
+    c.onOutOfWork(0);  // scheduler retries while idle
+    c.onOutOfWork(0);
     EXPECT_EQ(c.counters().relayUps, after_first);
 }
 
@@ -208,9 +202,9 @@ TEST(TempoController, ResetRestoresBootstrap)
 {
     Rig rig(TempoPolicy::Unified, {2400, 1600});
     auto &c = rig.controller;
-    c.onStealSuccess(1, 0, 0.1);
-    c.onStealSuccess(2, 1, 0.2);
-    c.reset(1.0);
+    c.onStealSuccess(1, 0);
+    c.onStealSuccess(2, 1);
+    c.reset();
     for (core::WorkerId w = 0; w < 4; ++w) {
         EXPECT_EQ(c.tempoOf(w), 0u);
         EXPECT_EQ(c.prevOf(w), invalidWorker);
@@ -223,10 +217,10 @@ TEST(TempoController, CountersTrackEvents)
 {
     Rig rig(TempoPolicy::Unified, {2400, 1900, 1600});
     auto &c = rig.controller;
-    c.onStealSuccess(1, 0, 0.1);
-    c.onPush(1, 1, 0.2);
-    c.onPush(1, 3, 0.3);
-    c.onOutOfWork(0, 0.4);
+    c.onStealSuccess(1, 0);
+    c.onPush(1, 1);
+    c.onPush(1, 3);
+    c.onOutOfWork(0);
     const auto k = c.counters();
     EXPECT_EQ(k.stealDowns, 1u);
     EXPECT_EQ(k.workloadUps, 2u);
@@ -238,7 +232,7 @@ TEST(TempoController, FrequencyOfMatchesBackend)
 {
     Rig rig(TempoPolicy::Unified, {2400, 1600});
     auto &c = rig.controller;
-    c.onStealSuccess(3, 0, 0.1);
+    c.onStealSuccess(3, 0);
     EXPECT_EQ(c.frequencyOf(3), 1600u);
     EXPECT_EQ(rig.backend.domainFreq(3), 1600u);
 }
@@ -247,10 +241,7 @@ TEST(TempoControllerDeath, RequiresResolvedLadder)
 {
     SimulatedDvfs backend(2, FrequencyLadder({2400, 1600}));
     TempoConfig cfg;  // ladder left unset
-    EXPECT_DEATH(TempoController(cfg, backend, 2,
-                                 [](core::WorkerId) {
-                                     return platform::DomainId(0);
-                                 }),
+    EXPECT_DEATH(TempoController(cfg, backend, {0, 0}),
                  "must be resolved");
 }
 
@@ -265,7 +256,7 @@ TEST_P(NFrequencyClamp, ChainedStealsSaturateAtSlowest)
     Rig rig(TempoPolicy::WorkpathOnly, rungs, 8);
     auto &c = rig.controller;
     for (core::WorkerId thief = 1; thief < 8; ++thief) {
-        c.onStealSuccess(thief, thief - 1, 0.1 * thief);
+        c.onStealSuccess(thief, thief - 1);
         const auto expect = std::min<size_t>(thief,
                                              rungs.size() - 1);
         EXPECT_EQ(c.tempoOf(thief), expect);
